@@ -10,7 +10,6 @@ identities beyond tolerance), 64 usage error, 74 unwritable output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -46,11 +45,7 @@ _FIGURES = (
     ("fig5_log_kernel.csv", "log_kernel_form", None),
 )
 
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+_CSV_CHUNK = 1 << 10  # rows formatted per write; bounds the strings held
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,13 +68,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write the header line, then equal-length columns (sequences or numpy
+    arrays) as CSV rows: floats with 17 significant digits, every other
+    value through ``str``."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    count = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(header + "\n")
+        for i in range(0, count, _CSV_CHUNK):
+            cells = []
+            for column in columns:
+                part = column[i:i + _CSV_CHUNK]
+                if hasattr(part, "tolist"):  # numpy scalars become Python's
+                    part = part.tolist()
+                cells.append([f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in part])
+            fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
 
 
 def _write_manifest(path: Path, command: str, params: dict, outputs: list,
@@ -111,7 +116,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", type=Path, default=None,
                        help="output CSV path (figures: output directory)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for grid scans")
+                       help="accepted for compatibility; has no effect")
         return p
 
     p = add("eta", "Normalized binary weight vector of one integer.",
@@ -176,7 +181,7 @@ def _run_eta(args, out: Path):
     exps = decompose(n).exponents
     rows = [(k + 1, e, t.numerator, t.denominator, float(t))
             for k, (e, t) in enumerate(zip(exps, w.components))]
-    _write_csv(out, ["k", "exponent", "numerator", "denominator", "weight"], rows)
+    _write_csv(out, "k,exponent,numerator,denominator,weight", *zip(*rows))
     return {"N": n, "bit_count": len(exps)}
 
 
@@ -186,7 +191,7 @@ def _run_energy(args, out: Path):
     lo, hi = (args.N, args.N) if args.N is not None else _parse_range(args.n_range)
     params = EnergyParams(args.s)
     rows = [(n, args.s, greedy_energy(n, params)) for n in range(lo, hi + 1)]
-    _write_csv(out, ["N", "s", "energy"], rows)
+    _write_csv(out, "N,s,energy", *zip(*rows))
     return {"count": len(rows)}
 
 
@@ -195,7 +200,7 @@ def _run_tseq(args, out: Path):
     params = EnergyParams(args.s)
     rows = [(n, args.s, greedy_energy(n, params), t_sequence(n, args.s))
             for n in range(max(lo, 2), hi + 1)]
-    _write_csv(out, ["N", "s", "energy", "T"], rows)
+    _write_csv(out, "N,s,energy,T", *zip(*rows))
     values = [r[3] for r in rows]
     return {"count": len(rows), "min_T": min(values), "max_T": max(values)}
 
@@ -205,28 +210,29 @@ def _run_fseq(args, out: Path):
     params = EnergyParams(args.s)
     rows = [(n, args.s, extremal_potential(n, params), f_sequence(n, args.s))
             for n in range(max(lo, 1), hi + 1)]
-    _write_csv(out, ["N", "s", "potential", "F"], rows)
+    _write_csv(out, "N,s,potential,F", *zip(*rows))
     values = [r[3] for r in rows]
     return {"count": len(rows), "min_F": min(values), "max_F": max(values)}
 
 
-def _run_scan(args, out: Path):
-    target = _SCAN_TARGETS[args.target]
-    result = scan_extremum(args.M, target, args.s, jobs=args.jobs)
-    _write_csv(out, ["x", "value"], zip(result.xs, result.values))
+def _scan_summary(result) -> dict:
     summary = {
-        "target": target,
-        "M": args.M,
+        "target": result.target,
+        "s": result.s,
         "orientation": result.orientation,
         "extremum": result.extremum,
         "arg_x": f"{result.arg.numerator}/{result.arg.denominator}",
         "arg_x_float": float(result.arg),
     }
-    if result.s is not None:
-        summary["s"] = result.s
     if result.error_bound is not None:
         summary["error_bound"] = result.error_bound
     return summary
+
+
+def _run_scan(args, out: Path):
+    result = scan_extremum(args.M, _SCAN_TARGETS[args.target], args.s, jobs=args.jobs)
+    _write_csv(out, "x,value", result.xs, result.values)
+    return {"M": args.M, **_scan_summary(result)}
 
 
 def _run_figures(args, out_dir: Path):
@@ -235,13 +241,9 @@ def _run_figures(args, out_dir: Path):
     for name, target, s in _FIGURES:
         result = scan_extremum(args.M, target, s, jobs=args.jobs)
         path = out_dir / name
-        _write_csv(path, ["x", "value"], zip(result.xs, result.values))
+        _write_csv(path, "x,value", result.xs, result.values)
         outputs.append(path)
-        summary["panels"][name] = {
-            "target": target, "s": s,
-            "orientation": result.orientation,
-            "extremum": result.extremum,
-        }
+        summary["panels"][name] = _scan_summary(result)
     return outputs, summary
 
 
@@ -255,7 +257,7 @@ def _run_expansion_check(args, out: Path):
         predicted = expansion_energy(n, args.s)
         rows.append((n, args.s, exact, predicted, exact - predicted))
         worst = max(worst, abs(exact - predicted) / max(1.0, abs(exact)))
-    _write_csv(out, ["N", "s", "exact", "predicted", "residual"], rows)
+    _write_csv(out, "N,s,exact,predicted,residual", *zip(*rows))
     return {"count": len(rows), "max_rel_residual": worst}
 
 
@@ -273,7 +275,7 @@ def _run_cesaro(args, out: Path):
         else:
             scale = float(n) ** (-args.s)
         rows.append((n, args.s, mean, dev, dev * scale))
-    _write_csv(out, ["N", "s", "mean", "deviation", "scaled_deviation"], rows)
+    _write_csv(out, "N,s,mean,deviation,scaled_deviation", *zip(*rows))
     return {"count": len(rows), "limit": target,
             "max_abs_scaled_deviation": max(abs(r[4]) for r in rows)}
 
@@ -289,7 +291,7 @@ def _run_oracle_verify(args, out: Path):
         gap = abs(oracle[n - 1] - formula) / max(1.0, abs(formula))
         worst = max(worst, gap)
         rows.append((n, args.s, oracle[n - 1], formula, gap))
-    _write_csv(out, ["N", "s", "oracle_energy", "formula_energy", "rel_gap"], rows)
+    _write_csv(out, "N,s,oracle_energy,formula_energy,rel_gap", *zip(*rows))
     return {"max_rel_gap": worst, "tol": args.tol}, worst <= args.tol
 
 
@@ -301,8 +303,7 @@ def _run_identities(args, out: Path):
             (l1, r1), (l2, r2) = child_identities(m, n, args.s)
             worst = max(worst, abs(l1 - r1), abs(l2 - r2))
             rows.append((m, n, args.s, l1, r1, l2, r2))
-    _write_csv(out, ["M", "n", "s", "lhs_odd", "rhs_odd", "lhs_even", "rhs_even"],
-               rows)
+    _write_csv(out, "M,n,s,lhs_odd,rhs_odd,lhs_even,rhs_even", *zip(*rows))
     return {"max_mismatch": worst, "tol": args.tol}, worst <= args.tol
 
 
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
             print(f"{command}: verification failed: {summary}", file=sys.stderr)
             return VERIFY_ERROR
         return 0
-    except (OSError, csv.Error) as exc:
+    except OSError as exc:
         print(f"{command}: cannot write output: {exc}", file=sys.stderr)
         return OUTPUT_ERROR
     except ValueError as exc:

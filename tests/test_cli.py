@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from rieszgreedy import cli
 from rieszgreedy.arith import leja_offset
 from rieszgreedy.binary import binary_weights
 from rieszgreedy.cli import main
@@ -76,6 +79,48 @@ class TestScanAndFigures:
         _, rows = read_csv(d / "fig1_offset.csv")
         values = [float(r[1]) for r in rows]
         assert 0.0 <= min(values) and max(values) < math.log(4.0 / 3.0)
+        panels = json.loads((d / "manifest.json").read_text())["summary"]["panels"]
+        for name, panel in panels.items():
+            _, rows = read_csv(d / name)
+            # the extremal row; ties go to the smallest x, i.e. the last row
+            arg = max(i for i, r in enumerate(rows)
+                      if float(r[1]) == panel["extremum"])
+            assert float(rows[arg][0]) == panel["arg_x_float"]
+            assert float(Fraction(panel["arg_x"])) == panel["arg_x_float"]
+            assert (("error_bound" in panel)
+                    == (panel["target"] == "energy_form"))
+
+
+def _fmt(value) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("chunk", [4, cli._CSV_CHUNK])
+    def test_matches_csv_module(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        count = 11
+        columns = [
+            list(range(count)),
+            [(1 << 70) + 3 ** k for k in range(count)],
+            [1.0 / (k + 1) for k in range(count)],
+            np.linspace(-1e300, 1e-300, count),
+            [np.float64(k) / 7.0 for k in range(count)],
+            np.arange(count, dtype=np.int64) * (1 << 40),
+            [math.nan, math.inf, -math.inf, 0.0, -0.0] + [2] * (count - 5),
+        ]
+        header = ["i", "big", "py", "np", "npscalar", "npint", "special"]
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in zip(*columns):
+                writer.writerow([_fmt(v) for v in row])
+        out = tmp_path / "out.csv"
+        cli._write_csv(out, ",".join(header), *columns)
+        assert out.read_bytes() == ref.read_bytes()
+        cli._write_csv(out, ",".join(header))
+        assert out.read_bytes() == b"i,big,py,np,npscalar,npint,special\n"
 
 
 class TestVerifiers:
@@ -156,6 +201,12 @@ class TestExitCodes:
         assert main(["scan", "--M", "4", "--target", "energy", "--s", "1",
                      "--out", out]) == 2
         assert main(["energy", "--s", "1", "--out", out]) == 2
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_scan_non_finite_s(self, tmp_path, s):
+        out = str(tmp_path / "t.csv")
+        assert main(["scan", "--M", "6", "--target", "energy", "--s", s,
+                     "--out", out]) == 2
 
     def test_bad_range_syntax(self, tmp_path):
         out = str(tmp_path / "t.csv")

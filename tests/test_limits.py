@@ -68,16 +68,17 @@ class TestWellDefinedness:
 class TestBatchValues:
     def test_matches_scalar_evaluators(self):
         rng = random.Random(21)
-        ns = np.array([rng.randint(2, 1 << 20) for _ in range(64)])
-        for target, fn in (
-                ("energy_form", lambda w: energy_form(w, 0.7)),
-                ("log_kernel_form", log_kernel_form),
-                ("leja_offset", leja_offset)):
-            s = 0.7 if target == "energy_form" else None
+        ns = np.array([rng.randint(2, 1 << 20) for _ in range(64)]
+                      + [rng.randrange(1 << 40, 1 << 53) for _ in range(64)])
+        cases = [("log_kernel_form", None, log_kernel_form),
+                 ("leja_offset", None, leja_offset)]
+        cases += [("energy_form", s, lambda w, s=s: energy_form(w, s))
+                  for s in (0.7, -0.5, 1.0 / 3.0, 3.5)]
+        for target, s, fn in cases:
             got = batch_eta_values(ns, target, s)
             for n, v in zip(ns, got):
-                assert v == pytest.approx(fn(binary_weights(int(n))),
-                                          abs=1e-12)
+                ref = fn(binary_weights(int(n)))
+                assert abs(v - ref) <= 1e-14 * max(1.0, abs(ref)), (target, s, n)
 
     def test_jobs_do_not_change_results(self):
         ns = np.arange(2, 1 << 16)
@@ -92,6 +93,8 @@ class TestBatchValues:
             batch_eta_values(np.array([0]), "leja_offset")
         with pytest.raises(ValueError):
             batch_eta_values(np.array([3]), "bogus")
+        with pytest.raises(ValueError):
+            batch_eta_values(np.array([3, 1 << 53]), "leja_offset")
 
 
 class TestScanExtremum:
@@ -127,6 +130,11 @@ class TestScanExtremum:
             scan_extremum(0, "leja_offset")
         with pytest.raises(ValueError):
             scan_extremum(25, "leja_offset")
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(ValueError):
+            scan_extremum(8, "energy_form", s)
 
     def test_values_match_point_evaluators(self):
         r = scan_extremum(6, "energy_form", 0.4)
