@@ -5,6 +5,17 @@ Cesaro mean of the extremal potential deviations.
 Branch points: the scaled sequences change definition at s = -1, 0, 1.
 Parameters within 1e-9 of a branch (but not exactly on it) are rejected
 instead of silently switched, since the scalings differ by log factors.
+
+Each per-n function has an array form over int64 n in [1, 2^53), for
+ranges of n: :func:`t_from_energies`, :func:`f_from_potentials`,
+:func:`t_predictions`, :func:`expansion_energies`, :func:`cesaro_means`.
+The array forms of T, F and the Cesaro mean are bit-identical to the
+scalar functions; the n-independent coefficients are computed once per
+call, the arithmetic forms come from :func:`limits.batch_eta_values`, and
+powers and logarithms of n are taken per n with the scalar libm, which
+numpy's vectorized pow and log do not match to the last ulp.  The scalar
+functions serve single Python ints of any size and are the reference the
+tests hold the array forms to.
 """
 
 from __future__ import annotations
@@ -13,23 +24,33 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
+from . import limits
 from .arith import energy_form, leja_offset, log_kernel_form
 from .binary import binary_weights
-from .energy import EnergyParams, extremal_potential, greedy_energy
+from .energy import (EnergyParams, extremal_potential, fsum_rows,
+                     greedy_energies, greedy_energy, int_array)
 from .special import (EULER_GAMMA, arclength_energy, log_term_constant,
                       sinc_power_series, zeta)
 
 __all__ = [
     "t_sequence",
+    "t_from_energies",
     "f_sequence",
+    "f_from_potentials",
     "TPrediction",
     "predict_t",
+    "t_predictions",
     "expansion_energy",
+    "expansion_energies",
     "EnergyReport",
     "RemainderScan",
     "remainder_scan",
     "doubling_gap",
     "cesaro_mean",
+    "cesaro_means",
+    "cesaro_scales",
 ]
 
 _BRANCH_GUARD = 1e-9
@@ -44,6 +65,17 @@ def _check_branches(s: float) -> None:
                 "pass the branch value exactly or move away from it")
 
 
+def _per_n(func, n: np.ndarray) -> np.ndarray:
+    """func applied to each entry of a float array as a Python float."""
+    return np.array(list(map(func, n.tolist())))
+
+
+def _check_sequence_s(s: float) -> None:
+    if s <= -2.0:
+        raise ValueError("s must exceed -2")
+    _check_branches(s)
+
+
 def t_sequence(n: int, s: float) -> float:
     """The translated and scaled greedy energy T at index n.
 
@@ -53,9 +85,7 @@ def t_sequence(n: int, s: float) -> float:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if s <= -2.0:
-        raise ValueError("s must exceed -2")
-    _check_branches(s)
+    _check_sequence_s(s)
     e = greedy_energy(n, EnergyParams(s))
     if s == 0.0:
         return (e + n * math.log(n)) / n
@@ -71,13 +101,31 @@ def t_sequence(n: int, s: float) -> float:
     return (e - cont) / float(n) ** (1.0 + s)
 
 
+def t_from_energies(ns, energies: np.ndarray, s: float) -> np.ndarray:
+    """:func:`t_sequence` over n in ns (2 <= n < 2^53), given the greedy
+    energies E(n) (from :func:`~rieszgreedy.energy.greedy_energies`)."""
+    ns = int_array(ns, 2)
+    _check_sequence_s(s)
+    n = ns.astype(float)
+    if s == 0.0:
+        return (energies + n * _per_n(math.log, n)) / n
+    if s == 1.0:
+        return (energies - n * n * _per_n(math.log, n) / math.pi) / (n * n)
+    if s > 1.0:
+        return energies / _per_n(lambda x: x ** (1.0 + s), n)
+    cont = arclength_energy(s) * n * n
+    if s == -1.0:
+        return (energies - cont) / _per_n(math.log, n)
+    if s < -1.0:
+        return energies - cont
+    return (energies - cont) / _per_n(lambda x: x ** (1.0 + s), n)
+
+
 def f_sequence(n: int, s: float) -> float:
     """The translated and scaled extremal potential F at index n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if s <= -2.0:
-        raise ValueError("s must exceed -2")
-    _check_branches(s)
+    _check_sequence_s(s)
     u = extremal_potential(n, EnergyParams(s))
     if s == 0.0:
         return -u / math.log(n + 1.0)
@@ -89,6 +137,25 @@ def f_sequence(n: int, s: float) -> float:
     if s < 0.0:
         return u - cont
     return (u - cont) / float(n) ** s
+
+
+def f_from_potentials(ns, potentials: np.ndarray, s: float) -> np.ndarray:
+    """:func:`f_sequence` over n in ns (1 <= n < 2^53), given the extremal
+    potentials U_n(a_n) (from
+    :func:`~rieszgreedy.energy.extremal_potentials`)."""
+    ns = int_array(ns, 1)
+    _check_sequence_s(s)
+    n = ns.astype(float)
+    if s == 0.0:
+        return -potentials / _per_n(math.log, n + 1.0)
+    if s == 1.0:
+        return (potentials - n * _per_n(math.log, n) / math.pi) / n
+    if s > 1.0:
+        return potentials / _per_n(lambda x: x ** s, n)
+    cont = arclength_energy(s) * n
+    if s < 0.0:
+        return potentials - cont
+    return (potentials - cont) / _per_n(lambda x: x ** s, n)
 
 
 class TPrediction(NamedTuple):
@@ -131,6 +198,36 @@ def predict_t(n: int, s: float) -> TPrediction:
     return TPrediction(value, scale)
 
 
+def t_predictions(ns, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`predict_t` over n in ns (2 <= n < 2^53): the arrays of
+    predictions and of remainder scales."""
+    ns = int_array(ns, 2)
+    _check_branches(s)
+    if s < -1.0:
+        raise ValueError("prediction requires s >= -1")
+    n = ns.astype(float)
+    if s == 0.0:
+        return limits.batch_eta_values(ns, "leja_offset"), np.ones(ns.size)
+    if s == -1.0:
+        log_n = _per_n(math.log, n)
+        form = limits.batch_eta_values(ns, "energy_form", -1.0)
+        return -math.pi / 3.0 * form / log_n, log_n
+    if s == 1.0:
+        form = limits.batch_eta_values(ns, "log_kernel_form")
+        return (EULER_GAMMA + math.log(2.0 / math.pi) + form) / math.pi, n * n
+    value = (2.0 * zeta(s) / (2.0 * math.pi) ** s
+             * limits.batch_eta_values(ns, "energy_form", s))
+    if s < 1.0:
+        scale = _per_n(lambda x: x ** (1.0 + s), n)
+    elif s == 3.0:
+        scale = n * n / _per_n(math.log, n)
+    elif s < 3.0 and s != 2.0:
+        scale = _per_n(lambda x: x ** (s - 1.0), n)
+    else:
+        scale = n * n
+    return value, scale
+
+
 def expansion_energy(n: int, s: float) -> float:
     """Multi-term energy expansion at index n, valid for s >= -1, s != 0.
 
@@ -165,6 +262,50 @@ def expansion_energy(n: int, s: float) -> float:
                          * energy_form(w, s - 2.0 * j)
                          * float(n) ** (s - 2.0 * j + 1.0))
     return math.fsum(terms)
+
+
+def expansion_energies(ns, s: float) -> np.ndarray:
+    """:func:`expansion_energy` over n in ns (2 <= n < 2^53).
+
+    The same terms, each row reduced with math.fsum; the coefficients
+    (zeta(s - 2j), the sinc coefficients, I_s and the odd-s log constant)
+    are computed once.  The arithmetic forms come from
+    :func:`limits.batch_eta_values`, so a row differs from
+    :func:`expansion_energy` by at most 1e-14 times the sum of the
+    absolute values of its terms.
+    """
+    return fsum_rows(_expansion_terms(ns, s))
+
+
+def _expansion_terms(ns, s: float) -> list[np.ndarray]:
+    """The terms of :func:`expansion_energy`, one column per term."""
+    ns = int_array(ns, 2)
+    if s < -1.0 or s == 0.0:
+        raise ValueError("expansion requires s >= -1 and s != 0")
+    _check_branches(s)
+    n = ns.astype(float)
+    odd = s == round(s) and int(round(s)) % 2 == 1 and s > 0
+    if odd:
+        m = (int(round(s)) - 1) // 2
+        q = math.gamma(m + 0.5) / (math.sqrt(math.pi) * math.pi * 4.0 ** m
+                                   * math.factorial(m))
+        const = EULER_GAMMA - math.log(math.pi) + log_term_constant(m)
+        form = limits.batch_eta_values(ns, "log_kernel_form")
+        columns = [q * n * n * _per_n(math.log, n),
+                   q * (const + form) * n * n]
+        j_top = m - 1
+    else:
+        columns = [arclength_energy(s) * n * n]
+        j_top = math.floor((s + 1.0) / 2.0)
+    if j_top >= 0:
+        coeffs = sinc_power_series(s, j_top + 1).coeffs
+        front = 2.0 / (2.0 * math.pi) ** s
+        for j in range(j_top + 1):
+            sj = s - 2.0 * j
+            columns.append(front * coeffs[j] * zeta(sj)
+                           * limits.batch_eta_values(ns, "energy_form", sj)
+                           * _per_n(lambda x: x ** (sj + 1.0), n))
+    return columns
 
 
 @dataclass(frozen=True)
@@ -218,17 +359,17 @@ def remainder_scan(s: float, n_lo: int, n_hi: int,
         raise ValueError(f"range must sit inside [2, {_MAX_SCAN_N}]")
     if level not in ("expansion", "leading"):
         raise ValueError(f"unknown level {level!r}")
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        if level == "leading" or s == 0.0:
-            t = t_sequence(n, s)
-            pred, scale = predict_t(n, s)
-            rows.append(EnergyReport(n, s, greedy_energy(n, EnergyParams(s)),
-                                     t, pred, t - pred, scale))
-        else:
-            e = greedy_energy(n, EnergyParams(s))
-            pred = expansion_energy(n, s)
-            rows.append(EnergyReport(n, s, e, e, pred, e - pred, 1.0))
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    energies = greedy_energies(ns, EnergyParams(s))
+    if level == "leading" or s == 0.0:
+        scaled = t_from_energies(ns, energies, s)
+        pred, scale = t_predictions(ns, s)
+    else:
+        scaled = energies
+        pred, scale = expansion_energies(ns, s), np.ones(ns.size)
+    rows = [EnergyReport(*row) for row in zip(
+        ns.tolist(), [s] * ns.size, energies.tolist(), scaled.tolist(),
+        pred.tolist(), (scaled - pred).tolist(), scale.tolist())]
 
     octaves: list[float] = []
     k_lo = n_lo.bit_length() - 1
@@ -267,8 +408,36 @@ def cesaro_mean(n: int, s: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not -2.0 < s < 0.0:
-        raise ValueError("Cesaro mean requires -2 < s < 0")
+    _check_cesaro_s(s)
     cont = arclength_energy(s)
     e_next = greedy_energy(n + 1, EnergyParams(s))
     return (0.5 * e_next - 0.5 * n * (n + 1) * cont) / n
+
+
+def _check_cesaro_s(s: float) -> None:
+    if not -2.0 < s < 0.0:
+        raise ValueError("Cesaro mean requires -2 < s < 0")
+
+
+def cesaro_means(ns, s: float) -> np.ndarray:
+    """:func:`cesaro_mean` over n in ns (1 <= n < 2^53 - 1)."""
+    params = EnergyParams(s)
+    ns = int_array(ns, 1)
+    _check_cesaro_s(s)
+    e_next = greedy_energies(ns + 1, params)
+    n = ns.astype(float)
+    return (0.5 * e_next - 0.5 * n * (n + 1.0) * arclength_energy(s)) / n
+
+
+def cesaro_scales(ns, s: float) -> np.ndarray:
+    """The factor the Cesaro-mean deviation from I_s / 2 is multiplied by
+    to stay bounded: n / log n at s = -1 (1 at n = 1), n for s < -1 and
+    n^{-s} for -1 < s < 0."""
+    ns = int_array(ns, 1)
+    _check_cesaro_s(s)
+    n = ns.astype(float)
+    if s == -1.0:
+        return _per_n(lambda x: x / math.log(x) if x > 1.0 else 1.0, n)
+    if s < -1.0:
+        return n
+    return _per_n(lambda x: x ** -s, n)

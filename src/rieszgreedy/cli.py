@@ -5,24 +5,31 @@ manifest.
 Exit codes: 0 success, 2 domain error (a flag value violates an
 operation's precondition), 3 verification failure (oracle-verify or
 identities beyond tolerance), 64 usage error, 74 unwritable output.
+
+Ranges: ``--range A:B`` (and ``energy --N``) is clamped below to the
+command's smallest N (1 for energy, fseq and cesaro, 2 for tseq and
+expansion-check); a range left with no N, or reaching 2^53, is a domain
+error.  Every range is computed as arrays over N, one pass per command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .arith import leja_offset as _leja_offset
-from .asymptotics import (cesaro_mean, expansion_energy, f_sequence,
-                          t_sequence)
+from .asymptotics import (cesaro_means, cesaro_scales, expansion_energies,
+                          f_from_potentials, t_from_energies)
+# unused here, but perfbench/layertrace.py patches these names on this module
+from .asymptotics import expansion_energy, t_sequence  # noqa: F401
 from .binary import binary_weights, decompose
-from .energy import (EnergyParams, extremal_potential, greedy_energy,
-                     greedy_oracle, prefix_energies)
+from .energy import (EnergyParams, extremal_potentials, greedy_energies,
+                     greedy_energy, greedy_oracle, prefix_energies)
 from .limits import child_identities, scan_extremum
 from .special import arclength_energy
 
@@ -60,12 +67,18 @@ class _Parser(argparse.ArgumentParser):
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
+        return int(lo), int(hi)
     except ValueError:
         raise ValueError(f"range must look like A:B, got {text!r}")
-    if lo > hi:
-        raise ValueError(f"empty range {text!r}")
-    return lo, hi
+
+
+def _range_ns(lo: int, hi: int, smallest: int) -> np.ndarray:
+    """The integers max(lo, smallest) .. hi as int64."""
+    if max(lo, smallest) > hi:
+        raise ValueError(f"empty range {lo}:{hi}: no N >= {smallest} in it")
+    if hi >= 1 << 53:
+        raise ValueError("range must end below 2^53")
+    return np.arange(max(lo, smallest), hi + 1, dtype=np.int64)
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
@@ -188,31 +201,34 @@ def _run_eta(args, out: Path):
 def _run_energy(args, out: Path):
     if (args.N is None) == (args.n_range is None):
         raise ValueError("give exactly one of --N or --range")
-    lo, hi = (args.N, args.N) if args.N is not None else _parse_range(args.n_range)
     params = EnergyParams(args.s)
-    rows = [(n, args.s, greedy_energy(n, params)) for n in range(lo, hi + 1)]
-    _write_csv(out, "N,s,energy", *zip(*rows))
-    return {"count": len(rows)}
+    lo, hi = (args.N, args.N) if args.N is not None else _parse_range(args.n_range)
+    ns = _range_ns(lo, hi, 1)
+    energies = greedy_energies(ns, params)
+    _write_csv(out, "N,s,energy", ns, np.full(ns.size, args.s), energies)
+    return {"count": ns.size}
 
 
 def _run_tseq(args, out: Path):
-    lo, hi = _parse_range(args.n_range)
     params = EnergyParams(args.s)
-    rows = [(n, args.s, greedy_energy(n, params), t_sequence(n, args.s))
-            for n in range(max(lo, 2), hi + 1)]
-    _write_csv(out, "N,s,energy,T", *zip(*rows))
-    values = [r[3] for r in rows]
-    return {"count": len(rows), "min_T": min(values), "max_T": max(values)}
+    ns = _range_ns(*_parse_range(args.n_range), 2)
+    energies = greedy_energies(ns, params)
+    values = t_from_energies(ns, energies, args.s)
+    _write_csv(out, "N,s,energy,T", ns, np.full(ns.size, args.s),
+               energies, values)
+    return {"count": ns.size, "min_T": float(values.min()),
+            "max_T": float(values.max())}
 
 
 def _run_fseq(args, out: Path):
-    lo, hi = _parse_range(args.n_range)
     params = EnergyParams(args.s)
-    rows = [(n, args.s, extremal_potential(n, params), f_sequence(n, args.s))
-            for n in range(max(lo, 1), hi + 1)]
-    _write_csv(out, "N,s,potential,F", *zip(*rows))
-    values = [r[3] for r in rows]
-    return {"count": len(rows), "min_F": min(values), "max_F": max(values)}
+    ns = _range_ns(*_parse_range(args.n_range), 1)
+    potentials = extremal_potentials(ns, params)
+    values = f_from_potentials(ns, potentials, args.s)
+    _write_csv(out, "N,s,potential,F", ns, np.full(ns.size, args.s),
+               potentials, values)
+    return {"count": ns.size, "min_F": float(values.min()),
+            "max_F": float(values.max())}
 
 
 def _scan_summary(result) -> dict:
@@ -248,36 +264,27 @@ def _run_figures(args, out_dir: Path):
 
 
 def _run_expansion_check(args, out: Path):
-    lo, hi = _parse_range(args.n_range)
     params = EnergyParams(args.s)
-    rows = []
-    worst = 0.0
-    for n in range(max(lo, 2), hi + 1):
-        exact = greedy_energy(n, params)
-        predicted = expansion_energy(n, args.s)
-        rows.append((n, args.s, exact, predicted, exact - predicted))
-        worst = max(worst, abs(exact - predicted) / max(1.0, abs(exact)))
-    _write_csv(out, "N,s,exact,predicted,residual", *zip(*rows))
-    return {"count": len(rows), "max_rel_residual": worst}
+    ns = _range_ns(*_parse_range(args.n_range), 2)
+    exact = greedy_energies(ns, params)
+    predicted = expansion_energies(ns, args.s)
+    residual = exact - predicted
+    _write_csv(out, "N,s,exact,predicted,residual", ns,
+               np.full(ns.size, args.s), exact, predicted, residual)
+    worst = np.abs(residual) / np.maximum(1.0, np.abs(exact))
+    return {"count": ns.size, "max_rel_residual": float(worst.max())}
 
 
 def _run_cesaro(args, out: Path):
-    lo, hi = _parse_range(args.n_range)
+    ns = _range_ns(*_parse_range(args.n_range), 1)
+    means = cesaro_means(ns, args.s)
     target = arclength_energy(args.s) / 2.0
-    rows = []
-    for n in range(max(lo, 1), hi + 1):
-        mean = cesaro_mean(n, args.s)
-        dev = mean - target
-        if args.s == -1.0:
-            scale = n / math.log(n) if n > 1 else 1.0
-        elif args.s < -1.0:
-            scale = float(n)
-        else:
-            scale = float(n) ** (-args.s)
-        rows.append((n, args.s, mean, dev, dev * scale))
-    _write_csv(out, "N,s,mean,deviation,scaled_deviation", *zip(*rows))
-    return {"count": len(rows), "limit": target,
-            "max_abs_scaled_deviation": max(abs(r[4]) for r in rows)}
+    deviations = means - target
+    scaled = deviations * cesaro_scales(ns, args.s)
+    _write_csv(out, "N,s,mean,deviation,scaled_deviation", ns,
+               np.full(ns.size, args.s), means, deviations, scaled)
+    return {"count": ns.size, "limit": target,
+            "max_abs_scaled_deviation": float(np.abs(scaled).max())}
 
 
 def _run_oracle_verify(args, out: Path):

@@ -23,6 +23,8 @@ __all__ = [
     "CircleConfig",
     "roots_energy",
     "greedy_energy",
+    "greedy_energies",
+    "extremal_potentials",
     "greedy_oracle",
     "extremal_potential",
     "config_energy",
@@ -30,6 +32,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+#: Rows whose energy terms are built and summed at once: the term matrix
+#: and its Python floats then stay small for any range length.
+_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,10 @@ class EnergyParams:
     """
 
     s: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"s = {self.s} is not finite")
 
     @property
     def log_case(self) -> bool:
@@ -78,14 +88,6 @@ def _kernel_np(chord: np.ndarray, s: float) -> np.ndarray:
             return -np.log(chord)
     with np.errstate(divide="ignore"):
         return chord ** (-s)
-
-
-def _kernel(chord: float, s: float) -> float:
-    if s == 0.0:
-        return math.inf if chord == 0.0 else -math.log(chord)
-    if chord == 0.0:
-        return math.inf if s > 0 else 0.0
-    return chord ** (-s)
 
 
 @lru_cache(maxsize=4096)
@@ -139,6 +141,80 @@ def greedy_energy(n: int, params: EnergyParams) -> float:
             terms.append(ratio * _roots_energy_cached(1 << (exps[k] + 1), params.s))
         terms.append((1.0 - 2.0 * ratio) * _roots_energy_cached(1 << exps[k], params.s))
     return math.fsum(terms)
+
+
+def fsum_rows(columns) -> np.ndarray:
+    """math.fsum across equal-length float columns, row by row: the
+    correctly rounded row sums, whatever the order of the columns."""
+    count = len(columns[0])
+    out = np.empty(count)
+    for i in range(0, count, _BLOCK):
+        rows = zip(*(c[i:i + _BLOCK].tolist() for c in columns))
+        out[i:i + _BLOCK] = list(map(math.fsum, rows))
+    return out
+
+
+def int_array(ns, smallest: int) -> np.ndarray:
+    """ns as int64, each in [smallest, 2^53), where floats hold them exactly."""
+    ns = np.ascontiguousarray(ns, dtype=np.int64)
+    if ns.size and (ns.min() < smallest or ns.max() >= 1 << 53):
+        raise ValueError(f"n must lie in [{smallest}, 2^53)")
+    return ns
+
+
+def _roots_table(ns: np.ndarray, s: float) -> np.ndarray:
+    """L(2^e) for e = 0 .. bit width, requested only where greedy_energy
+    requests it: L(2^e) where some n > 1 has bit e set, L(2^{e+1}) where
+    such an n also has a set bit below e.  Entries not requested are 0.
+
+    Like greedy_energy, this asks for the largest first: smallest first
+    measured 7% more peak memory on a window just below 2^24, as the
+    allocator kept the freed mid-size sine arrays."""
+    width = int(ns.max()).bit_length()
+    table = np.zeros(width + 1)
+    ns = ns[ns > 1]
+    for e in reversed(range(width)):
+        bit = (ns >> e) & 1 == 1
+        if (bit & (ns & ((1 << e) - 1) != 0)).any():
+            table[e + 1] = _roots_energy_cached(1 << (e + 1), s)
+        if bit.any():
+            table[e] = _roots_energy_cached(1 << e, s)
+    return table
+
+
+def _energy_terms(ns: np.ndarray, roots: np.ndarray) -> list[np.ndarray]:
+    """The terms greedy_energy sums for each n, one column per term, 0
+    where n has no such term.  With S = n mod 2^e, the ratio S / 2^e is
+    an exact dyadic for n < 2^53."""
+    columns = []
+    for e in range(int(ns.max()).bit_length()):
+        low = ns & ((1 << e) - 1)
+        ratio = low * 2.0 ** -e
+        bit = (ns >> e) & 1 == 1
+        columns.append(np.where(bit & (low != 0), ratio * roots[e + 1], 0.0))
+        columns.append(np.where(bit, (1.0 - 2.0 * ratio) * roots[e], 0.0))
+    return columns
+
+
+def greedy_energies(ns, params: EnergyParams) -> np.ndarray:
+    """:func:`greedy_energy` over an array of integers 1 <= n < 2^53,
+    bit-identical to it: the same terms, with the same roots energies,
+    each row reduced with math.fsum (whose result does not depend on the
+    order of the terms).  Rows are processed in blocks of 2^10."""
+    params.require_greedy_range()
+    ns = int_array(ns, 1)
+    if ns.size == 0:
+        return np.empty(0)
+    roots = _roots_table(ns, params.s)
+    return np.concatenate([fsum_rows(_energy_terms(ns[i:i + _BLOCK], roots))
+                           for i in range(0, ns.size, _BLOCK)])
+
+
+def extremal_potentials(ns, params: EnergyParams) -> np.ndarray:
+    """:func:`extremal_potential` over an array of integers
+    1 <= n < 2^53 - 1, bit-identical to it."""
+    ns = int_array(ns, 1)
+    return 0.5 * (greedy_energies(ns + 1, params) - greedy_energies(ns, params))
 
 
 def extremal_potential(n: int, params: EnergyParams) -> float:

@@ -218,26 +218,37 @@ def scan_extremum(m: int, target: str, s: Optional[float] = None,
                       "min" if minimize else "max", error_bound)
 
 
+def _best_extremum(m: int, target: str, s: Optional[float],
+                   jobs: int) -> float:
+    """The best scanned extremum over the grids of orders 1..m."""
+    top = scan_extremum(m, target, s, jobs=jobs)
+    pick = min if top.orientation == "min" else max
+    extrema = [top.extremum]
+    del top  # its grid arrays need not live through the lower orders' scans
+    extrema += [scan_extremum(k, target, s, jobs=jobs).extremum
+                for k in range(1, m)]
+    return pick(extrema)
+
+
 def interval_estimate(s: float, m: int, jobs: int = 1) -> tuple[float, float]:
     """Estimated closed interval of limit points of the scaled energy
-    sequence with parameter s, from the order-m grid scan.
+    sequence with parameter s, from the grid scans of orders <= m.
 
     One endpoint is known exactly (1 for the energy form, 0 for the s = 0
-    and s = 1 targets); the other is the scanned extremum of order m
-    alone.  That extremum is not monotone in m, so a higher order can give
-    a worse estimate: at s = 1/3 the order-11 lower endpoint (0.9489503)
-    is farther from the constant than the order-10 one (0.9489493).  The
-    best over orders <= m (see :class:`ScanResult`) has no such step back.
+    and s = 1 targets); the other is the best scanned extremum over all
+    orders <= m, which is the extremum over every integer in
+    [2^m, 2^{m+1}) (see :class:`ScanResult`).  It never moves away from
+    the constant as m grows, unlike the order-m extremum alone (s = 1/3:
+    0.9489493 at order 10, 0.9489503 at order 11).  The scans of orders
+    below m cost less than the order-m scan itself.
     """
     if s <= -1.0:
         raise ValueError("interval estimate needs s > -1")
     if s == 0.0:
-        hi = scan_extremum(m, "leja_offset", jobs=jobs).extremum
-        return (0.0, hi)
+        return (0.0, _best_extremum(m, "leja_offset", None, jobs))
     if s == 1.0:
-        hi = scan_extremum(m, "log_kernel_form", jobs=jobs).extremum
-        return (0.0, hi)
-    d = scan_extremum(m, "energy_form", s, jobs=jobs).extremum
+        return (0.0, _best_extremum(m, "log_kernel_form", None, jobs))
+    d = _best_extremum(m, "energy_form", s, jobs)
     return (d, 1.0) if 0.0 < s < 1.0 else (1.0, d)
 
 

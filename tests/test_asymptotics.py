@@ -1,14 +1,31 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
+from rieszgreedy import asymptotics
 from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form, log_moment
-from rieszgreedy.asymptotics import (cesaro_mean, doubling_gap,
-                                     expansion_energy, f_sequence, predict_t,
-                                     remainder_scan, t_sequence)
+from rieszgreedy.asymptotics import (cesaro_mean, cesaro_means, cesaro_scales,
+                                     doubling_gap, expansion_energies,
+                                     expansion_energy, f_from_potentials,
+                                     f_sequence, predict_t, remainder_scan,
+                                     t_from_energies, t_predictions,
+                                     t_sequence)
 from rieszgreedy.binary import binary_weights
-from rieszgreedy.energy import EnergyParams, extremal_potential, greedy_energy
+from rieszgreedy.energy import (EnergyParams, extremal_potential,
+                                extremal_potentials, greedy_energies,
+                                greedy_energy)
 from rieszgreedy.special import EULER_GAMMA, arclength_energy
+
+
+def bits(values) -> list[int]:
+    """The IEEE bit patterns of floats, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# one s per branch of T and F: s < -1, -1, (-1, 0), 0, (0, 1), 1, > 1
+BRANCH_S = [-1.5, -1.0, -0.413, 0.0, 1.0 / 3.0, 1.0, 3.5]
 
 
 class TestTSequence:
@@ -47,7 +64,30 @@ class TestTSequence:
         assert max(values) < 0.0
 
 
+    @pytest.mark.parametrize("s", BRANCH_S)
+    def test_array_form_bit_identical(self, s):
+        ns = np.arange(2, 1500)
+        energies = greedy_energies(ns, EnergyParams(s))
+        want = [t_sequence(int(n), s) for n in ns]
+        assert bits(t_from_energies(ns, energies, s)) == bits(want)
+
+    def test_array_form_domain(self):
+        with pytest.raises(ValueError):
+            t_from_energies([1, 2], np.zeros(2), 0.5)
+        with pytest.raises(ValueError):
+            t_from_energies([2], np.zeros(1), 1.0 + 1e-12)
+        with pytest.raises(ValueError):
+            t_from_energies([2], np.zeros(1), -2.0)
+
+
 class TestFSequence:
+    @pytest.mark.parametrize("s", BRANCH_S)
+    def test_array_form_bit_identical(self, s):
+        ns = np.arange(1, 1500)
+        potentials = extremal_potentials(ns, EnergyParams(s))
+        want = [f_sequence(int(n), s) for n in ns]
+        assert bits(f_from_potentials(ns, potentials, s)) == bits(want)
+
     @pytest.mark.parametrize("s", [-1.5, -0.5])
     def test_first_value(self, s):
         want = 2.0 ** (-s) - arclength_energy(s)
@@ -109,6 +149,19 @@ class TestPredictT:
     def test_below_minus_one_rejected(self):
         with pytest.raises(ValueError):
             predict_t(16, -1.5)
+        with pytest.raises(ValueError):
+            t_predictions([16], -1.5)
+
+    @pytest.mark.parametrize("s", [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 3.5])
+    def test_array_form(self, s):
+        # the scales are bit-identical; the predictions take the forms
+        # from the batch kernel, within a few ulps of the exact evaluators
+        ns = np.arange(2, 1200)
+        values, scales = t_predictions(ns, s)
+        want = [predict_t(int(n), s) for n in ns]
+        assert bits(scales) == bits([w.remainder_scale for w in want])
+        for got, ref in zip(values.tolist(), want):
+            assert abs(got - ref.value) <= 1e-14 * max(1.0, abs(ref.value))
 
 
 class TestExpansionEnergy:
@@ -148,6 +201,27 @@ class TestExpansionEnergy:
             expansion_energy(16, -1.5)
         with pytest.raises(ValueError):
             expansion_energy(1, 2.0)
+
+
+    @pytest.mark.parametrize("s", [-1.0, -0.5, 0.5, 2.0, 3.0, 3.001, 3.5,
+                                   4.999, 5.0])
+    def test_array_form_within_term_tolerance(self, s):
+        # includes the odd-s log branch (3, 5) and s = 3.001, where the
+        # zeta(s - 2) pole term cancels against I_s n^2
+        rng = random.Random(11)
+        ns = np.array(list(range(2, 1025))
+                      + [rng.randrange(1 << 10, 1 << 50) for _ in range(200)])
+        got = expansion_energies(ns, s)
+        size = sum(np.abs(c) for c in asymptotics._expansion_terms(ns, s))
+        for n, v, scale in zip(ns.tolist(), got.tolist(), size.tolist()):
+            assert abs(v - expansion_energy(n, s)) <= 1e-14 * scale, n
+
+    def test_array_form_domain(self):
+        for bad in (0.0, -1.5, 1.0 + 1e-12):
+            with pytest.raises(ValueError):
+                expansion_energies([16], bad)
+        with pytest.raises(ValueError):
+            expansion_energies([1, 16], 2.0)
 
 
 class TestRemainderScan:
@@ -215,3 +289,13 @@ class TestCesaroMean:
         for bad in (0.0, 0.5, -2.0, -2.5):
             with pytest.raises(ValueError):
                 cesaro_mean(100, bad)
+            with pytest.raises(ValueError):
+                cesaro_means([100], bad)
+            with pytest.raises(ValueError):
+                cesaro_scales([100], bad)
+
+    @pytest.mark.parametrize("s", [-1.999, -1.5, -1.0, -0.413])
+    def test_array_form_bit_identical(self, s):
+        ns = np.arange(1, 2000)
+        want = [cesaro_mean(int(n), s) for n in ns]
+        assert bits(cesaro_means(ns, s)) == bits(want)

@@ -8,8 +8,11 @@ import pytest
 
 from rieszgreedy import cli
 from rieszgreedy.arith import leja_offset
+from rieszgreedy.asymptotics import cesaro_mean, f_sequence, t_sequence
 from rieszgreedy.binary import binary_weights
 from rieszgreedy.cli import main
+from rieszgreedy.energy import EnergyParams, extremal_potential, greedy_energy
+from rieszgreedy.special import arclength_energy
 
 
 def read_csv(path):
@@ -123,6 +126,44 @@ class TestCsvWriter:
         assert out.read_bytes() == b"i,big,py,np,npscalar,npint,special\n"
 
 
+def _cesaro_row(n, s):
+    mean = cesaro_mean(n, s)
+    dev = mean - arclength_energy(s) / 2.0
+    if s == -1.0:
+        scale = n / math.log(n) if n > 1 else 1.0
+    elif s < -1.0:
+        scale = float(n)
+    else:
+        scale = float(n) ** (-s)
+    return mean, dev, dev * scale
+
+
+# each range command against rows built from the scalar per-n functions
+SCALAR_ROWS = {
+    "energy": lambda n, s: (greedy_energy(n, EnergyParams(s)),),
+    "tseq": lambda n, s: (greedy_energy(n, EnergyParams(s)), t_sequence(n, s)),
+    "fseq": lambda n, s: (extremal_potential(n, EnergyParams(s)),
+                          f_sequence(n, s)),
+    "cesaro": _cesaro_row,
+}
+
+
+class TestRangeCommandsMatchScalar:
+    @pytest.mark.parametrize("command,s", [
+        *[(c, s) for c in ("energy", "tseq", "fseq")
+          for s in (-1.5, -1.0, -0.413, 0.0, 1.0 / 3.0, 1.0, 3.5)],
+        *[("cesaro", s) for s in (-1.5, -1.0, -0.413)]])
+    def test_bytes(self, tmp_path, command, s):
+        out = tmp_path / "r.csv"
+        assert main([command, "--s", repr(s), "--range", "2:300",
+                     "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        want = [",".join([str(n), f"{s:.17g}"]
+                         + [f"{v:.17g}" for v in SCALAR_ROWS[command](n, s)])
+                for n in range(2, 301)]
+        assert lines == want
+
+
 class TestVerifiers:
     def test_oracle_verify_passes(self, tmp_path):
         out = tmp_path / "ov.csv"
@@ -206,6 +247,43 @@ class TestExitCodes:
     def test_scan_non_finite_s(self, tmp_path, s):
         out = str(tmp_path / "t.csv")
         assert main(["scan", "--M", "6", "--target", "energy", "--s", s,
+                     "--out", out]) == 2
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--range", "1:4"], ["tseq", "--range", "2:4"],
+        ["fseq", "--range", "1:4"], ["cesaro", "--range", "1:4"],
+        ["expansion-check", "--range", "2:4"],
+        ["oracle-verify", "--N", "4", "--grid-bits", "10"]])
+    def test_non_finite_s(self, tmp_path, capsys, argv, s):
+        out = str(tmp_path / "t.csv")
+        assert main([*argv, f"--s={s}", "--out", out]) == 2
+        assert f"s = {float(s)} is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--s", "0.5", "--range", "0:0"],
+        ["energy", "--s", "0.5", "--N", "0"],
+        ["tseq", "--s", "0.5", "--range", "0:1"],
+        ["fseq", "--s", "0.5", "--range", "0:0"],
+        ["expansion-check", "--s", "0.5", "--range", "0:1"],
+        ["cesaro", "--s", "-0.5", "--range=-3:0"],
+        ["tseq", "--s", "0.5", "--range", "9:3"]])
+    def test_empty_range(self, tmp_path, capsys, argv):
+        out = tmp_path / "t.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "empty range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_range_clamped_to_smallest_n(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["tseq", "--s", "0.5", "--range=-5:3",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["2", "3"]
+
+    def test_range_beyond_float_integers(self, tmp_path):
+        out = str(tmp_path / "t.csv")
+        assert main(["energy", "--s", "0.5", "--N", str(1 << 53),
                      "--out", out]) == 2
 
     def test_bad_range_syntax(self, tmp_path):

@@ -5,9 +5,16 @@ import pytest
 
 from rieszgreedy.arith import leja_offset
 from rieszgreedy.binary import binary_weights
+from rieszgreedy import energy
 from rieszgreedy.energy import (CircleConfig, EnergyParams, config_energy,
-                                extremal_potential, greedy_energy,
+                                extremal_potential, extremal_potentials,
+                                greedy_energies, greedy_energy,
                                 greedy_oracle, prefix_energies, roots_energy)
+
+
+def bits(values) -> list[int]:
+    """The IEEE bit patterns of floats, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def pairwise_energy_reference(angles: np.ndarray, s: float) -> float:
@@ -93,6 +100,64 @@ class TestGreedyEnergy:
         with pytest.raises(ValueError):
             greedy_energy(0, EnergyParams(1.0))
         assert greedy_energy(1, EnergyParams(1.0)) == 0.0
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(ValueError, match="not finite"):
+            EnergyParams(s)
+
+
+class TestGreedyEnergies:
+    NS = list(range(1, 4097)) + list(range((1 << 16) - 512, (1 << 16) + 1))
+
+    @pytest.mark.parametrize("s", [-1.5, -1.0, -0.5, 0.0, 1.0 / 3.0, 1.0, 2.0, 3.5])
+    def test_bit_identical_to_scalar(self, s):
+        params = EnergyParams(s)
+        want = [greedy_energy(n, params) for n in self.NS]
+        assert bits(greedy_energies(np.array(self.NS), params)) == bits(want)
+
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 2.0])
+    def test_potentials_bit_identical_to_scalar(self, s):
+        params = EnergyParams(s)
+        ns = list(range(1, 600)) + [(1 << 16) - 3, (1 << 16) - 1]
+        want = [extremal_potential(n, params) for n in ns]
+        assert bits(extremal_potentials(np.array(ns), params)) == bits(want)
+
+    @pytest.mark.parametrize("top", [1 << 16, (1 << 16) - 7])
+    def test_requests_the_scalar_roots_energies(self, top):
+        # a window just below a power of two, like the large-n benchmark:
+        # both routes must ask for the same L(2^k), no more (each miss is
+        # 2^{k-1} sines) and no fewer
+        ns = np.arange(top - 255, top + 1)
+        params = EnergyParams(0.37)
+        cache = energy._roots_energy_cached
+
+        def misses(route_a, route_b):
+            cache.cache_clear()
+            route_a()
+            first = cache.cache_info().misses
+            route_b()  # every argument of b already cached: no new miss
+            return first, cache.cache_info().misses
+
+        def scalar():
+            return [greedy_energy(int(n), params) for n in ns]
+
+        def batch():
+            return greedy_energies(ns, params)
+
+        batch_misses, after_scalar = misses(batch, scalar)
+        scalar_misses, after_batch = misses(scalar, batch)
+        cache.cache_clear()
+        assert batch_misses == scalar_misses == after_scalar == after_batch
+
+    def test_domain(self):
+        assert greedy_energies([], EnergyParams(1.0)).shape == (0,)
+        assert bits(greedy_energies([1], EnergyParams(1.0))) == bits([0.0])
+        for bad in ([0, 3], [3, 1 << 53]):
+            with pytest.raises(ValueError):
+                greedy_energies(bad, EnergyParams(1.0))
+        with pytest.raises(ValueError):
+            greedy_energies([8], EnergyParams(-2.0))
 
 
 class TestGreedyOracle:

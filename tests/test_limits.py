@@ -212,6 +212,26 @@ class TestIntervalEstimate:
     def test_domain(self):
         with pytest.raises(ValueError):
             interval_estimate(-1.5, 8)
+        with pytest.raises(ValueError):
+            interval_estimate(0.5, 0)
+
+    @pytest.mark.parametrize("s,target,side", [
+        (1.0 / 3.0, "energy_form", 0), (3.5, "energy_form", 1),
+        (0.0, "leja_offset", 1), (1.0, "log_kernel_form", 1)])
+    def test_best_over_orders(self, s, target, side):
+        # the free endpoint is the running best of the per-order scans, so
+        # it never moves away from the constant (the order-m extremum
+        # alone does: s = 1/3 steps back from order 10 to 11)
+        scan_s = s if target == "energy_form" else None
+        extrema = [scan_extremum(k, target, scan_s).extremum for k in range(1, 15)]
+        best = min if 0.0 < s < 1.0 else max
+        prev = None
+        for m in range(6, 15):
+            end = interval_estimate(s, m)[side]
+            assert end == best(extrema[:m])
+            if prev is not None:
+                assert best(prev, end) == end, (m, prev, end)
+            prev = end
 
 
 class TestStationarityResidual:
