@@ -31,8 +31,10 @@ from .arith import energy_form, leja_offset, log_kernel_form
 from .binary import binary_weights
 from .energy import (EnergyParams, extremal_potential, fsum_rows,
                      greedy_energies, greedy_energy, int_array)
-from .special import (EULER_GAMMA, arclength_energy, log_term_constant,
-                      sinc_power_series, zeta)
+from .special import (EULER_GAMMA, RootsExpansion, arclength_energy,
+                      roots_expansion, zeta)
+# unused here, but perfbench/layertrace.py patches this name on this module
+from .special import sinc_power_series  # noqa: F401
 
 __all__ = [
     "t_sequence",
@@ -228,39 +230,45 @@ def t_predictions(ns, s: float) -> tuple[np.ndarray, np.ndarray]:
     return value, scale
 
 
+def _check_expansion_s(s: float) -> None:
+    if s < -1.0 or s == 0.0:
+        raise ValueError("expansion requires s >= -1 and s != 0")
+    _check_branches(s)
+
+
+def _expansion_coefficients(s: float) -> RootsExpansion:
+    """The :func:`~rieszgreedy.special.roots_expansion` terms the greedy
+    expansion keeps: j <= floor((s+1)/2), or j < m at an odd s = 2m + 1."""
+    odd = s == round(s) and int(round(s)) % 2 == 1 and s > 0
+    top = (int(round(s)) - 1) // 2 - 1 if odd else math.floor((s + 1.0) / 2.0)
+    return roots_expansion(s, top)
+
+
 def expansion_energy(n: int, s: float) -> float:
     """Multi-term energy expansion at index n, valid for s >= -1, s != 0.
 
     Generic s sums v(s) n^2 plus floor((s+1)/2) + 1 zeta-weighted terms;
     positive even integers make this exact.  Odd integers s = 2m + 1 get
     the n^2 log n term and the log-kernel-bearing n^2 term instead of the
-    divergent j = m contribution.
+    divergent j = m contribution.  The coefficients are those of the
+    roots-of-unity expansion (:func:`~rieszgreedy.special.roots_expansion`),
+    each weighted by an arithmetic form of the binary weights of n, and
+    n^{1+s-2j} is taken as n^{s-2j} n, so s + 1 is never rounded.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if s < -1.0 or s == 0.0:
-        raise ValueError("expansion requires s >= -1 and s != 0")
-    _check_branches(s)
+    _check_expansion_s(s)
     w = binary_weights(n)
-    odd = s == round(s) and int(round(s)) % 2 == 1 and s > 0
-    if odd:
-        m = (int(round(s)) - 1) // 2
-        q = math.gamma(m + 0.5) / (math.sqrt(math.pi) * math.pi * 4.0 ** m
-                                   * math.factorial(m))
+    ex = _expansion_coefficients(s)
+    if ex.log_factor:
+        q = ex.log_factor
         terms = [q * n * n * math.log(n),
-                 q * (EULER_GAMMA - math.log(math.pi) + log_term_constant(m)
-                      + log_kernel_form(w)) * n * n]
-        j_top = m - 1
+                 q * (ex.log_constant + log_kernel_form(w)) * n * n]
     else:
-        terms = [arclength_energy(s) * n * n]
-        j_top = math.floor((s + 1.0) / 2.0)
-    if j_top >= 0:
-        coeffs = sinc_power_series(s, j_top + 1).coeffs
-        front = 2.0 / (2.0 * math.pi) ** s
-        for j in range(j_top + 1):
-            terms.append(front * coeffs[j] * zeta(s - 2.0 * j)
-                         * energy_form(w, s - 2.0 * j)
-                         * float(n) ** (s - 2.0 * j + 1.0))
+        terms = [ex.arclength * n * n]
+    for j, c in enumerate(ex.coeffs):
+        sj = s - 2.0 * j
+        terms.append(c * energy_form(w, sj) * (float(n) ** sj * n))
     return math.fsum(terms)
 
 
@@ -280,31 +288,20 @@ def expansion_energies(ns, s: float) -> np.ndarray:
 def _expansion_terms(ns, s: float) -> list[np.ndarray]:
     """The terms of :func:`expansion_energy`, one column per term."""
     ns = int_array(ns, 2)
-    if s < -1.0 or s == 0.0:
-        raise ValueError("expansion requires s >= -1 and s != 0")
-    _check_branches(s)
+    _check_expansion_s(s)
     n = ns.astype(float)
-    odd = s == round(s) and int(round(s)) % 2 == 1 and s > 0
-    if odd:
-        m = (int(round(s)) - 1) // 2
-        q = math.gamma(m + 0.5) / (math.sqrt(math.pi) * math.pi * 4.0 ** m
-                                   * math.factorial(m))
-        const = EULER_GAMMA - math.log(math.pi) + log_term_constant(m)
+    ex = _expansion_coefficients(s)
+    if ex.log_factor:
+        q = ex.log_factor
         form = limits.batch_eta_values(ns, "log_kernel_form")
         columns = [q * n * n * _per_n(math.log, n),
-                   q * (const + form) * n * n]
-        j_top = m - 1
+                   q * (ex.log_constant + form) * n * n]
     else:
-        columns = [arclength_energy(s) * n * n]
-        j_top = math.floor((s + 1.0) / 2.0)
-    if j_top >= 0:
-        coeffs = sinc_power_series(s, j_top + 1).coeffs
-        front = 2.0 / (2.0 * math.pi) ** s
-        for j in range(j_top + 1):
-            sj = s - 2.0 * j
-            columns.append(front * coeffs[j] * zeta(sj)
-                           * limits.batch_eta_values(ns, "energy_form", sj)
-                           * _per_n(lambda x: x ** (sj + 1.0), n))
+        columns = [ex.arclength * n * n]
+    for j, c in enumerate(ex.coeffs):
+        sj = s - 2.0 * j
+        columns.append(c * limits.batch_eta_values(ns, "energy_form", sj)
+                       * _per_n(lambda x: x ** sj * x, n))
     return columns
 
 

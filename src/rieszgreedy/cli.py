@@ -10,12 +10,18 @@ Ranges: ``--range A:B`` (and ``energy --N``) is clamped below to the
 command's smallest N (1 for energy, fseq and cesaro, 2 for tseq and
 expansion-check); a range left with no N, or reaching 2^53, is a domain
 error.  Every range is computed as arrays over N, one pass per command.
+Energies over any N < 2^53 run in O(bit-width) memory: the roots-of-unity
+energies they combine come from their large-N expansion from N = 2^16 on.
+
+Flag values may start with '-': ``--s -inf`` and ``--range -3:0`` are
+values, not options.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -56,7 +62,14 @@ _CSV_CHUNK = 1 << 10  # rows formatted per write; bounds the strings held
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 64."""
+    """argparse that reports usage problems with exit code 64 and takes an
+    argument starting with '-' and then a digit, '.', 'inf' or 'nan' as a
+    value, where argparse itself only takes plain negative numbers (so
+    ``--s -inf`` or ``--range -3:0`` would miss their value)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -12,15 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 __all__ = [
     "zeta",
+    "regularized_zeta",
     "digamma",
     "arclength_energy",
     "SincPowerSeries",
     "sinc_power_series",
     "sinc_coeff_derivative",
     "log_term_constant",
+    "RootsExpansion",
+    "roots_expansion",
     "EULER_GAMMA",
 ]
 
@@ -125,6 +129,18 @@ def _zeta_positive(s: float) -> float:
     # relative accuracy near the pole
     denom = -math.expm1((1.0 - s) * math.log(2.0))
     return _eta_series(s) / denom
+
+
+def regularized_zeta(s: float) -> float:
+    """(s - 1) zeta(s) for 0 < s <= 200: finite through the pole, where it
+    equals 1, and accurate to a few ulps right next to it."""
+    s = float(s)
+    if not 0.0 < s <= ZETA_RANGE:
+        raise ValueError(f"regularized zeta needs 0 < s <= {ZETA_RANGE}, got {s}")
+    if s == 1.0:
+        return 1.0
+    e = s - 1.0
+    return _eta_series(s) * (e / -math.expm1(-e * math.log(2.0)))
 
 
 @lru_cache(maxsize=1)
@@ -258,3 +274,55 @@ def log_term_constant(m: int) -> float:
     b_m = sinc_power_series(2.0 * m + 1.0, m + 1).coeffs[m]
     return (sinc_coeff_derivative(m) / b_m
             + 0.5 * digamma(m + 1.0) - 0.5 * digamma(m + 0.5))
+
+
+@dataclass(frozen=True)
+class RootsExpansion:
+    """Coefficients of the large-N expansion of the Riesz s-energy of the
+    N-th roots of unity (Brauchart, Hardin & Saff, Bull. LMS 41, 2009):
+
+        L(N) ~ I_s N^2 + sum_{j>=0} c_j N^{1+s-2j},
+        c_j = 2 b_j(s) zeta(s - 2j) / (2 pi)^s,
+
+    with I_s the :func:`arclength_energy` and b_j the coefficients of
+    :func:`sinc_power_series`.  At an odd s = 2m + 1, I_s and c_m have
+    poles that cancel: their sum is q N^2 (log N + log_constant).
+
+    ``pole`` is that m when s lies on 2m + 1 or within the band given to
+    :func:`roots_expansion`; ``coeffs`` then holds 0.0 at j = m, and
+    ``residue`` the finite (s - 2m - 1) c_m (if m is among the terms).
+    ``arclength`` is I_s, 0.0 when ``pole`` is set; ``log_factor`` (q)
+    and ``log_constant`` are set only on an odd integer.
+    """
+
+    s: float
+    coeffs: tuple[float, ...]
+    arclength: float = 0.0
+    pole: Optional[int] = None
+    residue: float = 0.0
+    log_factor: float = 0.0
+    log_constant: float = 0.0
+
+
+def roots_expansion(s: float, top: int, band: float = 0.0) -> RootsExpansion:
+    """The :class:`RootsExpansion` coefficients c_0 .. c_top at s, with
+    ``pole`` set where s is an odd positive integer or lies within
+    ``band`` of one."""
+    s = float(s)
+    m = round((s - 1.0) / 2.0)
+    eps = s - (2.0 * m + 1.0)
+    pole = m if m >= 0 and (eps == 0.0 or abs(eps) < band) else None
+    b = sinc_power_series(s, top + 1).coeffs if top >= 0 else ()
+    front = 2.0 / (2.0 * math.pi) ** s
+    coeffs = tuple(0.0 if j == pole else front * b[j] * zeta(s - 2.0 * j)
+                   for j in range(top + 1))
+    if pole is None:
+        return RootsExpansion(s, coeffs, arclength_energy(s))
+    residue = front * b[m] * regularized_zeta(s - 2.0 * m) if m <= top else 0.0
+    if eps != 0.0:
+        return RootsExpansion(s, coeffs, pole=m, residue=residue)
+    q = math.gamma(m + 0.5) / (math.sqrt(math.pi) * math.pi * 4.0 ** m
+                               * math.factorial(m))
+    const = EULER_GAMMA - math.log(math.pi) + log_term_constant(m)
+    return RootsExpansion(s, coeffs, pole=m, residue=residue, log_factor=q,
+                          log_constant=const)

@@ -15,7 +15,7 @@ from rieszgreedy.asymptotics import (cesaro_mean, cesaro_means, cesaro_scales,
 from rieszgreedy.binary import binary_weights
 from rieszgreedy.energy import (EnergyParams, extremal_potential,
                                 extremal_potentials, greedy_energies,
-                                greedy_energy)
+                                greedy_energy, roots_energy)
 from rieszgreedy.special import EULER_GAMMA, arclength_energy
 
 
@@ -215,6 +215,17 @@ class TestExpansionEnergy:
         size = sum(np.abs(c) for c in asymptotics._expansion_terms(ns, s))
         for n, v, scale in zip(ns.tolist(), got.tolist(), size.tolist()):
             assert abs(v - expansion_energy(n, s)) <= 1e-14 * scale, n
+
+    @pytest.mark.parametrize("s", [1.5, 2.5, 3.421, 4.7])
+    def test_powers_of_two_within_8_ulp(self, s):
+        # at n = 2^k the expansion is that of the roots energy; with
+        # n^{1+s-2j} as n^{s-2j} n no rounded exponent s + 1 costs ulps
+        for k in (12, 13, 14):
+            n = 1 << k
+            want = roots_energy(n, EnergyParams(s))
+            assert abs(expansion_energy(n, s) - want) <= 8 * math.ulp(want), k
+            got = expansion_energies([n], s)[0]
+            assert abs(got - want) <= 8 * math.ulp(want), k
 
     def test_array_form_domain(self):
         for bad in (0.0, -1.5, 1.0 + 1e-12):

@@ -281,6 +281,30 @@ class TestExitCodes:
         _, rows = read_csv(out)
         assert [r[0] for r in rows] == ["2", "3"]
 
+    def test_values_starting_with_minus(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["energy", "--s", "-inf", "--N", "5",
+                     "--out", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert main(["energy", "--s", "-0.5", "--range", "-3:0",
+                     "--out", str(out)]) == 2
+        assert "empty range" in capsys.readouterr().err
+        assert main(["tseq", "--s", "-0.5", "--range", "-3:10",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == [str(n) for n in range(2, 11)]
+        assert main(["energy", "--s", "-1e-3", "--N", "5",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0][:2] == ["5", "-0.001"]
+
+    def test_energy_far_beyond_the_expansion_switch(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["energy", "--s", "0.37", "--N", str(1 << 40),
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert math.isfinite(float(rows[0][2]))
+
     def test_range_beyond_float_integers(self, tmp_path):
         out = str(tmp_path / "t.csv")
         assert main(["energy", "--s", "0.5", "--N", str(1 << 53),

@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import rieszgreedy
 
 from rieszgreedy.arith import leja_offset
 from rieszgreedy.binary import binary_weights
@@ -10,6 +17,7 @@ from rieszgreedy.energy import (CircleConfig, EnergyParams, config_energy,
                                 extremal_potential, extremal_potentials,
                                 greedy_energies, greedy_energy,
                                 greedy_oracle, prefix_energies, roots_energy)
+from rieszgreedy.special import roots_expansion
 
 
 def bits(values) -> list[int]:
@@ -59,6 +67,114 @@ class TestRootsEnergy:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             roots_energy(0, EnergyParams(1.0))
+
+
+class TestRootsExpansionRoute:
+    """L(N) from its large-N expansion, from energy.EXPANSION_MIN_N on."""
+
+    SWITCH = energy.EXPANSION_MIN_N.bit_length() - 1
+    S = [-1.9, -1.5, -0.913, -0.413, -0.051, 0.049, 0.377, 0.951, 1.0, 1.5,
+         2.0, 2.5, 2.999, 3.0, 3.001, 3.421, 3.999, 4.0, 5.0, 5.5, 7.25, 9.7]
+    BAND = energy.POLE_BAND
+    # both sides of the band edges around s = 1, and deep inside the bands
+    # around 1, 3 and 5, where zeta(s - 2m) alone would hit its pole guard
+    BAND_S = [1.0 - BAND - 1e-3, 1.0 - BAND + 1e-3, 1.0 + BAND - 1e-3,
+              1.0 + BAND + 1e-3, 0.999, 1.001, 1.0 - 1e-13, 1.0 + 1e-9,
+              3.0 + 1e-12, 5.0 - 1e-10]
+
+    @staticmethod
+    def gap(n, s):
+        got = energy._roots_energy_cached(n, s)
+        want = energy._roots_direct(n, s)
+        return abs(got - want) / want
+
+    @pytest.mark.parametrize("s", S + BAND_S)
+    def test_agrees_with_direct_sum(self, s):
+        # at the switch and at 2^{switch+1} .. 2^22
+        for k in range(self.SWITCH, 23):
+            assert self.gap(1 << k, s) <= energy.ROOTS_RTOL, k
+
+    @pytest.mark.parametrize("s", [-1.5, 0.377, 0.97, 1.0, 3.421])
+    def test_other_n(self, s):
+        for n in (3 ** 11, 100003, (1 << 18) + 1):
+            assert self.gap(n, s) <= energy.ROOTS_RTOL, n
+
+    @pytest.mark.parametrize("s", S)
+    def test_direct_below_the_switch(self, s):
+        n = (1 << self.SWITCH) - 2
+        for m in (n, 1 << (self.SWITCH - 1)):
+            assert energy._roots_energy_cached(m, s) == energy._roots_direct(m, s)
+
+    def test_band_is_needed(self):
+        # without the band, I_s N^2 and the zeta(s) N^{1+s} term cancel
+        s, n = 0.999, 1 << self.SWITCH
+        top = math.floor((s + 1.0) / 2.0) + 1
+        plain = energy._roots_expanded(n, s, roots_expansion(s, top))
+        want = energy._roots_direct(n, s)
+        assert abs(plain - want) / want > 10 * energy.ROOTS_RTOL
+        assert self.gap(n, s) <= energy.ROOTS_RTOL
+
+    @pytest.mark.parametrize("s", BAND_S)
+    def test_band_membership(self, s):
+        m = round((s - 1.0) / 2.0)
+        inside = abs(s - (2 * m + 1)) < self.BAND
+        top = math.floor((s + 1.0) / 2.0) + 1
+        assert (roots_expansion(s, top, self.BAND).pole == m) == inside
+
+    @pytest.mark.parametrize("k, s", [(16, 70.0), (17, 65.0), (20, 54.0)])
+    def test_finite_where_n_to_the_s_overflows(self, k, s):
+        # n^s overflows, c_0 ~ (2 pi)^-s brings the energy back in range;
+        # both routes lose about s * 4e-17 to the rounding of pi
+        assert k * s > 1024  # n^s = 2^{ks} is beyond the float range
+        assert self.gap(1 << k, s) <= energy.ROOTS_RTOL + 2 * s * 4e-17
+        assert math.isfinite(roots_energy(1 << 40, EnergyParams(26.0)))
+
+    def test_beyond_float_range_is_inf(self):
+        for n, s in ((1 << 2000, 0.5), (1 << 600, 1.01), (1 << 600, 3.0),
+                     (1 << 40, 100.0), (3 ** 700, -1.5)):
+            assert roots_energy(n, EnergyParams(s)) == math.inf
+
+    def test_direct_sum_size_cap(self):
+        # outside -2 < s < 127 only the direct sum applies, up to 2^24
+        for s in (-2.5, 130.0):
+            with pytest.raises(ValueError, match="2\\^24"):
+                roots_energy((1 << 24) + 2, EnergyParams(s))
+        want = energy._roots_direct(1 << 16, -2.5)
+        assert roots_energy(1 << 16, EnergyParams(-2.5)) == want
+
+
+def test_bounded_memory_at_large_n(tmp_path):
+    # under a 2 GiB address-space limit, so a size-dependent allocation
+    # fails here instead of exhausting the machine
+    code = textwrap.dedent("""
+        import math, resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from rieszgreedy.cli import main
+        from rieszgreedy.energy import (EnergyParams, extremal_potential,
+                                        greedy_energy)
+        n = (1 << 40) + 12345
+        for s in (-1.5, 0.37, 0.99, 1.0, 3.421):
+            assert math.isfinite(greedy_energy(n, EnergyParams(s)))
+            assert math.isfinite(extremal_potential(n, EnergyParams(s)))
+        sys.exit(main(sys.argv[1:]))
+    """)
+    src = str(Path(rieszgreedy.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "e.csv"
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", code, *argv, "--out",
+                               str(out)], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    done = run("energy", "--N", str(1 << 40), "--s", "0.37")
+    assert done.returncode == 0, done.stderr
+    n, s, value = out.read_text().splitlines()[1].split(",")
+    assert n == str(1 << 40) and math.isfinite(float(value))
+    # s beyond the sinc table leaves only the direct sum: capped, exit 2
+    done = run("energy", "--N", str(1 << 40), "--s", "200")
+    assert done.returncode == 2, done.stderr
 
 
 class TestGreedyEnergy:
@@ -149,6 +265,16 @@ class TestGreedyEnergies:
         scalar_misses, after_batch = misses(scalar, batch)
         cache.cache_clear()
         assert batch_misses == scalar_misses == after_scalar == after_batch
+
+    @pytest.mark.parametrize("s", [-1.5, 0.37, 0.97, 1.0, 3.0, 3.421])
+    def test_bit_identical_across_the_switch(self, s):
+        top = energy.EXPANSION_MIN_N
+        ns = (list(range(top - 300, top + 301))
+              + list(range(2 * top - 100, 2 * top + 101))
+              + [(1 << 40) + 12345, (1 << 52) + 7, (1 << 53) - 1])
+        params = EnergyParams(s)
+        want = [greedy_energy(n, params) for n in ns]
+        assert bits(greedy_energies(np.array(ns), params)) == bits(want)
 
     def test_domain(self):
         assert greedy_energies([], EnergyParams(1.0)).shape == (0,)

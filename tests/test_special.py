@@ -4,7 +4,8 @@ import mpmath
 import pytest
 
 from rieszgreedy.special import (EULER_GAMMA, arclength_energy, digamma,
-                                 log_term_constant, sinc_coeff_derivative,
+                                 log_term_constant, regularized_zeta,
+                                 roots_expansion, sinc_coeff_derivative,
                                  sinc_power_series, zeta)
 
 mpmath.mp.dps = 30
@@ -195,3 +196,63 @@ class TestLogTermConstant:
         bp = sum(b[k] * mpmath.zeta(2 * (m - k)) / (m - k) for k in range(m))
         ref = bp / b[m] + mpmath.psi(0, m + 1) / 2 - mpmath.psi(0, m + 0.5) / 2
         assert log_term_constant(2) == pytest.approx(float(ref), abs=1e-12)
+
+
+class TestRegularizedZeta:
+    def test_value_at_pole(self):
+        assert regularized_zeta(1.0) == 1.0
+
+    @pytest.mark.parametrize("s", [0.25, 0.9375, 1.0 - 1e-13, 1.0 + 1e-9,
+                                   1.0625, 2.0, 7.5])
+    def test_against_mpmath(self, s):
+        with mpmath.workdps(40):
+            x = mpmath.mpf(s)
+            ref = float((x - 1) * mpmath.zeta(x))
+        assert regularized_zeta(s) == pytest.approx(ref, rel=4e-16)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 201.0])
+    def test_domain(self, bad):
+        with pytest.raises(ValueError):
+            regularized_zeta(bad)
+
+
+class TestRootsExpansion:
+    def test_generic_coefficients(self):
+        s = 3.421
+        ex = roots_expansion(s, 3)
+        b = sinc_power_series(s, 4).coeffs
+        front = 2.0 / (2.0 * math.pi) ** s
+        assert ex.pole is None and ex.log_factor == 0.0
+        assert ex.arclength == arclength_energy(s)
+        assert ex.coeffs == tuple(front * b[j] * zeta(s - 2.0 * j)
+                                  for j in range(4))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_odd_integer(self, m):
+        s = 2.0 * m + 1.0
+        ex = roots_expansion(s, m + 1)
+        assert ex.pole == m and ex.coeffs[m] == 0.0 and ex.arclength == 0.0
+        q = math.gamma(m + 0.5) / (math.sqrt(math.pi) * math.pi * 4.0 ** m
+                                   * math.factorial(m))
+        assert ex.log_factor == pytest.approx(q, rel=1e-15)
+        assert ex.log_constant == pytest.approx(
+            EULER_GAMMA - math.log(math.pi) + log_term_constant(m), rel=1e-15)
+
+    @pytest.mark.parametrize("s", [0.95, 1.0 - 1e-6, 1.04, 2.97, 5.0 + 1e-7])
+    def test_band_residue(self, s):
+        # inside the band c_m is replaced by the finite (s - 2m - 1) c_m
+        m = round((s - 1.0) / 2.0)
+        eps = s - (2 * m + 1)
+        banded = roots_expansion(s, m + 1, band=0.0625)
+        plain = roots_expansion(s, m + 1)
+        assert banded.pole == m and plain.pole is None
+        assert banded.coeffs[m] == 0.0
+        assert banded.residue == pytest.approx(eps * plain.coeffs[m], rel=1e-13)
+        others = [j for j in range(m + 2) if j != m]
+        assert [banded.coeffs[j] for j in others] == [plain.coeffs[j] for j in others]
+
+    def test_band_edges(self):
+        assert roots_expansion(1.0 - 0.0626, 2, band=0.0625).pole is None
+        assert roots_expansion(1.0 - 0.0624, 2, band=0.0625).pole == 0
+        assert roots_expansion(3.0624, 3, band=0.0625).pole == 1
+        assert roots_expansion(-1.0, 0, band=0.0625).pole is None
