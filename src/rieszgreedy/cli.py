@@ -3,15 +3,25 @@ CSV (UTF-8, header row, 17-significant-digit decimals) plus a JSON run
 manifest.
 
 Exit codes: 0 success, 2 domain error (a flag value violates an
-operation's precondition), 3 verification failure (oracle-verify or
-identities beyond tolerance), 64 usage error, 74 unwritable output.
+operation's precondition, takes a result beyond the float range
+(OverflowError), or leaves the brute-force oracle no finite potential),
+3 verification failure (oracle-verify or identities beyond tolerance),
+64 usage error, 74 unwritable output.
 
 Ranges: ``--range A:B`` (and ``energy --N``) is clamped below to the
 command's smallest N (1 for energy, fseq and cesaro, 2 for tseq and
-expansion-check); a range left with no N, or reaching 2^53, is a domain
-error.  Every range is computed as arrays over N, one pass per command.
-Energies over any N < 2^53 run in O(bit-width) memory: the roots-of-unity
-energies they combine come from their large-N expansion from N = 2^16 on.
+expansion-check); a range left with no N, reaching 2^53, or holding more
+than :data:`MAX_RANGE` N is a domain error.  Every range is computed as
+arrays over N, one pass per command.  Energies over any N < 2^53 run in
+O(bit-width) memory: the roots-of-unity energies they combine come from
+their large-N expansion from N = 2^16 on.  ``identities --M`` goes up to
+:data:`MAX_IDENTITY_ORDER`, ``oracle-verify --grid-bits`` up to
+:data:`rieszgreedy.energy.ORACLE_MAX_GRID_BITS`.
+
+Grids: ``figures`` and ``scan`` stream the order-M grid in blocks
+(:class:`rieszgreedy.limits.GridScan`), in O(block) memory: ``figures``
+evaluates its five panels on each block and writes them to their five
+files in lockstep, formatting the x column they share once.
 
 Flag values may start with '-': ``--s -inf`` and ``--range -3:0`` are
 values, not options.
@@ -24,6 +34,8 @@ import json
 import re
 import sys
 import time
+from contextlib import ExitStack
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +48,9 @@ from .asymptotics import expansion_energy, t_sequence  # noqa: F401
 from .binary import binary_weights, decompose
 from .energy import (EnergyParams, extremal_potentials, greedy_energies,
                      greedy_energy, greedy_oracle, prefix_energies)
-from .limits import child_identities, scan_extremum
+from .limits import GridScan, child_identities
+# unused here, but perfbench/layertrace.py patches this name on this module
+from .limits import scan_extremum  # noqa: F401
 from .special import arclength_energy
 
 USAGE_ERROR = 64
@@ -59,6 +73,12 @@ _FIGURES = (
 )
 
 _CSV_CHUNK = 1 << 10  # rows formatted per write; bounds the strings held
+
+#: Most N one range command takes.  expansion-check, which holds the most
+#: arrays over N, peaks at 177 MB over 2^20 N (610 MB over 2^22).
+MAX_RANGE = 1 << 20
+#: Highest identities order: 2^M - 1 rows at about 1 ms each.
+MAX_IDENTITY_ORDER = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,26 +111,82 @@ def _range_ns(lo: int, hi: int, smallest: int) -> np.ndarray:
         raise ValueError(f"empty range {lo}:{hi}: no N >= {smallest} in it")
     if hi >= 1 << 53:
         raise ValueError("range must end below 2^53")
+    if hi - max(lo, smallest) >= MAX_RANGE:
+        raise ValueError(f"range {lo}:{hi} holds more than {MAX_RANGE} N; "
+                         f"split it into several runs")
     return np.arange(max(lo, smallest), hi + 1, dtype=np.int64)
+
+
+def _cell(value) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _cells(part) -> tuple[str, object]:
+    """One column's chunk as a conversion of the row template and its
+    arguments, by the one formatting rule: floats with 17 significant
+    digits, every other value through ``str``.  A float array keeps its
+    values for ``%.17g``; other columns are formatted cell by cell; a
+    single int or float is a constant column, whose one cell is the
+    conversion itself (arguments None)."""
+    if isinstance(part, (int, float)):
+        return _cell(part).replace("%", "%%"), None
+    if isinstance(part, np.ndarray):
+        if part.dtype.kind == "f":
+            return "%.17g", part.tolist()
+        part = part.tolist()  # numpy scalars become Python's
+    return "%s", list(map(_cell, part))
+
+
+def _format_rows(cells: list, rows: int) -> str:
+    """``rows`` CSV rows from the columns' :func:`_cells`, with one %
+    template for the chunk."""
+    args = [a for _, a in cells if a is not None]
+    template = ",".join(conv for conv, _ in cells) + "\n"
+    return (template * rows) % tuple(chain.from_iterable(zip(*args, strict=True)))
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
     """Write the header line, then equal-length columns (sequences or numpy
-    arrays) as CSV rows: floats with 17 significant digits, every other
-    value through ``str``."""
+    arrays, or a single int or float for a constant column) as CSV rows:
+    floats with 17 significant digits, every other value through
+    ``str``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    count = len(columns[0]) if columns else 0
+    sized = [c for c in columns if not isinstance(c, (int, float))]
+    count = len(sized[0]) if sized else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for i in range(0, count, _CSV_CHUNK):
-            cells = []
-            for column in columns:
-                part = column[i:i + _CSV_CHUNK]
-                if hasattr(part, "tolist"):  # numpy scalars become Python's
-                    part = part.tolist()
-                cells.append([f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in part])
-            fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+            rows = min(_CSV_CHUNK, count - i)
+            fh.write(_format_rows(
+                [_cells(c if isinstance(c, (int, float)) else c[i:i + rows])
+                 for c in columns], rows))
+
+
+def _write_panels(paths: list, m: int, panels) -> list:
+    """Scan the order-m grid once for every (target, s) panel and write
+    panel k as ``x,value`` CSV to ``paths[k]``, block by block: each
+    chunk's x column is formatted once for all files.  Nothing is opened
+    before the panels are checked, and every file is closed on every
+    path.  Returns each panel's :class:`~rieszgreedy.limits.ScanResult`
+    (without the grid arrays)."""
+    scan = GridScan(m, panels)
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline=""))
+                 for p in paths]
+        for fh in files:
+            fh.write("x,value\n")
+
+        def write_block(xs, values):
+            for i in range(0, xs.size, _CSV_CHUNK):
+                rows = min(_CSV_CHUNK, xs.size - i)
+                conv, args = _cells(xs[i:i + rows])
+                x = ("%s", list(map(conv.__mod__, args)))
+                for fh, column in zip(files, values):
+                    fh.write(_format_rows([x, _cells(column[i:i + rows])], rows))
+
+        return scan.run(write_block)
 
 
 def _write_manifest(path: Path, command: str, params: dict, outputs: list,
@@ -218,7 +294,7 @@ def _run_energy(args, out: Path):
     lo, hi = (args.N, args.N) if args.N is not None else _parse_range(args.n_range)
     ns = _range_ns(lo, hi, 1)
     energies = greedy_energies(ns, params)
-    _write_csv(out, "N,s,energy", ns, np.full(ns.size, args.s), energies)
+    _write_csv(out, "N,s,energy", ns, args.s, energies)
     return {"count": ns.size}
 
 
@@ -227,8 +303,7 @@ def _run_tseq(args, out: Path):
     ns = _range_ns(*_parse_range(args.n_range), 2)
     energies = greedy_energies(ns, params)
     values = t_from_energies(ns, energies, args.s)
-    _write_csv(out, "N,s,energy,T", ns, np.full(ns.size, args.s),
-               energies, values)
+    _write_csv(out, "N,s,energy,T", ns, args.s, energies, values)
     return {"count": ns.size, "min_T": float(values.min()),
             "max_T": float(values.max())}
 
@@ -238,8 +313,7 @@ def _run_fseq(args, out: Path):
     ns = _range_ns(*_parse_range(args.n_range), 1)
     potentials = extremal_potentials(ns, params)
     values = f_from_potentials(ns, potentials, args.s)
-    _write_csv(out, "N,s,potential,F", ns, np.full(ns.size, args.s),
-               potentials, values)
+    _write_csv(out, "N,s,potential,F", ns, args.s, potentials, values)
     return {"count": ns.size, "min_F": float(values.min()),
             "max_F": float(values.max())}
 
@@ -259,21 +333,15 @@ def _scan_summary(result) -> dict:
 
 
 def _run_scan(args, out: Path):
-    result = scan_extremum(args.M, _SCAN_TARGETS[args.target], args.s, jobs=args.jobs)
-    _write_csv(out, "x,value", result.xs, result.values)
+    (result,) = _write_panels([out], args.M, [(_SCAN_TARGETS[args.target], args.s)])
     return {"M": args.M, **_scan_summary(result)}
 
 
 def _run_figures(args, out_dir: Path):
-    outputs = []
-    summary = {"M": args.M, "panels": {}}
-    for name, target, s in _FIGURES:
-        result = scan_extremum(args.M, target, s, jobs=args.jobs)
-        path = out_dir / name
-        _write_csv(path, "x,value", result.xs, result.values)
-        outputs.append(path)
-        summary["panels"][name] = _scan_summary(result)
-    return outputs, summary
+    outputs = [out_dir / name for name, _, _ in _FIGURES]
+    results = _write_panels(outputs, args.M, [(t, s) for _, t, s in _FIGURES])
+    panels = {path.name: _scan_summary(r) for path, r in zip(outputs, results)}
+    return outputs, {"M": args.M, "panels": panels}
 
 
 def _run_expansion_check(args, out: Path):
@@ -282,8 +350,8 @@ def _run_expansion_check(args, out: Path):
     exact = greedy_energies(ns, params)
     predicted = expansion_energies(ns, args.s)
     residual = exact - predicted
-    _write_csv(out, "N,s,exact,predicted,residual", ns,
-               np.full(ns.size, args.s), exact, predicted, residual)
+    _write_csv(out, "N,s,exact,predicted,residual", ns, args.s,
+               exact, predicted, residual)
     worst = np.abs(residual) / np.maximum(1.0, np.abs(exact))
     return {"count": ns.size, "max_rel_residual": float(worst.max())}
 
@@ -294,15 +362,19 @@ def _run_cesaro(args, out: Path):
     target = arclength_energy(args.s) / 2.0
     deviations = means - target
     scaled = deviations * cesaro_scales(ns, args.s)
-    _write_csv(out, "N,s,mean,deviation,scaled_deviation", ns,
-               np.full(ns.size, args.s), means, deviations, scaled)
+    _write_csv(out, "N,s,mean,deviation,scaled_deviation", ns, args.s,
+               means, deviations, scaled)
     return {"count": ns.size, "limit": target,
             "max_abs_scaled_deviation": float(np.abs(scaled).max())}
 
 
 def _run_oracle_verify(args, out: Path):
     params = EnergyParams(args.s)
-    config, _ = greedy_oracle(args.N, params, grid_bits=args.grid_bits)
+    try:
+        config, _ = greedy_oracle(args.N, params, grid_bits=args.grid_bits)
+    except RuntimeError as exc:  # no finite potential left on the grid
+        raise ValueError(f"the brute-force oracle failed at s = {args.s}: "
+                         f"{exc}") from exc
     oracle = prefix_energies(config, params)
     rows = []
     worst = 0.0
@@ -316,6 +388,8 @@ def _run_oracle_verify(args, out: Path):
 
 
 def _run_identities(args, out: Path):
+    if args.M > MAX_IDENTITY_ORDER:
+        raise ValueError(f"order M = {args.M} exceeds {MAX_IDENTITY_ORDER}")
     rows = []
     worst = 0.0
     for m in range(1, args.M + 1):
@@ -376,7 +450,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"{command}: cannot write output: {exc}", file=sys.stderr)
         return OUTPUT_ERROR
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

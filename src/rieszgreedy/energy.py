@@ -59,6 +59,9 @@ _ANCHOR = 1 << 12
 #: Largest N whose energy is summed directly where the expansion does
 #: not apply (s <= -2, or s >= 127, beyond the 65-coefficient sinc table).
 _DIRECT_MAX = 1 << 24
+#: Finest grid of the brute-force oracle: 2^22 angles, whose potential
+#: and its temporaries peak at about 160 MB (540 MB at 2^24).
+ORACLE_MAX_GRID_BITS = 22
 
 
 @dataclass(frozen=True)
@@ -135,12 +138,25 @@ def _roots_energy_cached(n: int, s: float) -> float:
 
 def _roots_direct(n: int, s: float) -> float:
     """sum (sin pi k/n)^-s over k = 1..n-1, folded onto k <= n/2 where the
-    sine argument stays accurate; n/2 floats at once."""
-    half = np.arange(1, (n + 1) // 2)
-    total = 2.0 * float(np.sum(np.sin(np.pi * half / n) ** (-s)))
+    sine argument stays accurate; n/2 floats at once.
+
+    The factor 2^-s comes after the sum, unless that leaves no finite
+    result: for large s the sines' powers overflow (L(2^15) at s = 80 is
+    1.6e302, its sin(pi/n)^-s term 2.2e326).  Then each term is taken as
+    (2 sin)^-s, which overflows only where L(n) itself is beyond the float
+    range (inf)."""
+    sines = np.sin(np.pi * np.arange(1, (n + 1) // 2) / n)
+    with np.errstate(over="ignore"):
+        total = 2.0 * float(np.sum(sines ** (-s)))
+        if n % 2 == 0:
+            total += 1.0  # middle term, sin(pi/2)^-s
+        energy = 2.0 ** (-s) * n * total
+        if math.isfinite(energy):
+            return energy
+        total = 2.0 * float(np.sum((2.0 * sines) ** (-s)))
     if n % 2 == 0:
-        total += 1.0  # middle term, sin(pi/2)^-s
-    return 2.0 ** (-s) * n * total
+        total += 2.0 ** (-s)
+    return n * total
 
 
 def _scaled_terms(n: int, s: float, coeffs) -> list[float]:
@@ -240,18 +256,32 @@ def greedy_energy(n: int, params: EnergyParams) -> float:
         ratio = suffixes[k] / (1 << exps[k])  # exact: suffix < 2^{n_k} <= 2^53
         if k < p - 1:
             terms.append(ratio * _roots_energy_cached(1 << (exps[k] + 1), params.s))
-        terms.append((1.0 - 2.0 * ratio) * _roots_energy_cached(1 << exps[k], params.s))
-    return math.fsum(terms)
+        if ratio != 0.5:  # a zero weight takes no L(2^{n_k}), finite or not
+            terms.append((1.0 - 2.0 * ratio)
+                         * _roots_energy_cached(1 << exps[k], params.s))
+    return _energy_sum(terms)
 
 
-def fsum_rows(columns) -> np.ndarray:
-    """math.fsum across equal-length float columns, row by row: the
-    correctly rounded row sums, whatever the order of the columns."""
+def _energy_sum(terms) -> float:
+    """math.fsum of one greedy energy's terms, inf where they hold +inf
+    and -inf.  Only an L(2^e) beyond the float range makes a term
+    infinite (s > 0; other energies stay finite), and a -inf term has a
+    bit e of n set, so E(n) >= E(2^e) = L(2^e) is beyond it too."""
+    try:
+        return math.fsum(terms)
+    except ValueError:  # -inf + inf
+        return math.inf
+
+
+def fsum_rows(columns, total=math.fsum) -> np.ndarray:
+    """math.fsum (or ``total``) across equal-length float columns, row by
+    row: the correctly rounded row sums, whatever the order of the
+    columns."""
     count = len(columns[0])
     out = np.empty(count)
     for i in range(0, count, _BLOCK):
         rows = zip(*(c[i:i + _BLOCK].tolist() for c in columns))
-        out[i:i + _BLOCK] = list(map(math.fsum, rows))
+        out[i:i + _BLOCK] = list(map(total, rows))
     return out
 
 
@@ -285,15 +315,19 @@ def _roots_table(ns: np.ndarray, s: float) -> np.ndarray:
 
 def _energy_terms(ns: np.ndarray, roots: np.ndarray) -> list[np.ndarray]:
     """The terms greedy_energy sums for each n, one column per term, 0
-    where n has no such term.  With S = n mod 2^e, the ratio S / 2^e is
-    an exact dyadic for n < 2^53."""
+    where n has no such term or its weight is 0 (an infinite L(2^e) then
+    makes no nan).  With S = n mod 2^e, the ratio S / 2^e is an exact
+    dyadic for n < 2^53."""
     columns = []
     for e in range(int(ns.max()).bit_length()):
         low = ns & ((1 << e) - 1)
         ratio = low * 2.0 ** -e
+        weight = 1.0 - 2.0 * ratio
         bit = (ns >> e) & 1 == 1
-        columns.append(np.where(bit & (low != 0), ratio * roots[e + 1], 0.0))
-        columns.append(np.where(bit, (1.0 - 2.0 * ratio) * roots[e], 0.0))
+        columns.append(np.multiply(ratio, roots[e + 1], out=np.zeros_like(ratio),
+                                   where=bit & (low != 0)))
+        columns.append(np.multiply(weight, roots[e], out=np.zeros_like(ratio),
+                                   where=bit & (weight != 0.0)))
     return columns
 
 
@@ -307,7 +341,8 @@ def greedy_energies(ns, params: EnergyParams) -> np.ndarray:
     if ns.size == 0:
         return np.empty(0)
     roots = _roots_table(ns, params.s)
-    return np.concatenate([fsum_rows(_energy_terms(ns[i:i + _BLOCK], roots))
+    return np.concatenate([fsum_rows(_energy_terms(ns[i:i + _BLOCK], roots),
+                                     _energy_sum)
                            for i in range(0, ns.size, _BLOCK)])
 
 
@@ -417,12 +452,17 @@ def greedy_oracle(n: int, params: EnergyParams, grid_bits: int = 20,
     uniform grid of 2^grid_bits angles followed by golden-section
     refinement to ``refine_tol``.  Minimizes for s >= 0, maximizes for
     -2 < s < 0.  Ties at grid resolution resolve to the smallest angle.
+    grid_bits runs from log2(n) + 4 to :data:`ORACLE_MAX_GRID_BITS`.
+    Raises RuntimeError when no grid angle has a finite potential (the
+    kernel overflows, e.g. s = 1000 at n = 40).
     """
     params.require_greedy_range()
     if not 2 <= n <= 4096:
         raise ValueError("oracle supports 2 <= n <= 4096")
     if grid_bits < math.ceil(math.log2(n)) + 4:
         raise ValueError(f"grid_bits = {grid_bits} too coarse for n = {n}")
+    if grid_bits > ORACLE_MAX_GRID_BITS:
+        raise ValueError(f"grid_bits = {grid_bits} exceeds {ORACLE_MAX_GRID_BITS}")
     size = 1 << grid_bits
     grid = _TWO_PI * np.arange(size) / size
     minimize = params.s >= 0.0

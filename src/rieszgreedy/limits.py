@@ -4,14 +4,15 @@ the extremal constants, with certified convergence bounds.
 Every grid point x = 2^m / (2^m + 2n + 1) corresponds to the odd integer
 N = 2^m + 2n + 1 via the weight identity theta(x) = binary_weights(N), so
 a grid scan is a vectorized sweep of the arithmetic functions over the odd
-integers in (2^m, 2^{m+1}), evaluated in chunks.  The ``jobs`` arguments
-are accepted for compatibility and have no effect.
+integers in (2^m, 2^{m+1}), evaluated in blocks by :class:`GridScan`, the
+one scan path.  The ``jobs`` arguments are accepted for compatibility and
+have no effect.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -28,6 +29,7 @@ __all__ = [
     "log_moment_at",
     "batch_eta_values",
     "ScanResult",
+    "GridScan",
     "scan_extremum",
     "interval_estimate",
     "stationarity_residual",
@@ -147,9 +149,12 @@ def batch_eta_values(ns, target: str, s: Optional[float] = None,
 class ScanResult:
     """Exhaustive evaluation of one target over the order-m dyadic grid.
 
-    ``xs``/``values`` hold the grid in decreasing-x order; ``extremum`` is
-    the min for the energy form with 0 < s < 1 and the max otherwise, with
-    ties resolved to the smallest x.  ``error_bound`` certifies the
+    ``xs``/``values`` hold the grid in decreasing-x order, or are None
+    where :meth:`GridScan.run` streamed the grid to a sink instead of
+    keeping it.  ``extremum`` is the min for the energy form with
+    0 < s < 1 and the max otherwise, with ties resolved to the smallest x;
+    :class:`GridScan` reduces it block by block, for :func:`scan_extremum`
+    and for the streamed scans alike.  ``error_bound`` certifies the
     distance to the true extremal constant for the energy form (no such
     certificate is known for the log-kernel or offset targets, whose only
     resolution statement is the grid spacing 2^{-m+1}).
@@ -164,8 +169,8 @@ class ScanResult:
     m: int
     target: str
     s: Optional[float]
-    xs: np.ndarray
-    values: np.ndarray
+    xs: Optional[np.ndarray]
+    values: Optional[np.ndarray]
     extremum: float
     arg: Fraction
     arg_index: int
@@ -180,9 +185,75 @@ def _certified_bound(s: float, m: int) -> float:
     return 2.0 ** ((1 - m) * (s + 1.0)) / (_LOG2 * math.expm1((s + 1.0) * _LOG2))
 
 
+def _check_panel(m: int, target: str, s: Optional[float]) -> Optional[float]:
+    """Reject a (target, s) the order-m scan does not take; return the
+    energy form's certified bound (None for the other targets)."""
+    if target not in SCAN_TARGETS:
+        raise ValueError(f"target must be one of {SCAN_TARGETS}")
+    if target != "energy_form":
+        return None
+    if s is None:
+        raise ValueError("energy_form needs s")
+    if s in (0.0, 1.0):
+        raise ValueError(f"energy form is identically 1 at s = {s}")
+    if not -1.0 < s < 1023.0:  # beyond, the kernel's 2 (2^s - 1) overflows
+        raise ValueError("energy form scan needs -1 < s < 1023")
+    return _certified_bound(s, m)
+
+
+class GridScan:
+    """One pass over the order-m dyadic grid for one or more (target, s)
+    panels.
+
+    The constructor checks m and every panel, so a caller can reject bad
+    input before it opens anything.  :meth:`run` walks the odd N in
+    (2^m, 2^{m+1}) in blocks of ``_CHUNK`` (x = 2^m / N decreasing),
+    evaluates every panel on each block with :func:`batch_eta_values`, and
+    reduces each panel's extremum block by block; memory is O(block)
+    beyond what the sink keeps.
+    """
+
+    def __init__(self, m: int, panels):
+        if not 1 <= m <= 24:
+            raise ValueError("grid order m must be in [1, 24]")
+        self.m = m
+        self.panels = tuple(panels)
+        self._bounds = [_check_panel(m, t, s) for t, s in self.panels]
+
+    def run(self, sink) -> list[ScanResult]:
+        """Call ``sink(xs, values)`` once per block, with the block's x
+        column and one value array per panel, and return one
+        :class:`ScanResult` per panel (``xs`` and ``values`` None).
+
+        Each panel keeps its best value and index so far; a block's
+        extremum replaces it unless strictly worse, and within a block the
+        last index attaining it wins, so ties go to the smallest x.
+        """
+        m = self.m
+        count = 1 << (m - 1)
+        minimize = [t == "energy_form" and 0.0 < s < 1.0 for t, s in self.panels]
+        best: list = [None] * len(self.panels)  # (extremum, index) so far
+        for start in range(0, count, _CHUNK):
+            ns = ((1 << m) + 1
+                  + 2 * np.arange(start, min(start + _CHUNK, count), dtype=np.int64))
+            values = [batch_eta_values(ns, t, s) for t, s in self.panels]
+            for k, v in enumerate(values):
+                top = float(v.min() if minimize[k] else v.max())
+                if (best[k] is None
+                        or (top <= best[k][0] if minimize[k] else top >= best[k][0])):
+                    best[k] = (top, start + int(np.nonzero(v == top)[0][-1]))
+            sink(float(1 << m) / ns.astype(float), values)
+        return [ScanResult(m, target, s, None, None, top,
+                           Fraction(1 << m, (1 << m) + 1 + 2 * i), i,
+                           "min" if low else "max", bound)
+                for (target, s), (top, i), low, bound
+                in zip(self.panels, best, minimize, self._bounds)]
+
+
 def scan_extremum(m: int, target: str, s: Optional[float] = None,
                   jobs: int = 1) -> ScanResult:
-    """Scan one target over all 2^{m-1} grid points of order m.
+    """Scan one target over all 2^{m-1} grid points of order m, keeping
+    the grid: the one-panel :class:`GridScan`, with the same reduction.
 
     For the energy form: minimum when 0 < s < 1, maximum when -1 < s < 0
     or s > 1; s = 0 and s = 1 are rejected (the target is identically 1).
@@ -193,41 +264,24 @@ def scan_extremum(m: int, target: str, s: Optional[float] = None,
     m (energy form, s = 1/3: 0.9489493 at m = 10, 0.9489503 at m = 11).
     The best extremum over orders <= m is monotone; see :class:`ScanResult`.
     """
-    if not 1 <= m <= 24:
-        raise ValueError("grid order m must be in [1, 24]")
-    if target not in SCAN_TARGETS:
-        raise ValueError(f"target must be one of {SCAN_TARGETS}")
-    error_bound = None
-    if target == "energy_form":
-        if s is None:
-            raise ValueError("energy_form needs s")
-        if s in (0.0, 1.0):
-            raise ValueError(f"energy form is identically 1 at s = {s}")
-        if not -1.0 < s < math.inf:
-            raise ValueError("energy form scan needs a finite s > -1")
-        error_bound = _certified_bound(s, m)
-    ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1), dtype=np.int64)
-    values = batch_eta_values(ns, target, s, jobs)
-    xs = float(1 << m) / ns.astype(float)
-    minimize = target == "energy_form" and 0.0 < s < 1.0
-    extremum = float(values.min() if minimize else values.max())
-    # ties break to the smallest x, i.e. the largest odd integer
-    idx = int(np.nonzero(values == extremum)[0][-1])
-    arg = Fraction(1 << m, int(ns[idx]))
-    return ScanResult(m, target, s, xs, values, extremum, arg, idx,
-                      "min" if minimize else "max", error_bound)
+    xs, values = [], []
+
+    def keep(block_xs, block_values):
+        xs.append(block_xs)
+        values.append(block_values[0])
+
+    (result,) = GridScan(m, [(target, s)]).run(keep)
+    return replace(result, xs=np.concatenate(xs), values=np.concatenate(values))
 
 
-def _best_extremum(m: int, target: str, s: Optional[float],
-                   jobs: int) -> float:
-    """The best scanned extremum over the grids of orders 1..m."""
-    top = scan_extremum(m, target, s, jobs=jobs)
-    pick = min if top.orientation == "min" else max
-    extrema = [top.extremum]
-    del top  # its grid arrays need not live through the lower orders' scans
-    extrema += [scan_extremum(k, target, s, jobs=jobs).extremum
-                for k in range(1, m)]
-    return pick(extrema)
+def _best_extremum(m: int, target: str, s: Optional[float]) -> float:
+    """The best scanned extremum over the grids of orders 1..m, each
+    streamed without keeping its grid."""
+    scans = [GridScan(m, [(target, s)])]  # checks m before any scan runs
+    scans += [GridScan(k, [(target, s)]) for k in range(1, m)]
+    results = [scan.run(lambda xs, values: None)[0] for scan in scans]
+    pick = min if results[0].orientation == "min" else max
+    return pick(r.extremum for r in results)
 
 
 def interval_estimate(s: float, m: int, jobs: int = 1) -> tuple[float, float]:
@@ -245,10 +299,10 @@ def interval_estimate(s: float, m: int, jobs: int = 1) -> tuple[float, float]:
     if s <= -1.0:
         raise ValueError("interval estimate needs s > -1")
     if s == 0.0:
-        return (0.0, _best_extremum(m, "leja_offset", None, jobs))
+        return (0.0, _best_extremum(m, "leja_offset", None))
     if s == 1.0:
-        return (0.0, _best_extremum(m, "log_kernel_form", None, jobs))
-    d = _best_extremum(m, "energy_form", s, jobs)
+        return (0.0, _best_extremum(m, "log_kernel_form", None))
+    d = _best_extremum(m, "energy_form", s)
     return (d, 1.0) if 0.0 < s < 1.0 else (1.0, d)
 
 

@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rieszgreedy import cli
+from rieszgreedy import cli, limits
 from rieszgreedy.arith import leja_offset
 from rieszgreedy.asymptotics import cesaro_mean, f_sequence, t_sequence
 from rieszgreedy.binary import binary_weights
 from rieszgreedy.cli import main
 from rieszgreedy.energy import EnergyParams, extremal_potential, greedy_energy
+from rieszgreedy.limits import scan_extremum
 from rieszgreedy.special import arclength_energy
 
 
@@ -92,6 +93,66 @@ class TestScanAndFigures:
             assert float(Fraction(panel["arg_x"])) == panel["arg_x_float"]
             assert (("error_bound" in panel)
                     == (panel["target"] == "energy_form"))
+
+
+def _panel_bytes(result) -> bytes:
+    """A scan's CSV by the per-cell rule, from its kept grid arrays."""
+    lines = ["x,value"] + [f"{x:.17g},{v:.17g}"
+                           for x, v in zip(result.xs.tolist(),
+                                           result.values.tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestStreamedScans:
+    """figures and scan stream the grid in blocks; with blocks of 4 odd N
+    and CSV chunks of 3 rows, blocks, chunks and the extremum search all
+    cross boundaries.  The references are whole-grid scans taken before
+    the block size is patched."""
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 12])
+    def test_figures_match_scan_extremum(self, tmp_path, monkeypatch, m):
+        want = {name: scan_extremum(m, target, s)
+                for name, target, s in cli._FIGURES}
+        monkeypatch.setattr(limits, "_CHUNK", 4)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+        d = tmp_path / "f"
+        assert main(["figures", "--M", str(m), "--out", str(d)]) == 0
+        panels = json.loads((d / "manifest.json").read_text())["summary"]["panels"]
+        assert set(panels) == set(want)
+        for name, result in want.items():
+            assert (d / name).read_bytes() == _panel_bytes(result)
+            assert panels[name] == cli._scan_summary(result)
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 12])
+    @pytest.mark.parametrize("target,s", [("energy", "0.7"), ("energy", "-0.5"),
+                                          ("log-kernel", None), ("offset", None)])
+    def test_scan_matches_scan_extremum(self, tmp_path, monkeypatch, m, target, s):
+        result = scan_extremum(m, cli._SCAN_TARGETS[target],
+                               None if s is None else float(s))
+        monkeypatch.setattr(limits, "_CHUNK", 4)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--M", str(m), "--target", target, "--out", str(out)]
+        assert main(argv + ([] if s is None else ["--s", s])) == 0
+        assert out.read_bytes() == _panel_bytes(result)
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        assert manifest["summary"] == {"M": m, **cli._scan_summary(result)}
+
+    @pytest.mark.parametrize("m", ["0", "25"])
+    def test_order_checked_before_any_file(self, tmp_path, m):
+        d = tmp_path / "f"
+        assert main(["figures", "--M", m, "--out", str(d)]) == 2
+        assert not d.exists() or not list(d.glob("*.csv"))
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--M", m, "--target", "offset",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unopenable_panel_closes_the_others(self, tmp_path):
+        d = tmp_path / "f"
+        (d / "fig3_energy_one_third.csv").mkdir(parents=True)
+        assert main(["figures", "--M", "6", "--out", str(d)]) == 74
+        assert not (d / "manifest.json").exists()
 
 
 def _fmt(value) -> str:
@@ -313,6 +374,57 @@ class TestExitCodes:
     def test_bad_range_syntax(self, tmp_path):
         out = str(tmp_path / "t.csv")
         assert main(["tseq", "--s", "0", "--range", "junk", "--out", out]) == 2
+
+    def test_range_length_capped(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "t.csv"
+        # 2^52 N: rejected before any array over N exists
+        assert main(["energy", "--s", "0.5", "--range", "2:4503599627370495",
+                     "--out", str(out)]) == 2
+        assert "split it" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["tseq", "--s", "0.5",
+                     "--range", f"2:{cli.MAX_RANGE + 2}", "--out", str(out)]) == 2
+        monkeypatch.setattr(cli, "MAX_RANGE", 8)
+        assert main(["tseq", "--s", "0.5", "--range", "0:9",
+                     "--out", str(out)]) == 0  # clamped to 2..9
+        assert main(["energy", "--s", "0.5", "--range", "1:9",
+                     "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-verify", "--s", "0.5", "--N", "4", "--grid-bits", "23"],
+        ["oracle-verify", "--s", "0.5", "--N", "4", "--grid-bits", "60"],
+        ["identities", "--s", "0.5", "--M", "17"],
+        ["identities", "--s", "0.5", "--M", "1000000"]])
+    def test_size_flags_capped(self, tmp_path, capsys, argv):
+        out = tmp_path / "t.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_failure_is_a_domain_error(self, tmp_path, capsys):
+        # at s = 1000 every grid potential overflows by the fifth point
+        out = tmp_path / "t.csv"
+        with np.errstate(all="ignore"):
+            assert main(["oracle-verify", "--s", "1000", "--N", "40",
+                         "--grid-bits", "12", "--out", str(out)]) == 2
+        assert "oracle failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["tseq", "--s", "80", "--range", "32000:32010"],
+        ["fseq", "--s", "80", "--range", "32000:32010"],
+        ["scan", "--s", "1023", "--M", "4", "--target", "energy"],
+        ["scan", "--s", "2000", "--M", "4", "--target", "energy"]])
+    def test_float_range_overflow_is_a_domain_error(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+
+    @pytest.mark.parametrize("n", ["65535", "98304"])
+    def test_energy_beyond_the_float_range_is_inf(self, tmp_path, n):
+        # L(2^16) at s = 80 is beyond the float range, L(2^15) = 1.6e302
+        # is not; E(98304) weights L(2^16) by zero, E(65535) takes it
+        out = tmp_path / "t.csv"
+        assert main(["energy", "--s", "80", "--N", n, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows == [[n, "80", "inf"]]
 
     def test_unwritable_output(self):
         assert main(["eta", "--N", "5",

@@ -134,6 +134,33 @@ class TestRootsExpansionRoute:
                      (1 << 40, 100.0), (3 ** 700, -1.5)):
             assert roots_energy(n, EnergyParams(s)) == math.inf
 
+    @staticmethod
+    def unscaled(n, s):
+        """The direct sum with 2^-s applied after it, the route taken
+        wherever it is finite."""
+        half = np.arange(1, (n + 1) // 2)
+        total = 2.0 * float(np.sum(np.sin(np.pi * half / n) ** (-s)))
+        if n % 2 == 0:
+            total += 1.0
+        return 2.0 ** (-s) * n * total
+
+    def test_direct_sum_scaled_where_its_powers_overflow(self):
+        # sin(pi/n)^-80 overflows at n = 2^15, L(2^15) = 1.6e302 does not;
+        # both routes lose about s * 4e-17 to the rounding of pi
+        s, n = 80.0, 1 << 15
+        top = math.floor((s + 1.0) / 2.0) + 1
+        want = energy._roots_expanded(n, s, roots_expansion(s, top, self.BAND))
+        got = energy._roots_direct(n, s)
+        assert abs(got - want) / want <= energy.ROOTS_RTOL + 2 * s * 4e-17
+        assert 1e302 < got < 2e302
+        # where the powers stay finite the sum is unchanged, bit for bit
+        for n, s in ((1 << 14, 80.0), (1 << 14, 79.9), (3001, 40.3),
+                     ((1 << 16) - 2, 0.5), (1 << 12, -1.5)):
+            assert energy._roots_direct(n, s) == self.unscaled(n, s)
+        # and beyond the float range the scaled sum is inf, without warnings
+        assert energy._roots_direct(1 << 15, 100.0) == math.inf
+        assert energy._roots_direct(1 << 13, 1100.0) == math.inf
+
     def test_direct_sum_size_cap(self):
         # outside -2 < s < 127 only the direct sum applies, up to 2^24
         for s in (-2.5, 130.0):
@@ -275,6 +302,20 @@ class TestGreedyEnergies:
         params = EnergyParams(s)
         want = [greedy_energy(n, params) for n in ns]
         assert bits(greedy_energies(np.array(ns), params)) == bits(want)
+
+    @pytest.mark.parametrize("s", [79.9, 80.0])
+    def test_beyond_the_float_range_is_inf_never_nan(self, s):
+        # L(2^15) is finite, L(2^16) and L(2^17) are not: every E(n) from
+        # n = 2^15 + 1 on is inf, including E(98304), whose L(2^16) weight
+        # is zero, and E(65535), whose terms hold both +inf and -inf
+        ns = (list(range(32700, 32900)) + list(range(65500, 65600))
+              + list(range(98250, 98350)))
+        params = EnergyParams(s)
+        want = [greedy_energy(n, params) for n in ns]
+        got = greedy_energies(np.array(ns), params)
+        assert bits(got) == bits(want)
+        assert np.isfinite(got[np.array(ns) <= 1 << 15]).all()
+        assert (got[np.array(ns) > 1 << 15] == math.inf).all()
 
     def test_domain(self):
         assert greedy_energies([], EnergyParams(1.0)).shape == (0,)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rieszgreedy import limits
 from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form
 from rieszgreedy.binary import binary_weights, expand_reciprocal, grid_point
-from rieszgreedy.limits import (SCAN_TARGETS, batch_eta_values,
+from rieszgreedy.limits import (SCAN_TARGETS, GridScan, batch_eta_values,
                                 child_identities, energy_form_at,
                                 interval_estimate, leja_offset_at,
                                 log_kernel_form_at, log_moment_at,
@@ -152,12 +153,70 @@ class TestScanExtremum:
         with pytest.raises(ValueError):
             scan_extremum(8, "energy_form", s)
 
+    def test_s_where_the_kernel_overflows_rejected(self):
+        # 2 (2^s - 1) is finite below s = 1023: the values stay finite
+        r = scan_extremum(8, "energy_form", 1022.9)
+        assert np.isfinite(r.values).all() and math.isfinite(r.error_bound)
+        for s in (1023.0, 1023.5, 2000.0):
+            with pytest.raises(ValueError, match="1023"):
+                scan_extremum(8, "energy_form", s)
+
     def test_values_match_point_evaluators(self):
         r = scan_extremum(6, "energy_form", 0.4)
         for n in range(0, 32, 7):
             x = grid_point(6, n)
             assert r.values[n] == pytest.approx(energy_form_at(x, 0.4),
                                                 abs=1e-13)
+
+
+class TestGridScan:
+    """The block-by-block reduction, on stand-in values with ties that
+    cross block boundaries."""
+
+    PANELS = [("leja_offset", None), ("energy_form", 0.5), ("energy_form", 2.0)]
+
+    @staticmethod
+    def stand_in(ns, target, s=None, jobs=1):
+        if target == "leja_offset":  # max 1 at every N = 0 mod 7
+            return (ns % 7 == 0).astype(float)
+        if s < 1.0:  # min -1 at every N = 0 mod 5
+            return -(ns % 5 == 0).astype(float)
+        return 1.0 / ns  # max at the first N only
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 5, 1 << 15])
+    @pytest.mark.parametrize("m", [4, 7])
+    def test_ties_go_to_the_smallest_x(self, monkeypatch, chunk, m):
+        calls = []
+
+        def stand_in(ns, target, s=None, jobs=1):
+            calls.append(len(ns))
+            return self.stand_in(ns, target, s)
+
+        monkeypatch.setattr(limits, "batch_eta_values", stand_in)
+        monkeypatch.setattr(limits, "_CHUNK", chunk)
+        blocks = []
+        results = GridScan(m, self.PANELS).run(
+            lambda xs, values: blocks.append((xs, values)))
+        ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1))
+        assert sum(calls) == len(self.PANELS) * ns.size  # one walk, per panel
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]),
+                              float(1 << m) / ns)
+        for k, ((target, s), r) in enumerate(zip(self.PANELS, results)):
+            values = self.stand_in(ns, target, s)
+            assert np.array_equal(np.concatenate([b[1][k] for b in blocks]), values)
+            pick = values.min() if r.orientation == "min" else values.max()
+            idx = int(np.nonzero(values == pick)[0][-1])
+            assert (r.extremum, r.arg_index) == (pick, idx)
+            assert r.arg == Fraction(1 << m, int(ns[idx]))
+            assert r.xs is None and r.values is None
+
+    def test_checks_before_scanning(self, monkeypatch):
+        monkeypatch.setattr(limits, "batch_eta_values", None)
+        for m, panels in [(0, [("leja_offset", None)]),
+                          (4, [("leja_offset", None), ("energy_form", 1.0)]),
+                          (4, [("energy_form", None)]), (4, [("bogus", None)])]:
+            with pytest.raises(ValueError):
+                GridScan(m, panels)
 
 
 class TestGlobalBounds:
