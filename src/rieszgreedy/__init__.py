@@ -8,9 +8,8 @@ asymptotics, multi-term energy expansions, limit-point functions on
 
 __version__ = "0.1.0"
 
-from .arith import (BlockPartition, DyadicStructureError, dyadic_blocks,
-                    energy_form, energy_form_telescoped, leja_offset,
-                    log_kernel_form, log_moment, power_sum)
+from .arith import (energy_form, leja_offset, log_kernel_form, log_moment,
+                    power_sum)
 from .asymptotics import (EnergyReport, RemainderScan, TPrediction,
                           cesaro_mean, doubling_gap, expansion_energy,
                           f_sequence, predict_t, remainder_scan, t_sequence)
@@ -37,8 +36,7 @@ __all__ = [
     "sinc_power_series", "sinc_coeff_derivative", "log_term_constant",
     "EULER_GAMMA",
     "energy_form", "log_kernel_form", "leja_offset", "power_sum",
-    "log_moment", "BlockPartition", "dyadic_blocks",
-    "energy_form_telescoped", "DyadicStructureError",
+    "log_moment",
     "EnergyParams", "CircleConfig", "roots_energy", "greedy_energy",
     "greedy_oracle", "extremal_potential", "config_energy",
     "prefix_energies",

@@ -1,6 +1,5 @@
 """The arithmetic functions of normalized binary weight vectors that govern
-greedy-energy asymptotics, together with the block partition that
-telescopes their double sums.
+greedy-energy asymptotics.
 
 All evaluators accept a :class:`~rieszgreedy.binary.WeightVector` and
 return floats.  Suffix masses b_k = 1 - (theta_1 + ... + theta_k) are
@@ -13,9 +12,7 @@ from dyadic reciprocals evaluate exactly up to double rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .binary import WeightVector
 
@@ -25,18 +22,10 @@ __all__ = [
     "leja_offset",
     "power_sum",
     "log_moment",
-    "BlockPartition",
-    "dyadic_blocks",
-    "energy_form_telescoped",
-    "DyadicStructureError",
 ]
 
 _LOG2 = math.log(2.0)
 _LOG4 = math.log(4.0)
-
-
-class DyadicStructureError(ValueError):
-    """Raised when consecutive components are not related by powers of two."""
 
 
 def _pow2m1(s: float) -> float:
@@ -157,111 +146,3 @@ def log_moment(w: WeightVector, tol: float = 1e-12) -> float:
         c = float(w.unit_tail)
         total += 2.0 * c * (math.log(c) - _LOG2)
     return total
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """The unique partition of a dyadic weight vector into maximal strings
-    of consecutive binary places.
-
-    ``spans`` lists the finite blocks as 1-based inclusive index pairs;
-    ``endpoints`` aligns with them, carrying (theta_first, b_first,
-    theta_last, b_last) for each.  ``infinite_start`` is the 1-based index
-    opening the final all-unit-gap block, when the vector has one, and
-    ``infinite_theta`` its first component.
-    """
-
-    spans: tuple[tuple[int, int], ...]
-    endpoints: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
-    infinite_start: Optional[int] = None
-    infinite_theta: Optional[Fraction] = None
-
-    def blocks(self) -> list[tuple[int, ...]]:
-        """Materialized 1-based index strings (finite blocks only)."""
-        return [tuple(range(a, b + 1)) for a, b in self.spans]
-
-
-def _exponent_gaps(w: WeightVector) -> list[int]:
-    """Exponents k_j with theta_j = theta_1 2^{-k_j}, k_1 = 0."""
-    lead = w.components[0]
-    ks = [0]
-    for j, t in enumerate(w.components[1:], start=2):
-        ratio = lead / t
-        num, den = ratio.numerator, ratio.denominator
-        if den != 1 or num & (num - 1):
-            raise DyadicStructureError(
-                f"component {j} is not the leading one over a power of two")
-        ks.append(num.bit_length() - 1)
-    return ks
-
-
-def dyadic_blocks(w: WeightVector) -> BlockPartition:
-    """Partition the vector's binary places into maximal consecutive runs.
-
-    Within a run, the components halve step by step; between runs the
-    exponents jump by at least 2, which forces theta_end >= 2 b_end at
-    every run end.  An exact unit tail extends (or constitutes) a final
-    infinite run.  Truncated vectors are rejected: the partition is a
-    statement about the exact vector.
-    """
-    if w.tail_bound != 0.0:
-        raise ValueError("partition requires an exact weight vector")
-    ks = _exponent_gaps(w)
-    p = len(ks)
-    runs: list[tuple[int, int]] = []
-    start = 0
-    for j in range(1, p):
-        if ks[j] != ks[j - 1] + 1:
-            runs.append((start, j - 1))
-            start = j
-    runs.append((start, p - 1))
-
-    infinite_start = None
-    infinite_theta = None
-    if w.unit_tail is not None:
-        lead = w.components[0]
-        ratio = lead / w.unit_tail
-        if ratio.denominator != 1 or ratio.numerator & (ratio.numerator - 1):
-            raise DyadicStructureError("unit tail is not a power-of-two part")
-        t_exp = ratio.numerator.bit_length() - 1
-        if t_exp == ks[-1] + 1:
-            # tail is contiguous with the last explicit run
-            start, _ = runs.pop()
-            infinite_start = start + 1
-            infinite_theta = w.components[start]
-        else:
-            infinite_start = p + 1
-            infinite_theta = w.unit_tail
-
-    bs = w.suffix_masses()
-    comps = w.components
-    spans = []
-    endpoints = []
-    for a, b in runs:
-        spans.append((a + 1, b + 1))
-        theta_end, b_end = comps[b], bs[b]
-        if w.unit_tail is None and b == p - 1:
-            b_end = Fraction(0)
-        if theta_end - 2 * b_end < 0:
-            raise DyadicStructureError("run end violates theta >= 2b")
-        endpoints.append((comps[a], bs[a], theta_end, b_end))
-    return BlockPartition(tuple(spans), tuple(endpoints),
-                          infinite_start, infinite_theta)
-
-
-def energy_form_telescoped(w: WeightVector, s: float) -> float:
-    """Evaluate the quadratic form block by block:
-    each finite run contributes (2 theta_first)^s (2 b_first)
-    + theta_last^s (theta_last - 2 b_last), and an infinite final run
-    contributes (2 theta_first)^{s+1}.
-
-    Agrees with :func:`energy_form`; useful as an independent route.
-    """
-    part = dyadic_blocks(w)
-    terms = []
-    for tf, bf, tl, bl in part.endpoints:
-        terms.append((2.0 * float(tf)) ** s * (2.0 * float(bf)))
-        terms.append(float(tl) ** s * float(tl - 2 * bl))
-    if part.infinite_theta is not None:
-        terms.append((2.0 * float(part.infinite_theta)) ** (s + 1.0))
-    return math.fsum(terms)

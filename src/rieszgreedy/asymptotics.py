@@ -6,22 +6,29 @@ Branch points: the scaled sequences change definition at s = -1, 0, 1.
 Parameters within 1e-9 of a branch (but not exactly on it) are rejected
 instead of silently switched, since the scalings differ by log factors.
 
-Each per-n function has an array form over int64 n in [1, 2^53), for
-ranges of n: :func:`t_from_energies`, :func:`f_from_potentials`,
-:func:`t_predictions`, :func:`expansion_energies`, :func:`cesaro_means`.
-The array forms of T, F and the Cesaro mean are bit-identical to the
-scalar functions; the n-independent coefficients are computed once per
-call, the arithmetic forms come from :func:`limits.batch_eta_values`, and
-powers and logarithms of n are taken per n with the scalar libm, which
-numpy's vectorized pow and log do not match to the last ulp.  The scalar
-functions serve single Python ints of any size and are the reference the
-tests hold the array forms to.
+T, F, the prediction of T, the expansion terms and the Cesaro mean are
+each written once, as a body over an array of n.  The array forms
+(:func:`t_from_energies`, :func:`f_from_potentials`, :func:`t_predictions`,
+:func:`expansion_energies`, :func:`cesaro_means`) run it over float n in
+[1, 2^53), with the forms from :func:`limits.batch_eta_values`.  The
+scalar functions serve any Python int: they take E(n) from
+:func:`~rieszgreedy.energy.greedy_energy` and the forms from the exact
+evaluators in :mod:`rieszgreedy.arith`, and run the body on a one-element
+object array, so n stays an exact int under Python's float arithmetic.
+Powers and logs of n are taken per n with the scalar libm (numpy's
+vectorized pow and log differ in the last ulp), so both forms agree bit
+for bit wherever their inputs do.  The inputs keep two kernels because
+they serve different n (Xeon, numpy 2.4): over n = 2..16384
+greedy_energies takes 22 ms and a loop of greedy_energy 116 ms, but one
+n costs 274 us batched against 6.2 us scalar, and the batch kernels stop
+at 2^53.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,14 +75,49 @@ def _check_branches(s: float) -> None:
 
 
 def _per_n(func, n: np.ndarray) -> np.ndarray:
-    """func applied to each entry of a float array as a Python float."""
-    return np.array(list(map(func, n.tolist())))
+    """func applied to each entry of n as a Python number."""
+    return np.fromiter(map(func, n.tolist()), n.dtype, n.size)
+
+
+def _one(x) -> np.ndarray:
+    """x as a one-element array that keeps it a Python number."""
+    return np.array([x], dtype=object)
+
+
+def _exact_forms(n: int):
+    """The ``form(target, s)`` of the scalar functions: the exact
+    :mod:`~rieszgreedy.arith` evaluator on binary_weights(n), as a
+    one-element array."""
+    w = binary_weights(n)
+
+    def form(target: str, s: Optional[float]) -> np.ndarray:
+        if target == "energy_form":
+            return _one(energy_form(w, s))
+        return _one(leja_offset(w) if target == "leja_offset"
+                    else log_kernel_form(w))
+    return form
 
 
 def _check_sequence_s(s: float) -> None:
     if s <= -2.0:
         raise ValueError("s must exceed -2")
     _check_branches(s)
+
+
+def _t(n: np.ndarray, e: np.ndarray, s: float) -> np.ndarray:
+    """T from the energies E(n)."""
+    if s == 0.0:
+        return (e + n * _per_n(math.log, n)) / n
+    if s == 1.0:
+        return (e - n * n * _per_n(math.log, n) / math.pi) / (n * n)
+    if s > 1.0:
+        return e / _per_n(lambda x: x ** (1.0 + s), n)
+    cont = arclength_energy(s) * n * n
+    if s == -1.0:
+        return (e - cont) / _per_n(math.log, n)
+    if s < -1.0:
+        return e - cont
+    return (e - cont) / _per_n(lambda x: x ** (1.0 + s), n)
 
 
 def t_sequence(n: int, s: float) -> float:
@@ -89,18 +131,7 @@ def t_sequence(n: int, s: float) -> float:
         raise ValueError("n must be >= 2")
     _check_sequence_s(s)
     e = greedy_energy(n, EnergyParams(s))
-    if s == 0.0:
-        return (e + n * math.log(n)) / n
-    if s == 1.0:
-        return (e - n * n * math.log(n) / math.pi) / (n * n)
-    if s > 1.0:
-        return e / float(n) ** (1.0 + s)
-    cont = arclength_energy(s) * n * n
-    if s == -1.0:
-        return (e - cont) / math.log(n)
-    if s < -1.0:
-        return e - cont
-    return (e - cont) / float(n) ** (1.0 + s)
+    return float(_t(_one(n), _one(e), s)[0])
 
 
 def t_from_energies(ns, energies: np.ndarray, s: float) -> np.ndarray:
@@ -108,19 +139,21 @@ def t_from_energies(ns, energies: np.ndarray, s: float) -> np.ndarray:
     energies E(n) (from :func:`~rieszgreedy.energy.greedy_energies`)."""
     ns = int_array(ns, 2)
     _check_sequence_s(s)
-    n = ns.astype(float)
+    return _t(ns.astype(float), energies, s)
+
+
+def _f(n: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
+    """F from the extremal potentials U_n(a_n)."""
     if s == 0.0:
-        return (energies + n * _per_n(math.log, n)) / n
+        return -u / _per_n(math.log, n + 1.0)
     if s == 1.0:
-        return (energies - n * n * _per_n(math.log, n) / math.pi) / (n * n)
+        return (u - n * _per_n(math.log, n) / math.pi) / n
     if s > 1.0:
-        return energies / _per_n(lambda x: x ** (1.0 + s), n)
-    cont = arclength_energy(s) * n * n
-    if s == -1.0:
-        return (energies - cont) / _per_n(math.log, n)
-    if s < -1.0:
-        return energies - cont
-    return (energies - cont) / _per_n(lambda x: x ** (1.0 + s), n)
+        return u / _per_n(lambda x: x ** s, n)
+    cont = arclength_energy(s) * n
+    if s < 0.0:
+        return u - cont
+    return (u - cont) / _per_n(lambda x: x ** s, n)
 
 
 def f_sequence(n: int, s: float) -> float:
@@ -129,16 +162,7 @@ def f_sequence(n: int, s: float) -> float:
         raise ValueError("n must be >= 1")
     _check_sequence_s(s)
     u = extremal_potential(n, EnergyParams(s))
-    if s == 0.0:
-        return -u / math.log(n + 1.0)
-    if s == 1.0:
-        return (u - n * math.log(n) / math.pi) / n
-    if s > 1.0:
-        return u / float(n) ** s
-    cont = arclength_energy(s) * n
-    if s < 0.0:
-        return u - cont
-    return (u - cont) / float(n) ** s
+    return float(_f(_one(n), _one(u), s)[0])
 
 
 def f_from_potentials(ns, potentials: np.ndarray, s: float) -> np.ndarray:
@@ -147,22 +171,42 @@ def f_from_potentials(ns, potentials: np.ndarray, s: float) -> np.ndarray:
     :func:`~rieszgreedy.energy.extremal_potentials`)."""
     ns = int_array(ns, 1)
     _check_sequence_s(s)
-    n = ns.astype(float)
-    if s == 0.0:
-        return -potentials / _per_n(math.log, n + 1.0)
-    if s == 1.0:
-        return (potentials - n * _per_n(math.log, n) / math.pi) / n
-    if s > 1.0:
-        return potentials / _per_n(lambda x: x ** s, n)
-    cont = arclength_energy(s) * n
-    if s < 0.0:
-        return potentials - cont
-    return (potentials - cont) / _per_n(lambda x: x ** s, n)
+    return _f(ns.astype(float), potentials, s)
 
 
 class TPrediction(NamedTuple):
     value: float
     remainder_scale: float
+
+
+def _check_prediction_s(s: float) -> None:
+    _check_branches(s)
+    if s < -1.0:
+        raise ValueError("prediction requires s >= -1")
+
+
+def _prediction(n: np.ndarray, form, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The predictions of T and their remainder scales, given the
+    arithmetic forms ``form(target, s)`` of each n."""
+    if s == 0.0:
+        return form("leja_offset", None), np.ones(n.size)
+    if s == -1.0:
+        log_n = _per_n(math.log, n)
+        return -math.pi / 3.0 * form("energy_form", -1.0) / log_n, log_n
+    if s == 1.0:
+        value = (EULER_GAMMA + math.log(2.0 / math.pi)
+                 + form("log_kernel_form", None)) / math.pi
+        return value, n * n
+    value = 2.0 * zeta(s) / (2.0 * math.pi) ** s * form("energy_form", s)
+    if s < 1.0:
+        scale = _per_n(lambda x: x ** (1.0 + s), n)
+    elif s == 3.0:
+        scale = n * n / _per_n(math.log, n)
+    elif s < 3.0 and s != 2.0:
+        scale = _per_n(lambda x: x ** (s - 1.0), n)
+    else:
+        scale = n * n
+    return value, scale
 
 
 def predict_t(n: int, s: float) -> TPrediction:
@@ -176,58 +220,18 @@ def predict_t(n: int, s: float) -> TPrediction:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    _check_branches(s)
-    if s < -1.0:
-        raise ValueError("prediction requires s >= -1")
-    w = binary_weights(n)
-    if s == 0.0:
-        return TPrediction(leja_offset(w), 1.0)
-    if s == -1.0:
-        return TPrediction(-math.pi / 3.0 * energy_form(w, -1.0) / math.log(n),
-                           math.log(n))
-    if s == 1.0:
-        value = (EULER_GAMMA + math.log(2.0 / math.pi) + log_kernel_form(w)) / math.pi
-        return TPrediction(value, float(n) ** 2)
-    value = 2.0 * zeta(s) / (2.0 * math.pi) ** s * energy_form(w, s)
-    if s < 1.0:
-        scale = float(n) ** (1.0 + s)
-    elif s == 3.0:
-        scale = n * n / math.log(n)
-    elif s < 3.0 and s != 2.0:
-        scale = float(n) ** (s - 1.0)
-    else:
-        scale = float(n) ** 2
-    return TPrediction(value, scale)
+    _check_prediction_s(s)
+    value, scale = _prediction(_one(n), _exact_forms(n), s)
+    return TPrediction(float(value[0]), float(scale[0]))
 
 
 def t_predictions(ns, s: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`predict_t` over n in ns (2 <= n < 2^53): the arrays of
     predictions and of remainder scales."""
     ns = int_array(ns, 2)
-    _check_branches(s)
-    if s < -1.0:
-        raise ValueError("prediction requires s >= -1")
-    n = ns.astype(float)
-    if s == 0.0:
-        return limits.batch_eta_values(ns, "leja_offset"), np.ones(ns.size)
-    if s == -1.0:
-        log_n = _per_n(math.log, n)
-        form = limits.batch_eta_values(ns, "energy_form", -1.0)
-        return -math.pi / 3.0 * form / log_n, log_n
-    if s == 1.0:
-        form = limits.batch_eta_values(ns, "log_kernel_form")
-        return (EULER_GAMMA + math.log(2.0 / math.pi) + form) / math.pi, n * n
-    value = (2.0 * zeta(s) / (2.0 * math.pi) ** s
-             * limits.batch_eta_values(ns, "energy_form", s))
-    if s < 1.0:
-        scale = _per_n(lambda x: x ** (1.0 + s), n)
-    elif s == 3.0:
-        scale = n * n / _per_n(math.log, n)
-    elif s < 3.0 and s != 2.0:
-        scale = _per_n(lambda x: x ** (s - 1.0), n)
-    else:
-        scale = n * n
-    return value, scale
+    _check_prediction_s(s)
+    forms = partial(limits.batch_eta_values, ns)
+    return _prediction(ns.astype(float), forms, s)
 
 
 def _check_expansion_s(s: float) -> None:
@@ -244,6 +248,23 @@ def _expansion_coefficients(s: float) -> RootsExpansion:
     return roots_expansion(s, top)
 
 
+def _expansion_terms(n: np.ndarray, form, s: float) -> list[np.ndarray]:
+    """The terms of the energy expansion, one column per term, given the
+    arithmetic forms ``form(target, s)`` of each n."""
+    ex = _expansion_coefficients(s)
+    if ex.log_factor:
+        q = ex.log_factor
+        columns = [q * n * n * _per_n(math.log, n),
+                   q * (ex.log_constant + form("log_kernel_form", None)) * n * n]
+    else:
+        columns = [ex.arclength * n * n]
+    for j, c in enumerate(ex.coeffs):
+        sj = s - 2.0 * j
+        columns.append(c * form("energy_form", sj)
+                       * _per_n(lambda x: x ** sj * x, n))
+    return columns
+
+
 def expansion_energy(n: int, s: float) -> float:
     """Multi-term energy expansion at index n, valid for s >= -1, s != 0.
 
@@ -253,23 +274,13 @@ def expansion_energy(n: int, s: float) -> float:
     divergent j = m contribution.  The coefficients are those of the
     roots-of-unity expansion (:func:`~rieszgreedy.special.roots_expansion`),
     each weighted by an arithmetic form of the binary weights of n, and
-    n^{1+s-2j} is taken as n^{s-2j} n, so s + 1 is never rounded.
+    n^{1+s-2j} is taken as n^{s-2j} n, so s + 1 is never rounded.  The
+    terms are summed with math.fsum.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_expansion_s(s)
-    w = binary_weights(n)
-    ex = _expansion_coefficients(s)
-    if ex.log_factor:
-        q = ex.log_factor
-        terms = [q * n * n * math.log(n),
-                 q * (ex.log_constant + log_kernel_form(w)) * n * n]
-    else:
-        terms = [ex.arclength * n * n]
-    for j, c in enumerate(ex.coeffs):
-        sj = s - 2.0 * j
-        terms.append(c * energy_form(w, sj) * (float(n) ** sj * n))
-    return math.fsum(terms)
+    return float(fsum_rows(_expansion_terms(_one(n), _exact_forms(n), s))[0])
 
 
 def expansion_energies(ns, s: float) -> np.ndarray:
@@ -282,27 +293,10 @@ def expansion_energies(ns, s: float) -> np.ndarray:
     :func:`expansion_energy` by at most 1e-14 times the sum of the
     absolute values of its terms.
     """
-    return fsum_rows(_expansion_terms(ns, s))
-
-
-def _expansion_terms(ns, s: float) -> list[np.ndarray]:
-    """The terms of :func:`expansion_energy`, one column per term."""
     ns = int_array(ns, 2)
     _check_expansion_s(s)
-    n = ns.astype(float)
-    ex = _expansion_coefficients(s)
-    if ex.log_factor:
-        q = ex.log_factor
-        form = limits.batch_eta_values(ns, "log_kernel_form")
-        columns = [q * n * n * _per_n(math.log, n),
-                   q * (ex.log_constant + form) * n * n]
-    else:
-        columns = [ex.arclength * n * n]
-    for j, c in enumerate(ex.coeffs):
-        sj = s - 2.0 * j
-        columns.append(c * limits.batch_eta_values(ns, "energy_form", sj)
-                       * _per_n(lambda x: x ** sj * x, n))
-    return columns
+    forms = partial(limits.batch_eta_values, ns)
+    return fsum_rows(_expansion_terms(ns.astype(float), forms, s))
 
 
 @dataclass(frozen=True)
@@ -395,6 +389,16 @@ def doubling_gap(n: int, s: float) -> float:
     return t_sequence(2 * n, s) - t_sequence(n, s)
 
 
+def _check_cesaro_s(s: float) -> None:
+    if not -2.0 < s < 0.0:
+        raise ValueError("Cesaro mean requires -2 < s < 0")
+
+
+def _cesaro(n: np.ndarray, e_next: np.ndarray, s: float) -> np.ndarray:
+    """The Cesaro mean from the energies E(n+1)."""
+    return (0.5 * e_next - 0.5 * n * (n + 1) * arclength_energy(s)) / n
+
+
 def cesaro_mean(n: int, s: float) -> float:
     """Average of the first n extremal-potential deviations,
     (1/n) sum_{k<=n} (U_k(a_k) - k I_s), for -2 < s < 0.
@@ -406,14 +410,8 @@ def cesaro_mean(n: int, s: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_cesaro_s(s)
-    cont = arclength_energy(s)
     e_next = greedy_energy(n + 1, EnergyParams(s))
-    return (0.5 * e_next - 0.5 * n * (n + 1) * cont) / n
-
-
-def _check_cesaro_s(s: float) -> None:
-    if not -2.0 < s < 0.0:
-        raise ValueError("Cesaro mean requires -2 < s < 0")
+    return float(_cesaro(_one(n), _one(e_next), s)[0])
 
 
 def cesaro_means(ns, s: float) -> np.ndarray:
@@ -421,9 +419,7 @@ def cesaro_means(ns, s: float) -> np.ndarray:
     params = EnergyParams(s)
     ns = int_array(ns, 1)
     _check_cesaro_s(s)
-    e_next = greedy_energies(ns + 1, params)
-    n = ns.astype(float)
-    return (0.5 * e_next - 0.5 * n * (n + 1.0) * arclength_energy(s)) / n
+    return _cesaro(ns.astype(float), greedy_energies(ns + 1, params), s)
 
 
 def cesaro_scales(ns, s: float) -> np.ndarray:

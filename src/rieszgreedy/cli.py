@@ -217,6 +217,8 @@ def _build_parser() -> _Parser:
                            description=f"{help_text}  CSV columns: {csv_schema}")
         p.add_argument("--out", type=Path, default=None,
                        help="output CSV path (figures: output directory)")
+        # no effect; kept because perfbench/workloads._read_manifest fails
+        # every benchmark check whose manifest lacks parameters.jobs == 1
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; has no effect")
         return p

@@ -5,8 +5,7 @@ Every grid point x = 2^m / (2^m + 2n + 1) corresponds to the odd integer
 N = 2^m + 2n + 1 via the weight identity theta(x) = binary_weights(N), so
 a grid scan is a vectorized sweep of the arithmetic functions over the odd
 integers in (2^m, 2^{m+1}), evaluated in blocks by :class:`GridScan`, the
-one scan path.  The ``jobs`` arguments are accepted for compatibility and
-have no effect.
+one scan path.
 """
 
 from __future__ import annotations
@@ -113,8 +112,7 @@ def _chunk_values(ns: np.ndarray, target: str, s: Optional[float]) -> np.ndarray
     return 2.0 * _LOG2 - logy - _LOG2 * x * x * acc
 
 
-def batch_eta_values(ns, target: str, s: Optional[float] = None,
-                     jobs: int = 1) -> np.ndarray:
+def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
     """Evaluate one arithmetic function on binary_weights(n) for an array
     of integers 1 <= n < 2^53.
 
@@ -250,8 +248,7 @@ class GridScan:
                 in zip(self.panels, best, minimize, self._bounds)]
 
 
-def scan_extremum(m: int, target: str, s: Optional[float] = None,
-                  jobs: int = 1) -> ScanResult:
+def scan_extremum(m: int, target: str, s: Optional[float] = None) -> ScanResult:
     """Scan one target over all 2^{m-1} grid points of order m, keeping
     the grid: the one-panel :class:`GridScan`, with the same reduction.
 
@@ -284,7 +281,7 @@ def _best_extremum(m: int, target: str, s: Optional[float]) -> float:
     return pick(r.extremum for r in results)
 
 
-def interval_estimate(s: float, m: int, jobs: int = 1) -> tuple[float, float]:
+def interval_estimate(s: float, m: int) -> tuple[float, float]:
     """Estimated closed interval of limit points of the scaled energy
     sequence with parameter s, from the grid scans of orders <= m.
 

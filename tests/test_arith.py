@@ -5,10 +5,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rieszgreedy.arith import (DyadicStructureError, dyadic_blocks,
-                               energy_form, energy_form_telescoped,
-                               leja_offset, log_kernel_form, log_moment,
-                               power_sum)
+from oracles import (DyadicStructureError, dyadic_blocks,
+                     energy_form_telescoped)
+from rieszgreedy.arith import (energy_form, leja_offset, log_kernel_form,
+                               log_moment, power_sum)
 from rieszgreedy.binary import (WeightVector, binary_weights,
                                 expand_reciprocal)
 

@@ -417,6 +417,30 @@ class TestExitCodes:
     def test_float_range_overflow_is_a_domain_error(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
 
+    @pytest.mark.parametrize("s, first, last", [
+        ("80", 1 << 40, (1 << 40) + 3), ("1e308", 1, 5)])
+    def test_undetermined_potential_is_a_domain_error(self, tmp_path, capsys,
+                                                      s, first, last):
+        # E(first + 1) at s = 80 and E(5) at s = 1e308 are beyond the
+        # float range, so the potential before them is not known
+        out = tmp_path / "t.csv"
+        assert main(["fseq", "--s", s, "--range", f"{first}:{last}",
+                     "--out", str(out)]) == 2
+        n = first if s == "80" else 4
+        assert f"potential at n = {n}, s = {float(s)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--s", "1023.5", "--N", "7"], 0), (["--s", "750", "--N", "12"], 0),
+        (["--s", "1e308", "--N", "7"], 2)])
+    def test_oracle_overflow_is_silent(self, tmp_path, capsys, argv, code):
+        # chord^-s beyond the float range is an inf the oracle skips, in
+        # the grid potential and in the Newton steps alike
+        out = tmp_path / "t.csv"
+        assert main(["oracle-verify", *argv, "--grid-bits", "12",
+                     "--out", str(out)]) == code
+        assert "overflow" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", ["65535", "98304"])
     def test_energy_beyond_the_float_range_is_inf(self, tmp_path, n):
         # L(2^16) at s = 80 is beyond the float range, L(2^15) = 1.6e302

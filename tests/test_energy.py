@@ -1,10 +1,12 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -67,6 +69,31 @@ class TestRootsEnergy:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             roots_energy(0, EnergyParams(1.0))
+
+    @staticmethod
+    def mp_roots_error(n, s):
+        """Relative error of roots_energy(n) against a 40-digit sum with
+        exact pi over the first 64 k from each end; for s >= 20 the terms
+        left out are below 1e-30 of L(n)."""
+        with mpmath.workdps(40):
+            want = 2 * n * mpmath.fsum(
+                (2 * mpmath.sin(mpmath.pi * k / n)) ** -mpmath.mpf(s)
+                for k in range(1, 65))
+            got = mpmath.mpf(roots_energy(n, EnergyParams(s)))
+            return float(abs(got / want - 1))
+
+    @pytest.mark.parametrize("s", [20.0, 40.0, 80.0])
+    def test_direct_sum_at_large_s(self, s):
+        # each sine carries the rounding of pi (3.9e-17) and its own
+        # (up to 1.1e-16), and the power -s multiplies both by s
+        for k in (10, 12, 14):
+            assert self.mp_roots_error(1 << k, s) <= energy.ROOTS_RTOL + s * 1.5e-16
+
+    @pytest.mark.parametrize("s", [20.0, 40.0])
+    def test_expansion_at_large_s(self, s):
+        # the expansion takes no sines, only the rounding of pi
+        for k in (16, 20):
+            assert self.mp_roots_error(1 << k, s) <= energy.ROOTS_RTOL + s * 4e-17
 
 
 class TestRootsExpansionRoute:
@@ -382,6 +409,23 @@ class TestExtremalPotential:
         for n in range(1, 4097):
             f = -extremal_potential(n, params) / math.log(n + 1.0)
             assert 0.0 <= f <= 1.01
+
+    @pytest.mark.parametrize("s, last", [(80.0, 1 << 15), (1e308, 4)])
+    def test_undetermined_beyond_the_float_range(self, s, last):
+        # E(last + 1) is the first energy beyond the float range (inf), so
+        # U_last = (E(last + 1) - E(last)) / 2 is not known: OverflowError
+        params = EnergyParams(s)
+        assert math.isfinite(greedy_energy(last, params))
+        assert greedy_energy(last + 1, params) == math.inf
+        ns = list(range(max(1, last - 3), last))
+        want = [extremal_potential(n, params) for n in ns]
+        assert np.isfinite(want).all()
+        assert bits(extremal_potentials(ns, params)) == bits(want)
+        message = re.escape(f"n = {last}, s = {s}")
+        with pytest.raises(OverflowError, match=message):
+            extremal_potential(last, params)
+        with pytest.raises(OverflowError, match=message):
+            extremal_potentials(ns + [last, last + 1], params)
 
 
 class TestCircleConfig:

@@ -97,12 +97,6 @@ class TestBatchValues:
                                       batch_eta_values(ns, target, s)), \
                     (target, s)
 
-    def test_jobs_do_not_change_results(self):
-        ns = np.arange(2, 1 << 16)
-        a = batch_eta_values(ns, "energy_form", -0.5, jobs=1)
-        b = batch_eta_values(ns, "energy_form", -0.5, jobs=5)
-        assert np.array_equal(a, b)
-
     def test_validations(self):
         with pytest.raises(ValueError):
             batch_eta_values(np.array([1, 2]), "energy_form")
@@ -176,7 +170,7 @@ class TestGridScan:
     PANELS = [("leja_offset", None), ("energy_form", 0.5), ("energy_form", 2.0)]
 
     @staticmethod
-    def stand_in(ns, target, s=None, jobs=1):
+    def stand_in(ns, target, s=None):
         if target == "leja_offset":  # max 1 at every N = 0 mod 7
             return (ns % 7 == 0).astype(float)
         if s < 1.0:  # min -1 at every N = 0 mod 5
@@ -188,7 +182,7 @@ class TestGridScan:
     def test_ties_go_to_the_smallest_x(self, monkeypatch, chunk, m):
         calls = []
 
-        def stand_in(ns, target, s=None, jobs=1):
+        def stand_in(ns, target, s=None):
             calls.append(len(ns))
             return self.stand_in(ns, target, s)
 
