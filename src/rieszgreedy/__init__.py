@@ -16,9 +16,9 @@ from .asymptotics import (EnergyReport, RemainderScan, TPrediction,
 from .binary import (BinaryDecomposition, ReciprocalExpansion, WeightVector,
                      binary_weights, bit_count, decompose, expand_reciprocal,
                      grid_point, grid_points)
-from .energy import (CircleConfig, EnergyParams, config_energy,
-                     extremal_potential, greedy_energy, greedy_oracle,
-                     prefix_energies, roots_energy)
+from .energy import (CircleConfig, EnergyParams, extremal_potential,
+                     greedy_energy, greedy_oracle, prefix_energies,
+                     roots_energy)
 from .limits import (ScanResult, batch_eta_values, child_identities,
                      energy_form_at, interval_estimate, leja_offset_at,
                      log_kernel_form_at, log_moment_at, power_sum_at,
@@ -38,8 +38,7 @@ __all__ = [
     "energy_form", "log_kernel_form", "leja_offset", "power_sum",
     "log_moment",
     "EnergyParams", "CircleConfig", "roots_energy", "greedy_energy",
-    "greedy_oracle", "extremal_potential", "config_energy",
-    "prefix_energies",
+    "greedy_oracle", "extremal_potential", "prefix_energies",
     "t_sequence", "f_sequence", "TPrediction", "predict_t",
     "expansion_energy", "EnergyReport", "RemainderScan", "remainder_scan",
     "doubling_gap", "cesaro_mean",

@@ -79,6 +79,20 @@ def _per_n(func, n: np.ndarray) -> np.ndarray:
     return np.fromiter(map(func, n.tolist()), n.dtype, n.size)
 
 
+def _powers(n: np.ndarray, p: float, s: float) -> np.ndarray:
+    """n^p by the scalar pow, per n; an n^p beyond the float range raises
+    OverflowError naming the first such n, p and s."""
+    try:
+        return _per_n(lambda x: x ** p, n)
+    except OverflowError:
+        for x in n.tolist():
+            try:
+                x ** p
+            except OverflowError:
+                raise OverflowError(f"n^{p} overflows at n = {int(x)}, s = {s}") from None
+        raise
+
+
 def _one(x) -> np.ndarray:
     """x as a one-element array that keeps it a Python number."""
     return np.array([x], dtype=object)
@@ -111,13 +125,13 @@ def _t(n: np.ndarray, e: np.ndarray, s: float) -> np.ndarray:
     if s == 1.0:
         return (e - n * n * _per_n(math.log, n) / math.pi) / (n * n)
     if s > 1.0:
-        return e / _per_n(lambda x: x ** (1.0 + s), n)
+        return e / _powers(n, 1.0 + s, s)
     cont = arclength_energy(s) * n * n
     if s == -1.0:
         return (e - cont) / _per_n(math.log, n)
     if s < -1.0:
         return e - cont
-    return (e - cont) / _per_n(lambda x: x ** (1.0 + s), n)
+    return (e - cont) / _powers(n, 1.0 + s, s)
 
 
 def t_sequence(n: int, s: float) -> float:
@@ -149,11 +163,11 @@ def _f(n: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
     if s == 1.0:
         return (u - n * _per_n(math.log, n) / math.pi) / n
     if s > 1.0:
-        return u / _per_n(lambda x: x ** s, n)
+        return u / _powers(n, s, s)
     cont = arclength_energy(s) * n
     if s < 0.0:
         return u - cont
-    return (u - cont) / _per_n(lambda x: x ** s, n)
+    return (u - cont) / _powers(n, s, s)
 
 
 def f_sequence(n: int, s: float) -> float:
@@ -199,11 +213,11 @@ def _prediction(n: np.ndarray, form, s: float) -> tuple[np.ndarray, np.ndarray]:
         return value, n * n
     value = 2.0 * zeta(s) / (2.0 * math.pi) ** s * form("energy_form", s)
     if s < 1.0:
-        scale = _per_n(lambda x: x ** (1.0 + s), n)
+        scale = _powers(n, 1.0 + s, s)
     elif s == 3.0:
         scale = n * n / _per_n(math.log, n)
     elif s < 3.0 and s != 2.0:
-        scale = _per_n(lambda x: x ** (s - 1.0), n)
+        scale = _powers(n, s - 1.0, s)
     else:
         scale = n * n
     return value, scale
@@ -260,8 +274,9 @@ def _expansion_terms(n: np.ndarray, form, s: float) -> list[np.ndarray]:
         columns = [ex.arclength * n * n]
     for j, c in enumerate(ex.coeffs):
         sj = s - 2.0 * j
-        columns.append(c * form("energy_form", sj)
-                       * _per_n(lambda x: x ** sj * x, n))
+        with np.errstate(over="ignore"):  # inf, as Python's float product
+            power = _powers(n, sj, s) * n
+        columns.append(c * form("energy_form", sj) * power)
     return columns
 
 
@@ -433,4 +448,4 @@ def cesaro_scales(ns, s: float) -> np.ndarray:
         return _per_n(lambda x: x / math.log(x) if x > 1.0 else 1.0, n)
     if s < -1.0:
         return n
-    return _per_n(lambda x: x ** -s, n)
+    return _powers(n, -s, s)

@@ -11,11 +11,12 @@ operation's precondition, takes a result beyond the float range
 Ranges: ``--range A:B`` (and ``energy --N``) is clamped below to the
 command's smallest N (1 for energy, fseq and cesaro, 2 for tseq and
 expansion-check); a range left with no N, reaching 2^53, or holding more
-than :data:`MAX_RANGE` N is a domain error.  Every range is computed as
-arrays over N, one pass per command.  Energies over any N < 2^53 run in
-O(bit-width) memory: the roots-of-unity energies they combine come from
-their large-N expansion from N = 2^16 on.  ``identities --M`` goes up to
-:data:`MAX_IDENTITY_ORDER`, ``oracle-verify --grid-bits`` up to
+than :data:`MAX_RANGE` N is a domain error.  Every command computes as
+arrays, one pass per command, and a verifier fails on a nan row.  Energies
+over any N < 2^53 run in O(bit-width) memory: the roots-of-unity energies
+they combine come from their large-N expansion from N = 2^16 on.
+``identities`` takes 1 <= M <= :data:`MAX_IDENTITY_ORDER` and the s of an
+energy-form ``scan``; ``oracle-verify --grid-bits`` goes up to
 :data:`rieszgreedy.energy.ORACLE_MAX_GRID_BITS`.
 
 Grids: ``figures`` and ``scan`` stream the order-M grid in blocks
@@ -47,9 +48,10 @@ from .asymptotics import (cesaro_means, cesaro_scales, expansion_energies,
 from .asymptotics import expansion_energy, t_sequence  # noqa: F401
 from .binary import binary_weights, decompose
 from .energy import (EnergyParams, extremal_potentials, greedy_energies,
-                     greedy_energy, greedy_oracle, prefix_energies)
+                     greedy_oracle, prefix_energies)
 from .limits import GridScan, child_identities
-# unused here, but perfbench/layertrace.py patches this name on this module
+# unused here, but perfbench/layertrace.py patches these names on this module
+from .energy import greedy_energy  # noqa: F401
 from .limits import scan_extremum  # noqa: F401
 from .special import arclength_energy
 
@@ -77,7 +79,7 @@ _CSV_CHUNK = 1 << 10  # rows formatted per write; bounds the strings held
 #: Most N one range command takes.  expansion-check, which holds the most
 #: arrays over N, peaks at 177 MB over 2^20 N (610 MB over 2^22).
 MAX_RANGE = 1 << 20
-#: Highest identities order: 2^M - 1 rows at about 1 ms each.
+#: Highest identities order: caps the 2^M - 1 rows held as arrays (6.9 MB CSV at 16).
 MAX_IDENTITY_ORDER = 16
 
 
@@ -377,29 +379,28 @@ def _run_oracle_verify(args, out: Path):
     except RuntimeError as exc:  # no finite potential left on the grid
         raise ValueError(f"the brute-force oracle failed at s = {args.s}: "
                          f"{exc}") from exc
-    oracle = prefix_energies(config, params)
-    rows = []
-    worst = 0.0
-    for n in range(2, args.N + 1):
-        formula = greedy_energy(n, params)
-        gap = abs(oracle[n - 1] - formula) / max(1.0, abs(formula))
-        worst = max(worst, gap)
-        rows.append((n, args.s, oracle[n - 1], formula, gap))
-    _write_csv(out, "N,s,oracle_energy,formula_energy,rel_gap", *zip(*rows))
+    ns = np.arange(2, args.N + 1)
+    oracle = np.array(prefix_energies(config, params)[1:])
+    formula = greedy_energies(ns, params)
+    gaps = np.abs(oracle - formula) / np.maximum(1.0, np.abs(formula))
+    _write_csv(out, "N,s,oracle_energy,formula_energy,rel_gap", ns, args.s,
+               oracle, formula, gaps)
+    worst = float(gaps.max())
     return {"max_rel_gap": worst, "tol": args.tol}, worst <= args.tol
 
 
 def _run_identities(args, out: Path):
-    if args.M > MAX_IDENTITY_ORDER:
-        raise ValueError(f"order M = {args.M} exceeds {MAX_IDENTITY_ORDER}")
-    rows = []
-    worst = 0.0
-    for m in range(1, args.M + 1):
-        for n in range(1 << (m - 1)):
-            (l1, r1), (l2, r2) = child_identities(m, n, args.s)
-            worst = max(worst, abs(l1 - r1), abs(l2 - r2))
-            rows.append((m, n, args.s, l1, r1, l2, r2))
-    _write_csv(out, "M,n,s,lhs_odd,rhs_odd,lhs_even,rhs_even", *zip(*rows))
+    if not 1 <= args.M <= MAX_IDENTITY_ORDER:
+        raise ValueError(f"order M = {args.M} is below 1 or exceeds "
+                         f"{MAX_IDENTITY_ORDER}")
+    orders = range(1, args.M + 1)
+    sides = [np.concatenate(column) for column in
+             zip(*(child_identities(m, args.s) for m in orders))]
+    ms = np.repeat(orders, [1 << (m - 1) for m in orders])
+    ns = np.concatenate([np.arange(1 << (m - 1)) for m in orders])
+    _write_csv(out, "M,n,s,lhs_odd,rhs_odd,lhs_even,rhs_even", ms, ns, args.s,
+               *sides)
+    worst = float(np.abs([sides[0] - sides[1], sides[2] - sides[3]]).max())
     return {"max_mismatch": worst, "tol": args.tol}, worst <= args.tol
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "extremal_potentials",
     "greedy_oracle",
     "extremal_potential",
-    "config_energy",
     "prefix_energies",
 ]
 
@@ -387,16 +386,6 @@ def _raise_undetermined(n: int, s: float) -> None:
                         f"undetermined: E(n + 1) is beyond the float range")
 
 
-def config_energy(config: CircleConfig, params: EnergyParams) -> float:
-    """Direct pairwise energy of a configuration, O(N^2)."""
-    ang = np.asarray(config.angles)
-    rows = []
-    for i in range(1, len(ang)):
-        chord = 2.0 * np.abs(np.sin(0.5 * (ang[i] - ang[:i])))
-        rows.append(float(np.sum(_kernel_np(chord, params.s))))
-    return 2.0 * math.fsum(rows)
-
-
 def prefix_energies(config: CircleConfig, params: EnergyParams) -> list[float]:
     """Energies of all prefixes: entry k is the energy of the first k+1
     points (so entry 0 is 0)."""
@@ -513,4 +502,4 @@ def greedy_oracle(n: int, params: EnergyParams, grid_bits: int = 20,
         potential += _kernel_np(2.0 * np.abs(np.sin(0.5 * (grid - best))), params.s)
 
     config = CircleConfig(tuple(angles))
-    return config, config_energy(config, params)
+    return config, prefix_energies(config, params)[-1]

@@ -5,7 +5,9 @@ Every grid point x = 2^m / (2^m + 2n + 1) corresponds to the odd integer
 N = 2^m + 2n + 1 via the weight identity theta(x) = binary_weights(N), so
 a grid scan is a vectorized sweep of the arithmetic functions over the odd
 integers in (2^m, 2^{m+1}), evaluated in blocks by :class:`GridScan`, the
-one scan path.
+one scan path.  The parent-child identities (:func:`child_identities`) run
+on the same kernel, :func:`batch_eta_values`; the exact ``*_at`` functions
+serve arbitrary x.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import arith
-from .binary import expand_reciprocal, grid_point
+from .binary import expand_reciprocal
 
 __all__ = [
     "energy_form_at",
@@ -43,13 +45,9 @@ SCAN_TARGETS = ("energy_form", "log_kernel_form", "leja_offset")
 _CHUNK = 1 << 15
 
 
-def _weights_at(x, prefer_finite: bool = True):
-    exp = expand_reciprocal(x, prefer_finite=prefer_finite)
-    if exp.tail_bound != 0.0:
-        # no terminating or unit-gap form: buy accuracy with a deeper
-        # expansion (evaluation error scales like 2^{-terms (s+1)})
-        exp = expand_reciprocal(x, prefer_finite=prefer_finite, max_terms=256)
-    return exp.weights()
+def _weights_at(x):
+    # deep, for a non-terminating 1/x: the error scales like 2^{-terms (s+1)}
+    return expand_reciprocal(x, max_terms=256).weights()
 
 
 def energy_form_at(x, s: float, tol: float = 1e-12) -> float:
@@ -195,7 +193,7 @@ def _check_panel(m: int, target: str, s: Optional[float]) -> Optional[float]:
     if s in (0.0, 1.0):
         raise ValueError(f"energy form is identically 1 at s = {s}")
     if not -1.0 < s < 1023.0:  # beyond, the kernel's 2 (2^s - 1) overflows
-        raise ValueError("energy form scan needs -1 < s < 1023")
+        raise ValueError(f"energy form scan needs -1 < s < 1023, got s = {s}")
     return _certified_bound(s, m)
 
 
@@ -319,36 +317,36 @@ def stationarity_residual(x, s: float) -> float:
     return h - 2.0 * math.expm1(s * _LOG2) / (s + 1.0) * g
 
 
-def child_identities(m: int, n: int, s: float):
-    """Evaluate both sides of the two parent-child grid identities linking
-    order m to order m + 1.
+def child_identities(m: int, s: float):
+    """Both sides of the two parent-child grid identities linking order m
+    to order m + 1, as arrays (lhs_odd, rhs_odd, lhs_even, rhs_even) over
+    the grid indices n; each pair agrees to rounding error.
 
-    The point x = 2^m/(2^m + 2n + 1) has children 2n + 1 (expansion
-    extended by the exponent m + 1) and 2n (last exponent m replaced by
-    m + 1) at order m + 1.  Returns ((lhs, rhs), (lhs, rhs)) for the two
-    identities; each pair agrees to rounding error.
+    The point x = 2^m/N, N = 2^m + 2n + 1, has the children 2^{m+1}/(2N + 1)
+    (exponent m + 1 appended to 1/x) and 2^{m+1}/(2N - 1) (last exponent m
+    replaced by m + 1), so the energy forms are :func:`batch_eta_values` of
+    N, 2N + 1 and 2N - 1.  m and s are checked as the energy-form scan does.
     """
-    x = grid_point(m, n)
-    x_odd = grid_point(m + 1, 2 * n + 1)
-    x_evn = grid_point(m + 1, 2 * n)
-    ks = expand_reciprocal(x).exponents
-    xf, xof, xef = float(x), float(x_odd), float(x_evn)
+    GridScan(m, [("energy_form", s)])  # checks m and s, runs nothing
+    ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1), dtype=np.int64)
+    h = batch_eta_values(ns, "energy_form", s)
+    h_odd = batch_eta_values(2 * ns + 1, "energy_form", s)
+    h_evn = batch_eta_values(2 * ns - 1, "energy_form", s)
+    xf = float(1 << m) / ns
+    xof = float(1 << (m + 1)) / (2 * ns + 1)
+    xef = float(1 << (m + 1)) / (2 * ns - 1)
 
-    h = energy_form_at(x, s)
-    h_odd = energy_form_at(x_odd, s)
-    h_evn = energy_form_at(x_evn, s)
-
-    pow_full = math.fsum(2.0 ** (-k * s) for k in ks)
-    pow_head = math.fsum(2.0 ** (-k * s) for k in ks[:-1])
+    pow_head = np.zeros(ns.size)  # the exponents k < m of 1/x
+    for k in range(m):  # exponent k is bit m - k of N
+        pow_head += 2.0 ** (-k * s) * ((ns >> (m - k)) & 1)
+    pow_full = pow_head + 2.0 ** (-m * s)
     c = math.expm1(s * _LOG2)  # 2^s - 1
 
-    lhs1 = h - h_odd
     rhs1 = ((1.0 - (xof / xf) ** (s + 1.0)) * h
             - xof ** (s + 1.0) * (2.0 ** (-(m + 1) * (s + 1.0))
                                   + c * 2.0 ** (-m) * pow_full))
-    lhs2 = h - h_evn
     rhs2 = (((xf / xef) ** (s + 1.0) - 1.0) * h_evn
             + xf ** (s + 1.0) * ((2.0 ** (s + 1.0) - 1.0)
                                  * 2.0 ** (-(m + 1) * (s + 1.0))
                                  + c * 2.0 ** (-m) * pow_head))
-    return (lhs1, rhs1), (lhs2, rhs2)
+    return h - h_odd, rhs1, h - h_evn, rhs2

@@ -45,9 +45,7 @@ _BORWEIN_N = 56
 def _borwein_weights() -> tuple[float, ...]:
     n = _BORWEIN_N
     d = [0] * (n + 1)
-    term = 1  # (n+i-1)! 4^i / ((n-i)! (2i)!), exact integer times n
-    # i = 0: (n-1)!/n! * ... handled via incremental ratio; start from value n * 1
-    val = 1
+    val = 1  # n (n+i-1)! 4^i / ((n-i)! (2i)!), an exact integer
     acc = 0
     for i in range(n + 1):
         if i > 0:

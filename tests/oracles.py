@@ -9,6 +9,10 @@
 - The block partition of a dyadic weight vector and the block-telescoped
   route to the energy form, checked against
   :func:`rieszgreedy.arith.energy_form`.
+- The parent-child grid identities at one grid point, through the exact
+  Fraction grid point, its reciprocal expansion and
+  :func:`rieszgreedy.limits.energy_form_at`, the reference for the array
+  form :func:`rieszgreedy.limits.child_identities`.
 
 Nothing here checks its arguments; the package's functions do.
 """
@@ -22,8 +26,10 @@ from typing import Optional
 
 from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form
 from rieszgreedy.asymptotics import TPrediction, _expansion_coefficients
-from rieszgreedy.binary import WeightVector, binary_weights
+from rieszgreedy.binary import (WeightVector, binary_weights, expand_reciprocal,
+                                grid_point)
 from rieszgreedy.energy import EnergyParams, extremal_potential, greedy_energy
+from rieszgreedy.limits import energy_form_at
 from rieszgreedy.special import EULER_GAMMA, arclength_energy, zeta
 
 
@@ -209,3 +215,33 @@ def energy_form_telescoped(w: WeightVector, s: float) -> float:
     if part.infinite_theta is not None:
         terms.append((2.0 * float(part.infinite_theta)) ** (s + 1.0))
     return math.fsum(terms)
+
+
+def child_identities(m: int, n: int, s: float):
+    """Both sides of the two parent-child identities at the grid point
+    x = 2^m/(2^m + 2n + 1), whose children are 2n + 1 and 2n at order
+    m + 1: ((lhs_odd, rhs_odd), (lhs_even, rhs_even))."""
+    x = grid_point(m, n)
+    x_odd = grid_point(m + 1, 2 * n + 1)
+    x_evn = grid_point(m + 1, 2 * n)
+    ks = expand_reciprocal(x).exponents
+    xf, xof, xef = float(x), float(x_odd), float(x_evn)
+
+    h = energy_form_at(x, s)
+    h_odd = energy_form_at(x_odd, s)
+    h_evn = energy_form_at(x_evn, s)
+
+    pow_full = math.fsum(2.0 ** (-k * s) for k in ks)
+    pow_head = math.fsum(2.0 ** (-k * s) for k in ks[:-1])
+    c = math.expm1(s * math.log(2.0))  # 2^s - 1
+
+    lhs1 = h - h_odd
+    rhs1 = ((1.0 - (xof / xf) ** (s + 1.0)) * h
+            - xof ** (s + 1.0) * (2.0 ** (-(m + 1) * (s + 1.0))
+                                  + c * 2.0 ** (-m) * pow_full))
+    lhs2 = h - h_evn
+    rhs2 = (((xf / xef) ** (s + 1.0) - 1.0) * h_evn
+            + xf ** (s + 1.0) * ((2.0 ** (s + 1.0) - 1.0)
+                                 * 2.0 ** (-(m + 1) * (s + 1.0))
+                                 + c * 2.0 ** (-m) * pow_head))
+    return (lhs1, rhs1), (lhs2, rhs2)

@@ -251,6 +251,24 @@ class TestVerifiers:
         assert main(["identities", "--M", "4", "--s", "0.5", "--tol", "0",
                      "--out", str(out)]) == 3
 
+    def test_a_nan_row_fails(self, tmp_path, monkeypatch):
+        # one nan row among passing ones fails the check, not the reduction
+        out = tmp_path / "v.csv"
+        identities, energies = cli.child_identities, cli.greedy_energies
+
+        def nan_identities(m, s):
+            sides = identities(m, s)
+            sides[1][-1] = np.nan
+            return sides
+
+        monkeypatch.setattr(cli, "child_identities", nan_identities)
+        monkeypatch.setattr(cli, "greedy_energies", lambda ns, params: np.where(
+            ns == 5, np.nan, energies(ns, params)))
+        assert main(["identities", "--M", "3", "--s", "0.5",
+                     "--out", str(out)]) == 3
+        assert main(["oracle-verify", "--s", "0.5", "--N", "8",
+                     "--grid-bits", "12", "--out", str(out)]) == 3
+
 
 class TestOtherCommands:
     def test_energy_single(self, tmp_path):
@@ -416,6 +434,35 @@ class TestExitCodes:
         ["scan", "--s", "2000", "--M", "4", "--target", "energy"]])
     def test_float_range_overflow_is_a_domain_error(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+
+    @pytest.mark.parametrize("s, first", [("80", 32000), ("1e308", 2)])
+    def test_power_overflow_names_n_and_s(self, tmp_path, capsys, s, first):
+        # n^{1+s} passes the float range at every n of the range
+        out = tmp_path / "t.csv"
+        assert main(["tseq", "--s", s, "--range", f"{first}:{first + 10}",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"n^{1.0 + float(s)}" in err
+        assert f"n = {first}, s = {float(s)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--M", "0", "--s", "0.5"], ["--M=-3", "--s", "0.5"]])
+    def test_identities_need_an_order(self, tmp_path, capsys, flags):
+        out = tmp_path / "t.csv"
+        assert main(["identities", *flags, "--out", str(out)]) == 2
+        assert "order M" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf", "0", "1e308"])
+    def test_identities_take_the_scan_s(self, tmp_path, capsys, s):
+        out = tmp_path / "t.csv"
+        assert main(["identities", "--M", "4", f"--s={s}",
+                     "--out", str(out)]) == 2
+        assert f"s = {float(s)}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
 
     @pytest.mark.parametrize("s, first, last", [
         ("80", 1 << 40, (1 << 40) + 3), ("1e308", 1, 5)])

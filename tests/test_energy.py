@@ -15,7 +15,7 @@ import rieszgreedy
 from rieszgreedy.arith import leja_offset
 from rieszgreedy.binary import binary_weights
 from rieszgreedy import energy
-from rieszgreedy.energy import (CircleConfig, EnergyParams, config_energy,
+from rieszgreedy.energy import (CircleConfig, EnergyParams,
                                 extremal_potential, extremal_potentials,
                                 greedy_energies, greedy_energy,
                                 greedy_oracle, prefix_energies, roots_energy)
@@ -445,5 +445,5 @@ class TestCircleConfig:
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=40))
         config = CircleConfig(tuple(angles))
         for s in (-0.5, 0.0, 0.5, 2.0):
-            assert config_energy(config, EnergyParams(s)) == pytest.approx(
+            assert prefix_energies(config, EnergyParams(s))[-1] == pytest.approx(
                 pairwise_energy_reference(angles, s), rel=1e-12)

@@ -326,8 +326,9 @@ class TestStationarityResidual:
 class TestChildIdentities:
     @pytest.mark.parametrize("m,n,s", [(1, 0, 2.0), (3, 2, -0.5)])
     def test_spot_checks(self, m, n, s):
-        for lhs, rhs in child_identities(m, n, s):
-            assert lhs == pytest.approx(rhs, abs=1e-13)
+        lhs_odd, rhs_odd, lhs_even, rhs_even = child_identities(m, s)
+        assert lhs_odd[n] == pytest.approx(rhs_odd[n], abs=1e-13)
+        assert lhs_even[n] == pytest.approx(rhs_even[n], abs=1e-13)
 
     def test_children_are_neighbors(self):
         x = grid_point(5, 7)

@@ -1,7 +1,8 @@
 """T, F, the prediction of T, the energy expansion and the Cesaro mean
 each have one body, which their scalar and array forms both run.  Both
 forms are held here to the scalar references in :mod:`oracles` by IEEE
-bits, so -0.0 and 0.0 differ."""
+bits, so -0.0 and 0.0 differ.  The array form of the parent-child
+identities is held to the per-point route within a rounding tolerance."""
 
 import random
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rieszgreedy import asymptotics
+from rieszgreedy import asymptotics, limits
 from rieszgreedy.energy import (EnergyParams, extremal_potentials,
                                 greedy_energies)
 from rieszgreedy.limits import batch_eta_values
@@ -117,3 +118,16 @@ def test_square_scale_rounded_once(s):
     n = 94906297
     assert asymptotics.predict_t(n, s).remainder_scale == float(n * n)
     assert asymptotics.t_predictions([n], s)[1][0] == float(n * n)
+
+
+@pytest.mark.parametrize("s", [-0.9, -0.5, 1.0 / 3.0, 0.999, 1.001, 2.0, 3.5, 7.0])
+def test_child_identities(s):
+    # the batch kernel and the exact evaluators differ by up to
+    # 2e-15 max(1, |h|) (see limits.batch_eta_values)
+    for m in range(1, 11):
+        sides = np.array(limits.child_identities(m, s))
+        h = batch_eta_values((1 << m) + 1 + 2 * np.arange(1 << (m - 1)),
+                             "energy_form", s)
+        want = np.array([np.ravel(oracles.child_identities(m, n, s))
+                         for n in range(1 << (m - 1))]).T
+        assert np.all(np.abs(sides - want) <= 2e-15 * np.maximum(1.0, np.abs(h))), m
