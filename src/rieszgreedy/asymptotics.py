@@ -79,18 +79,25 @@ def _per_n(func, n: np.ndarray) -> np.ndarray:
     return np.fromiter(map(func, n.tolist()), n.dtype, n.size)
 
 
-def _powers(n: np.ndarray, p: float, s: float) -> np.ndarray:
-    """n^p by the scalar pow, per n; an n^p beyond the float range raises
-    OverflowError naming the first such n, p and s."""
+def _powers(n: np.ndarray, p: float, s: float, times_n: bool = False) -> np.ndarray:
+    """n^p, or n^p * n with ``times_n``, by the scalar pow and product,
+    per n; a value beyond the float range raises OverflowError naming the
+    first such n, the power and s."""
+    power = (lambda x: x ** p * x) if times_n else (lambda x: x ** p)
     try:
-        return _per_n(lambda x: x ** p, n)
-    except OverflowError:
-        for x in n.tolist():
-            try:
-                x ** p
-            except OverflowError:
-                raise OverflowError(f"n^{p} overflows at n = {int(x)}, s = {s}") from None
-        raise
+        values = _per_n(power, n)
+        if not np.isinf(np.asarray(values, dtype=float)).any():
+            return values
+    except OverflowError:  # the pow raises; the product comes out inf
+        pass
+    for x in n.tolist():
+        try:
+            beyond = math.isinf(power(x))
+        except OverflowError:
+            beyond = True
+        if beyond:
+            factor = " * n" if times_n else ""
+            raise OverflowError(f"n^{p}{factor} overflows at n = {int(x)}, s = {s}")
 
 
 def _one(x) -> np.ndarray:
@@ -274,9 +281,7 @@ def _expansion_terms(n: np.ndarray, form, s: float) -> list[np.ndarray]:
         columns = [ex.arclength * n * n]
     for j, c in enumerate(ex.coeffs):
         sj = s - 2.0 * j
-        with np.errstate(over="ignore"):  # inf, as Python's float product
-            power = _powers(n, sj, s) * n
-        columns.append(c * form("energy_form", sj) * power)
+        columns.append(c * form("energy_form", sj) * _powers(n, sj, s, times_n=True))
     return columns
 
 
@@ -289,8 +294,9 @@ def expansion_energy(n: int, s: float) -> float:
     divergent j = m contribution.  The coefficients are those of the
     roots-of-unity expansion (:func:`~rieszgreedy.special.roots_expansion`),
     each weighted by an arithmetic form of the binary weights of n, and
-    n^{1+s-2j} is taken as n^{s-2j} n, so s + 1 is never rounded.  The
-    terms are summed with math.fsum.
+    n^{1+s-2j} is taken as n^{s-2j} n, so s + 1 is never rounded; where
+    that power is beyond the float range, OverflowError names n and s.
+    The terms are summed with math.fsum.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -2,27 +2,30 @@
 CSV (UTF-8, header row, 17-significant-digit decimals) plus a JSON run
 manifest.
 
+Each command is one :data:`_COMMANDS` entry, its help text and its
+runner.  A runner takes the parsed flags and the ``--out`` path and
+returns (outputs, summary, passed); :func:`main` calls every runner at one
+site, writes the manifest there and maps the result to the exit code.  A
+command that writes one table declares its CSV header once, with
+:func:`_table`, for the file and for the "CSV columns" of its ``--help``.
+
 Exit codes: 0 success, 2 domain error (a flag value violates an
 operation's precondition, takes a result beyond the float range
 (OverflowError), or leaves the brute-force oracle no finite potential),
-3 verification failure (oracle-verify or identities beyond tolerance),
-64 usage error, 74 unwritable output.
+3 verification failure (passed is False: oracle-verify or identities
+beyond tolerance), 64 usage error, 74 unwritable output.
 
 Ranges: ``--range A:B`` (and ``energy --N``) is clamped below to the
 command's smallest N (1 for energy, fseq and cesaro, 2 for tseq and
 expansion-check); a range left with no N, reaching 2^53, or holding more
 than :data:`MAX_RANGE` N is a domain error.  Every command computes as
-arrays, one pass per command, and a verifier fails on a nan row.  Energies
-over any N < 2^53 run in O(bit-width) memory: the roots-of-unity energies
-they combine come from their large-N expansion from N = 2^16 on.
-``identities`` takes 1 <= M <= :data:`MAX_IDENTITY_ORDER` and the s of an
-energy-form ``scan``; ``oracle-verify --grid-bits`` goes up to
+arrays, one pass per command, and a verifier fails on a nan row.
+Energies over any N < 2^53 run in O(bit-width) memory, and ``figures``
+and ``scan`` stream the order-M grid in O(block) memory
+(:class:`rieszgreedy.limits.GridScan`).  ``identities`` takes
+1 <= M <= :data:`MAX_IDENTITY_ORDER` and the s of an energy-form
+``scan``; ``oracle-verify --grid-bits`` goes up to
 :data:`rieszgreedy.energy.ORACLE_MAX_GRID_BITS`.
-
-Grids: ``figures`` and ``scan`` stream the order-M grid in blocks
-(:class:`rieszgreedy.limits.GridScan`), in O(block) memory: ``figures``
-evaluates its five panels on each block and writes them to their five
-files in lockstep, formatting the x column they share once.
 
 Flag values may start with '-': ``--s -inf`` and ``--range -3:0`` are
 values, not options.
@@ -44,27 +47,23 @@ import numpy as np
 from . import __version__
 from .asymptotics import (cesaro_means, cesaro_scales, expansion_energies,
                           f_from_potentials, t_from_energies)
-# unused here, but perfbench/layertrace.py patches these names on this module
-from .asymptotics import expansion_energy, t_sequence  # noqa: F401
 from .binary import binary_weights, decompose
 from .energy import (EnergyParams, extremal_potentials, greedy_energies,
                      greedy_oracle, prefix_energies)
 from .limits import GridScan, child_identities
+from .special import arclength_energy
 # unused here, but perfbench/layertrace.py patches these names on this module
+from .asymptotics import expansion_energy, t_sequence  # noqa: F401
 from .energy import greedy_energy  # noqa: F401
 from .limits import scan_extremum  # noqa: F401
-from .special import arclength_energy
 
 USAGE_ERROR = 64
 OUTPUT_ERROR = 74
 DOMAIN_ERROR = 2
 VERIFY_ERROR = 3
 
-_SCAN_TARGETS = {
-    "energy": "energy_form",
-    "log-kernel": "log_kernel_form",
-    "offset": "leja_offset",
-}
+_SCAN_TARGETS = {"energy": "energy_form", "log-kernel": "log_kernel_form",
+                 "offset": "leja_offset"}
 
 _FIGURES = (
     ("fig1_offset.csv", "leja_offset", None),
@@ -75,6 +74,7 @@ _FIGURES = (
 )
 
 _CSV_CHUNK = 1 << 10  # rows formatted per write; bounds the strings held
+_PANEL_HEADER = "x,value"  # the CSV header of scan and of each figures file
 
 #: Most N one range command takes.  expansion-check, which holds the most
 #: arrays over N, peaks at 177 MB over 2^20 N (610 MB over 2^22).
@@ -99,16 +99,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _range_ns(args, smallest: int) -> np.ndarray:
+    """The integers of ``--range A:B`` (``energy --N A`` is the range A:A)
+    from max(A, smallest) to B, as int64."""
+    n = getattr(args, "N", None)
+    text = args.n_range if n is None else f"{n}:{n}"
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = map(int, text.split(":"))
     except ValueError:
         raise ValueError(f"range must look like A:B, got {text!r}")
-
-
-def _range_ns(lo: int, hi: int, smallest: int) -> np.ndarray:
-    """The integers max(lo, smallest) .. hi as int64."""
     if max(lo, smallest) > hi:
         raise ValueError(f"empty range {lo}:{hi}: no N >= {smallest} in it")
     if hi >= 1 << 53:
@@ -166,10 +165,10 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
 def _write_panels(paths: list, m: int, panels) -> list:
     """Scan the order-m grid once for every (target, s) panel and write
-    panel k as ``x,value`` CSV to ``paths[k]``, block by block: each
-    chunk's x column is formatted once for all files.  Nothing is opened
-    before the panels are checked, and every file is closed on every
-    path.  Returns each panel's :class:`~rieszgreedy.limits.ScanResult`
+    panel k as :data:`_PANEL_HEADER` CSV to ``paths[k]``, block by block:
+    each chunk's x column is formatted once for all files.  Nothing is
+    opened before the panels are checked, and every file is closed on
+    every path.  Returns each panel's :class:`~rieszgreedy.limits.ScanResult`
     (without the grid arrays)."""
     scan = GridScan(m, panels)
     for path in paths:
@@ -178,7 +177,7 @@ def _write_panels(paths: list, m: int, panels) -> list:
         files = [stack.enter_context(open(p, "w", encoding="utf-8", newline=""))
                  for p in paths]
         for fh in files:
-            fh.write("x,value\n")
+            fh.write(_PANEL_HEADER + "\n")
 
         def write_block(xs, values):
             for i in range(0, xs.size, _CSV_CHUNK):
@@ -193,144 +192,76 @@ def _write_panels(paths: list, m: int, panels) -> list:
 
 def _write_manifest(path: Path, command: str, params: dict, outputs: list,
                     summary: dict, status: str, started: float) -> None:
-    doc = {
-        "command": command,
-        "parameters": params,
-        "version": __version__,
-        "wall_time_seconds": time.perf_counter() - started,
-        "outputs": [str(p) for p in outputs],
-        "summary": summary,
-        "status": status,
-    }
+    doc = {"command": command, "parameters": params, "version": __version__,
+           "wall_time_seconds": time.perf_counter() - started,
+           "outputs": [str(p) for p in outputs], "summary": summary,
+           "status": status}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="rieszgreedy",
-                     description="Greedy Riesz-energy computations on the "
-                                 "unit circle")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, help_text, csv_schema):
-        p = sub.add_parser(name, help=help_text,
-                           description=f"{help_text}  CSV columns: {csv_schema}")
-        p.add_argument("--out", type=Path, default=None,
-                       help="output CSV path (figures: output directory)")
-        # no effect; kept because perfbench/workloads._read_manifest fails
-        # every benchmark check whose manifest lacks parameters.jobs == 1
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
-        return p
-
-    p = add("eta", "Normalized binary weight vector of one integer.",
-            "k, exponent, numerator, denominator, weight")
-    p.add_argument("--N", type=int, required=True)
-
-    p = add("energy", "Closed-form greedy energy over a range of sizes.",
-            "N, s, energy")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--range", dest="n_range", type=str)
-
-    p = add("tseq", "Translated and scaled energy sequence.",
-            "N, s, energy, T")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--range", dest="n_range", type=str, required=True)
-
-    p = add("fseq", "Translated and scaled extremal-potential sequence.",
-            "N, s, potential, F")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--range", dest="n_range", type=str, required=True)
-
-    p = add("scan", "Exhaustive dyadic-grid scan of one limit function.",
-            "x, value")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--target", choices=sorted(_SCAN_TARGETS), default="energy")
-    p.add_argument("--s", type=float, default=None)
-
-    p = add("figures", "Emit the five published scan panels as CSV files.",
-            "x, value (per file)")
-    p.add_argument("--M", type=int, default=16)
-
-    p = add("expansion-check", "Exact energy against the multi-term expansion.",
-            "N, s, exact, predicted, residual")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--range", dest="n_range", type=str, required=True)
-
-    p = add("cesaro", "Cesaro means of extremal-potential deviations.",
-            "N, s, mean, deviation, scaled_deviation")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--range", dest="n_range", type=str, required=True)
-
-    p = add("oracle-verify", "Brute-force greedy construction vs closed form.",
-            "N, s, oracle_energy, formula_energy, rel_gap")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--grid-bits", type=int, default=20)
-
-    p = add("identities", "Parent-child grid identities up to order M.",
-            "M, n, s, lhs_odd, rhs_odd, lhs_even, rhs_even")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    return parser
+def _table(header: str):
+    """Make a runner of a command body that returns (columns, summary,
+    passed): the runner writes the columns to its output path as CSV
+    headed by ``header``, which its ``--help`` also lists."""
+    def wrap(body):
+        def runner(args, out: Path):
+            columns, summary, passed = body(args)
+            _write_csv(out, header, *columns)
+            return [out], summary, passed
+        runner.header = header
+        return runner
+    return wrap
 
 
-def _run_eta(args, out: Path):
+@_table("k,exponent,numerator,denominator,weight")
+def _run_eta(args):
     n = args.N
     w = binary_weights(n)
     exps = decompose(n).exponents
     rows = [(k + 1, e, t.numerator, t.denominator, float(t))
             for k, (e, t) in enumerate(zip(exps, w.components))]
-    _write_csv(out, "k,exponent,numerator,denominator,weight", *zip(*rows))
-    return {"N": n, "bit_count": len(exps)}
+    return zip(*rows), {"N": n, "bit_count": len(exps)}, True
 
 
-def _run_energy(args, out: Path):
+@_table("N,s,energy")
+def _run_energy(args):
     if (args.N is None) == (args.n_range is None):
         raise ValueError("give exactly one of --N or --range")
     params = EnergyParams(args.s)
-    lo, hi = (args.N, args.N) if args.N is not None else _parse_range(args.n_range)
-    ns = _range_ns(lo, hi, 1)
-    energies = greedy_energies(ns, params)
-    _write_csv(out, "N,s,energy", ns, args.s, energies)
-    return {"count": ns.size}
+    ns = _range_ns(args, 1)
+    return (ns, args.s, greedy_energies(ns, params)), {"count": ns.size}, True
 
 
-def _run_tseq(args, out: Path):
+@_table("N,s,energy,T")
+def _run_tseq(args):
     params = EnergyParams(args.s)
-    ns = _range_ns(*_parse_range(args.n_range), 2)
+    ns = _range_ns(args, 2)
     energies = greedy_energies(ns, params)
     values = t_from_energies(ns, energies, args.s)
-    _write_csv(out, "N,s,energy,T", ns, args.s, energies, values)
-    return {"count": ns.size, "min_T": float(values.min()),
-            "max_T": float(values.max())}
+    return (ns, args.s, energies, values), {
+        "count": ns.size, "min_T": float(values.min()),
+        "max_T": float(values.max())}, True
 
 
-def _run_fseq(args, out: Path):
+@_table("N,s,potential,F")
+def _run_fseq(args):
     params = EnergyParams(args.s)
-    ns = _range_ns(*_parse_range(args.n_range), 1)
+    ns = _range_ns(args, 1)
     potentials = extremal_potentials(ns, params)
     values = f_from_potentials(ns, potentials, args.s)
-    _write_csv(out, "N,s,potential,F", ns, args.s, potentials, values)
-    return {"count": ns.size, "min_F": float(values.min()),
-            "max_F": float(values.max())}
+    return (ns, args.s, potentials, values), {
+        "count": ns.size, "min_F": float(values.min()),
+        "max_F": float(values.max())}, True
 
 
 def _scan_summary(result) -> dict:
-    summary = {
-        "target": result.target,
-        "s": result.s,
-        "orientation": result.orientation,
-        "extremum": result.extremum,
-        "arg_x": f"{result.arg.numerator}/{result.arg.denominator}",
-        "arg_x_float": float(result.arg),
-    }
+    summary = {"target": result.target, "s": result.s,
+               "orientation": result.orientation, "extremum": result.extremum,
+               "arg_x": f"{result.arg.numerator}/{result.arg.denominator}",
+               "arg_x_float": float(result.arg)}
     if result.error_bound is not None:
         summary["error_bound"] = result.error_bound
     return summary
@@ -338,41 +269,46 @@ def _scan_summary(result) -> dict:
 
 def _run_scan(args, out: Path):
     (result,) = _write_panels([out], args.M, [(_SCAN_TARGETS[args.target], args.s)])
-    return {"M": args.M, **_scan_summary(result)}
+    return [out], {"M": args.M, **_scan_summary(result)}, True
 
 
 def _run_figures(args, out_dir: Path):
     outputs = [out_dir / name for name, _, _ in _FIGURES]
     results = _write_panels(outputs, args.M, [(t, s) for _, t, s in _FIGURES])
     panels = {path.name: _scan_summary(r) for path, r in zip(outputs, results)}
-    return outputs, {"M": args.M, "panels": panels}
+    return outputs, {"M": args.M, "panels": panels}, True
 
 
-def _run_expansion_check(args, out: Path):
+_run_scan.header = _PANEL_HEADER
+_run_figures.header = _PANEL_HEADER + " (per file)"
+
+
+@_table("N,s,exact,predicted,residual")
+def _run_expansion_check(args):
     params = EnergyParams(args.s)
-    ns = _range_ns(*_parse_range(args.n_range), 2)
+    ns = _range_ns(args, 2)
     exact = greedy_energies(ns, params)
     predicted = expansion_energies(ns, args.s)
     residual = exact - predicted
-    _write_csv(out, "N,s,exact,predicted,residual", ns, args.s,
-               exact, predicted, residual)
     worst = np.abs(residual) / np.maximum(1.0, np.abs(exact))
-    return {"count": ns.size, "max_rel_residual": float(worst.max())}
+    return (ns, args.s, exact, predicted, residual), {
+        "count": ns.size, "max_rel_residual": float(worst.max())}, True
 
 
-def _run_cesaro(args, out: Path):
-    ns = _range_ns(*_parse_range(args.n_range), 1)
+@_table("N,s,mean,deviation,scaled_deviation")
+def _run_cesaro(args):
+    ns = _range_ns(args, 1)
     means = cesaro_means(ns, args.s)
     target = arclength_energy(args.s) / 2.0
     deviations = means - target
     scaled = deviations * cesaro_scales(ns, args.s)
-    _write_csv(out, "N,s,mean,deviation,scaled_deviation", ns, args.s,
-               means, deviations, scaled)
-    return {"count": ns.size, "limit": target,
-            "max_abs_scaled_deviation": float(np.abs(scaled).max())}
+    return (ns, args.s, means, deviations, scaled), {
+        "count": ns.size, "limit": target,
+        "max_abs_scaled_deviation": float(np.abs(scaled).max())}, True
 
 
-def _run_oracle_verify(args, out: Path):
+@_table("N,s,oracle_energy,formula_energy,rel_gap")
+def _run_oracle_verify(args):
     params = EnergyParams(args.s)
     try:
         config, _ = greedy_oracle(args.N, params, grid_bits=args.grid_bits)
@@ -383,13 +319,13 @@ def _run_oracle_verify(args, out: Path):
     oracle = np.array(prefix_energies(config, params)[1:])
     formula = greedy_energies(ns, params)
     gaps = np.abs(oracle - formula) / np.maximum(1.0, np.abs(formula))
-    _write_csv(out, "N,s,oracle_energy,formula_energy,rel_gap", ns, args.s,
-               oracle, formula, gaps)
     worst = float(gaps.max())
-    return {"max_rel_gap": worst, "tol": args.tol}, worst <= args.tol
+    return ((ns, args.s, oracle, formula, gaps),
+            {"max_rel_gap": worst, "tol": args.tol}, worst <= args.tol)
 
 
-def _run_identities(args, out: Path):
+@_table("M,n,s,lhs_odd,rhs_odd,lhs_even,rhs_even")
+def _run_identities(args):
     if not 1 <= args.M <= MAX_IDENTITY_ORDER:
         raise ValueError(f"order M = {args.M} is below 1 or exceeds "
                          f"{MAX_IDENTITY_ORDER}")
@@ -398,10 +334,68 @@ def _run_identities(args, out: Path):
              zip(*(child_identities(m, args.s) for m in orders))]
     ms = np.repeat(orders, [1 << (m - 1) for m in orders])
     ns = np.concatenate([np.arange(1 << (m - 1)) for m in orders])
-    _write_csv(out, "M,n,s,lhs_odd,rhs_odd,lhs_even,rhs_even", ms, ns, args.s,
-               *sides)
     worst = float(np.abs([sides[0] - sides[1], sides[2] - sides[3]]).max())
-    return {"max_mismatch": worst, "tol": args.tol}, worst <= args.tol
+    return ((ms, ns, args.s, *sides),
+            {"max_mismatch": worst, "tol": args.tol}, worst <= args.tol)
+
+
+#: Every command: its help text and its runner, in ``--help`` order.
+_COMMANDS = {
+    "eta": ("Normalized binary weight vector of one integer.", _run_eta),
+    "energy": ("Closed-form greedy energy over a range of sizes.", _run_energy),
+    "tseq": ("Translated and scaled energy sequence.", _run_tseq),
+    "fseq": ("Translated and scaled extremal-potential sequence.", _run_fseq),
+    "scan": ("Exhaustive dyadic-grid scan of one limit function.", _run_scan),
+    "figures": ("Emit the five published scan panels as CSV files.", _run_figures),
+    "expansion-check": ("Exact energy against the multi-term expansion.",
+                        _run_expansion_check),
+    "cesaro": ("Cesaro means of extremal-potential deviations.", _run_cesaro),
+    "oracle-verify": ("Brute-force greedy construction vs closed form.",
+                      _run_oracle_verify),
+    "identities": ("Parent-child grid identities up to order M.", _run_identities),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="rieszgreedy",
+                     description="Greedy Riesz-energy computations on the "
+                                 "unit circle")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    cmd = {}
+    for name, (help_text, runner) in _COMMANDS.items():
+        columns = runner.header.replace(",", ", ")
+        p = cmd[name] = sub.add_parser(
+            name, help=help_text, description=f"{help_text}  CSV columns: {columns}")
+        p.add_argument("--out", type=Path, default=None,
+                       help="output CSV path (figures: output directory)")
+        # no effect; kept because perfbench/workloads._read_manifest fails
+        # every benchmark check whose manifest lacks parameters.jobs == 1
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
+
+    cmd["eta"].add_argument("--N", type=int, required=True)
+    p = cmd["energy"]
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--N", type=int)
+    p.add_argument("--range", dest="n_range", type=str)
+    for name in ("tseq", "fseq", "expansion-check", "cesaro"):
+        cmd[name].add_argument("--s", type=float, required=True)
+        cmd[name].add_argument("--range", dest="n_range", type=str, required=True)
+    p = cmd["scan"]
+    p.add_argument("--M", type=int, required=True)
+    p.add_argument("--target", choices=sorted(_SCAN_TARGETS), default="energy")
+    p.add_argument("--s", type=float, default=None)
+    cmd["figures"].add_argument("--M", type=int, default=16)
+    p = cmd["oracle-verify"]
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--grid-bits", type=int, default=20)
+    p = cmd["identities"]
+    p.add_argument("--M", type=int, required=True)
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--tol", type=float, default=1e-12)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -415,47 +409,26 @@ def main(argv=None) -> int:
     params = {k: (str(v) if isinstance(v, Path) else v)
               for k, v in vars(args).items() if k != "command"}
     command = args.command
+    _, runner = _COMMANDS[command]
+    directory = command == "figures"  # writes its files into --out
 
     try:
-        if command == "figures":
-            out_dir = args.out if args.out is not None else Path("figures")
-            outputs, summary = _run_figures(args, out_dir)
-            _write_manifest(out_dir / "manifest.json", command, params,
-                            outputs, summary, "ok", started)
-            return 0
-
-        out = args.out if args.out is not None else Path(f"{command}.csv")
-        manifest = out.with_name(out.name + ".manifest.json")
-        runner = {
-            "eta": _run_eta,
-            "energy": _run_energy,
-            "tseq": _run_tseq,
-            "fseq": _run_fseq,
-            "scan": _run_scan,
-            "expansion-check": _run_expansion_check,
-            "cesaro": _run_cesaro,
-        }.get(command)
-        if runner is not None:
-            summary = runner(args, out)
-            _write_manifest(manifest, command, params, [out], summary,
-                            "ok", started)
-            return 0
-
-        verifier = {"oracle-verify": _run_oracle_verify,
-                    "identities": _run_identities}[command]
-        summary, passed = verifier(args, out)
-        _write_manifest(manifest, command, params, [out], summary,
+        out = args.out or Path("figures" if directory else f"{command}.csv")
+        manifest = (out / "manifest.json" if directory
+                    else out.with_name(out.name + ".manifest.json"))
+        outputs, summary, passed = runner(args, out)
+        _write_manifest(manifest, command, params, outputs, summary,
                         "ok" if passed else "verification-failed", started)
-        if not passed:
-            print(f"{command}: verification failed: {summary}", file=sys.stderr)
-            return VERIFY_ERROR
-        return 0
     except OSError as exc:
         print(f"{command}: cannot write output: {exc}", file=sys.stderr)
         return OUTPUT_ERROR
     except (ValueError, OverflowError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
+    if not passed:
+        print(f"{command}: verification failed: {summary}", file=sys.stderr)
+        return VERIFY_ERROR
+    return 0
 
 
 if __name__ == "__main__":

@@ -83,10 +83,6 @@ class EnergyParams:
         if not math.isfinite(self.s):
             raise ValueError(f"s = {self.s} is not finite")
 
-    @property
-    def log_case(self) -> bool:
-        return self.s == 0.0
-
     def require_greedy_range(self) -> None:
         if self.s <= -2.0:
             raise ValueError(f"s = {self.s} <= -2 is outside the greedy regime")
@@ -242,31 +238,24 @@ def greedy_energy(n: int, params: EnergyParams) -> float:
     """Energy of the first n points of a greedy sequence, from the binary
     decomposition of n.
 
-    With n = 2^{n_1} + ... + 2^{n_p} and suffix sums S_k = sum_{t>k} 2^{n_t},
-    the energy is sum_{k<p} (S_k / 2^{n_k}) L(2^{n_k + 1})
+    With n = 2^{n_1} + ... + 2^{n_p} and S_k = n mod 2^{n_k}, the bits of
+    n below n_k, the energy is sum_k (S_k / 2^{n_k}) L(2^{n_k + 1})
     + sum_k (1 - 2 S_k / 2^{n_k}) L(2^{n_k}) where L is the roots-of-unity
-    energy.  Costs O(p^2) arithmetic plus p cached root energies.
+    energy.  Costs O(p) arithmetic plus p cached root energies.
     """
     params.require_greedy_range()
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return 0.0
-    exps = decompose(n).exponents
-    p = len(exps)
-    suffix = 0
-    suffixes = [0] * p
-    for k in range(p - 1, -1, -1):
-        suffixes[k] = suffix
-        suffix += 1 << exps[k]
     terms = []
-    for k in range(p):
-        ratio = suffixes[k] / (1 << exps[k])  # exact: suffix < 2^{n_k} <= 2^53
-        if k < p - 1:
-            terms.append(ratio * _roots_energy_cached(1 << (exps[k] + 1), params.s))
-        if ratio != 0.5:  # a zero weight takes no L(2^{n_k}), finite or not
-            terms.append((1.0 - 2.0 * ratio)
-                         * _roots_energy_cached(1 << exps[k], params.s))
+    for e in decompose(n).exponents:
+        low = n & ((1 << e) - 1)
+        ratio = low / (1 << e)  # exact below 2^53, correctly rounded above
+        if low != 0:
+            terms.append(ratio * _roots_energy_cached(1 << (e + 1), params.s))
+        if ratio != 0.5:  # a zero weight takes no L(2^e), finite or not
+            terms.append((1.0 - 2.0 * ratio) * _roots_energy_cached(1 << e, params.s))
     return _energy_sum(terms)
 
 

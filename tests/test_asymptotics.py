@@ -238,6 +238,16 @@ class TestExpansionEnergy:
         with pytest.raises(ValueError):
             expansion_energies([1, 16], 2.0)
 
+    def test_power_overflow_names_n_and_s(self):
+        # at s = 126, n^s fits the float range up to n = 279 but n^s * n
+        # not from n = 268 on, though the energy there is about 3e242
+        for call in (lambda: expansion_energy(270, 126.0),
+                     lambda: expansion_energies(range(270, 280), 126.0)):
+            with pytest.raises(OverflowError) as err:
+                call()
+            assert str(err.value) == "n^126.0 * n overflows at n = 270, s = 126.0"
+        assert math.isfinite(expansion_energy(267, 126.0))
+
 
 class TestRemainderScan:
     def test_even_case_vanishes(self):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +300,45 @@ class TestOtherCommands:
         assert header == ["N", "s", "mean", "deviation", "scaled_deviation"]
 
 
+class TestHelpColumns:
+    """Each command's CSV header is the one string behind its file and the
+    "CSV columns" of its --help."""
+
+    ARGVS = {
+        "eta": ["--N", "5"],
+        "energy": ["--s", "0.5", "--N", "5"],
+        "tseq": ["--s", "0.5", "--range", "2:4"],
+        "fseq": ["--s", "0.5", "--range", "1:4"],
+        "scan": ["--M", "3", "--target", "offset"],
+        "figures": ["--M", "3"],
+        "expansion-check": ["--s", "2", "--range", "2:4"],
+        "cesaro": ["--s", "-0.5", "--range", "1:4"],
+        "oracle-verify": ["--s", "0.5", "--N", "4", "--grid-bits", "10"],
+        "identities": ["--M", "2", "--s", "0.5"],
+    }
+
+    def test_every_command(self):
+        assert sorted(self.ARGVS) == sorted(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(ARGVS))
+    def test_help_lists_the_header(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        columns = re.search(r"CSV columns: (.*?) options:", text).group(1)
+        out = tmp_path / "out"
+        assert main([command, *self.ARGVS[command], "--out", str(out)]) == 0
+        per_file = command == "figures"
+        paths = sorted(out.glob("*.csv")) if per_file else [out]
+        assert len(paths) == (5 if per_file else 1)
+        for path in paths:
+            header = path.read_text(encoding="utf-8").split("\n", 1)[0]
+            suffix = " (per file)" if per_file else ""
+            assert columns == header.replace(",", ", ") + suffix
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -445,6 +485,17 @@ class TestExitCodes:
         assert f"n^{1.0 + float(s)}" in err
         assert f"n = {first}, s = {float(s)}" in err
         assert not out.exists()
+
+    def test_expansion_overflow_names_n_and_s(self, tmp_path, capsys):
+        # n^126 fits the float range at every n of the range, n^126 * n
+        # does not, and E(n) is about 3e242: not a row of inf predictions
+        out = tmp_path / "t.csv"
+        assert main(["expansion-check", "--s", "126", "--range", "270:279",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n^126.0 * n overflows at n = 270, s = 126.0" in err
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--M", "0", "--s", "0.5"], ["--M=-3", "--s", "0.5"]])

@@ -150,8 +150,11 @@ class TestRootsExpansionRoute:
 
     @pytest.mark.parametrize("k, s", [(16, 70.0), (17, 65.0), (20, 54.0)])
     def test_finite_where_n_to_the_s_overflows(self, k, s):
-        # n^s overflows, c_0 ~ (2 pi)^-s brings the energy back in range;
-        # both routes lose about s * 4e-17 to the rounding of pi
+        # n^s overflows, c_0 ~ (2 pi)^-s brings the energy back in range.
+        # The bound (6.3e-15 to 7.6e-15 here) does not cover the routes'
+        # stated losses, ROOTS_RTOL plus s * 4e-17 (expansion) and up to
+        # s * 1.5e-16 (direct sum); it covers the measured gaps, 2.0e-15,
+        # 4.1e-15 and 3.9e-15 at the three points, with room
         assert k * s > 1024  # n^s = 2^{ks} is beyond the float range
         assert self.gap(1 << k, s) <= energy.ROOTS_RTOL + 2 * s * 4e-17
         assert math.isfinite(roots_energy(1 << 40, EnergyParams(26.0)))
@@ -172,8 +175,10 @@ class TestRootsExpansionRoute:
         return 2.0 ** (-s) * n * total
 
     def test_direct_sum_scaled_where_its_powers_overflow(self):
-        # sin(pi/n)^-80 overflows at n = 2^15, L(2^15) = 1.6e302 does not;
-        # both routes lose about s * 4e-17 to the rounding of pi
+        # sin(pi/n)^-80 overflows at n = 2^15, L(2^15) = 1.6e302 does not.
+        # The bound, 8.4e-15, does not cover the routes' stated losses,
+        # ROOTS_RTOL plus s * 4e-17 and up to s * 1.5e-16 (1.7e-14 in all);
+        # it covers the measured gap, 2.05e-15, with room
         s, n = 80.0, 1 << 15
         top = math.floor((s + 1.0) / 2.0) + 1
         want = energy._roots_expanded(n, s, roots_expansion(s, top, self.BAND))
