@@ -2,17 +2,17 @@
 greedy-energy asymptotics.
 
 All evaluators accept a :class:`~rieszgreedy.binary.WeightVector` and
-return floats.  Suffix masses b_k = 1 - (theta_1 + ... + theta_k) are
-formed in exact rational arithmetic before any rounding, which keeps the
-inner double sums O(p) and free of cancellation.  An exact geometric unit
-tail (c, c/2, ...) is folded in through closed forms, so vectors coming
-from dyadic reciprocals evaluate exactly up to double rounding.
+return floats.  The vector's suffix masses b_k = 1 - (theta_1 + ... +
+theta_k), summed exactly when it was built, are rounded once each, which
+keeps the inner double sums O(p) and free of cancellation.  An exact
+geometric unit tail (c, c/2, ...) is folded in through closed forms, so
+vectors coming from dyadic reciprocals evaluate exactly up to double
+rounding.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .binary import WeightVector
 
@@ -35,22 +35,18 @@ def _pow2m1(s: float) -> float:
 
 def _expanded(w: WeightVector) -> tuple[list[float], list[float]]:
     """Float components and suffix masses, with any exact unit tail replaced
-    by its single-component equivalent 2c.
+    by its single-component equivalent 2c, whose suffix mass is 0.
 
     The replacement leaves the quadratic-form, log-kernel, and offset
     evaluations unchanged: the geometric tail (c, c/2, ...) contributes to
     each of them exactly what a final component of value 2c does, and the
     head terms only see the tail through its total mass.
     """
-    comps = list(w.components)
+    thetas = [float(t) for t in w.components]
+    bs = [float(b) for b in w.suffix_masses()]
     if w.unit_tail is not None:
-        comps.append(2 * w.unit_tail)
-    thetas = [float(t) for t in comps]
-    bs: list[float] = []
-    running = Fraction(0)
-    for t in comps:
-        running += t
-        bs.append(float(1 - running))
+        thetas.append(float(2 * w.unit_tail))
+        bs.append(0.0)
     return thetas, bs
 
 

@@ -2,9 +2,12 @@
 expansions, remainder-boundedness scans, doubling-gap diagnostics, and the
 Cesaro mean of the extremal potential deviations.
 
-Branch points: the scaled sequences change definition at s = -1, 0, 1.
-Parameters within 1e-9 of a branch (but not exactly on it) are rejected
-instead of silently switched, since the scalings differ by log factors.
+Branch points: the scaled sequences change definition at s = -1, 0, 1;
+the prediction of T also at s = 2 and 3, where its remainder scale
+switches, and the energy expansion also at every odd s >= 3, where a
+zeta(s - 2j) coefficient has its pole.  Parameters within 1e-9 of a
+branch (but not exactly on it) are rejected instead of silently switched,
+since the scalings differ by log factors.
 
 T, F, the prediction of T, the expansion terms and the Cesaro mean are
 each written once, as a body over an array of n.  The array forms
@@ -66,8 +69,8 @@ _BRANCH_GUARD = 1e-9
 _MAX_SCAN_N = 1 << 14
 
 
-def _check_branches(s: float) -> None:
-    for b in (-1.0, 0.0, 1.0):
+def _check_branches(s: float, branches=(-1.0, 0.0, 1.0)) -> None:
+    for b in branches:
         if s != b and abs(s - b) < _BRANCH_GUARD:
             raise ValueError(
                 f"s = {s} is within {_BRANCH_GUARD} of the branch point {b}; "
@@ -201,7 +204,7 @@ class TPrediction(NamedTuple):
 
 
 def _check_prediction_s(s: float) -> None:
-    _check_branches(s)
+    _check_branches(s, (-1.0, 0.0, 1.0, 2.0, 3.0))
     if s < -1.0:
         raise ValueError("prediction requires s >= -1")
 
@@ -258,7 +261,8 @@ def t_predictions(ns, s: float) -> tuple[np.ndarray, np.ndarray]:
 def _check_expansion_s(s: float) -> None:
     if s < -1.0 or s == 0.0:
         raise ValueError("expansion requires s >= -1 and s != 0")
-    _check_branches(s)
+    odd = 2.0 * round((s - 1.0) / 2.0) + 1.0  # the odd integer nearest s
+    _check_branches(s, (-1.0, 0.0, 1.0, odd))
 
 
 def _expansion_coefficients(s: float) -> RootsExpansion:

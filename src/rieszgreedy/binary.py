@@ -3,14 +3,17 @@ binary expansions of reciprocals 1/x for x in [1/2, 1], and the dyadic
 scan grid 2^M / (2^M + 2n + 1).
 
 Everything here is exact: decompositions are integer tuples and weight
-components are `fractions.Fraction`.  Conversion to floating point happens
-only inside the numerical evaluators that consume these objects.
+components are `fractions.Fraction`.  A weight vector sums its components
+once, when it is built, and keeps the suffix masses that sum gives;
+reciprocals expand by integer long division.  Conversion to floating
+point happens only inside the numerical evaluators that consume these
+objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -101,6 +104,7 @@ class WeightVector:
     components: tuple[Fraction, ...]
     unit_tail: Optional[Fraction] = None
     tail_bound: float = 0.0
+    _suffix: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = self.components
@@ -118,6 +122,7 @@ class WeightVector:
                                  " below the last component")
         prev = None
         running = Fraction(0)
+        suffix = []
         for k, t in enumerate(comps, start=1):
             if t <= 0:
                 raise ValueError(f"component {k} is not positive")
@@ -126,10 +131,12 @@ class WeightVector:
             if t.numerator * ((1 << k) - 1) > t.denominator:
                 raise ValueError(f"component {k} exceeds 1/(2^{k}-1)")
             running += t
+            suffix.append(_ONE - running)
             # suffix mass <= component, with any hidden tail counted exactly
-            if _ONE - running > t:
+            if suffix[-1] > t:
                 raise ValueError("suffix mass exceeds a component")
             prev = t
+        object.__setattr__(self, "_suffix", tuple(suffix))
         tail_mass = 2 * self.unit_tail if self.unit_tail is not None else Fraction(0)
         deficit = _ONE - running - tail_mass
         if deficit < 0 or deficit > Fraction(self.tail_bound):
@@ -147,14 +154,9 @@ class WeightVector:
         """b_k = 1 - (theta_1 + ... + theta_k), the mass beyond index k.
 
         Exact even for truncated vectors, because the underlying infinite
-        vector sums to 1.
+        vector sums to 1; summed once, at construction.
         """
-        out = []
-        running = Fraction(0)
-        for t in self.components:
-            running += t
-            out.append(_ONE - running)
-        return out
+        return list(self._suffix)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -239,14 +241,6 @@ class ReciprocalExpansion:
                                                              math.inf))
 
 
-def _ceil_log2_ratio(num: int, den: int) -> int:
-    """Smallest t >= 0 with den * 2^t >= num."""
-    t = max(0, num.bit_length() - den.bit_length())
-    if (den << t) < num:
-        t += 1
-    return t
-
-
 def expand_reciprocal(x, prefer_finite: bool = True,
                       max_terms: int = DEFAULT_MAX_TERMS) -> ReciprocalExpansion:
     """Greedy binary expansion of 1/x for x in [1/2, 1].
@@ -267,20 +261,22 @@ def expand_reciprocal(x, prefer_finite: bool = True,
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
 
-    r = 1 / xq
+    # 1/x less the terms taken so far is rem / (a 2^k), with x = a / b
+    a, rem, k = xq.numerator, xq.denominator, 0
     exps: list[int] = []
-    last = -1
-    while r > 0 and len(exps) < max_terms:
-        k = max(last + 1, _ceil_log2_ratio(r.denominator, r.numerator))
+    while rem and len(exps) < max_terms:
+        # the next term is 2^-(k + shift), the largest not above rem / (a 2^k)
+        shift = max(0, a.bit_length() - rem.bit_length())
+        shift += (rem << shift) < a
+        rem = (rem << shift) - a
+        k += shift
         exps.append(k)
-        r -= Fraction(1, 1 << k)
-        last = k
-        if r == Fraction(1, 1 << k):
+        if rem == a:
             # remainder equals the term just taken: the expansion is the
             # all-ones tail from here on (happens only for x = 1/2)
             return ReciprocalExpansion(xq, tuple(exps), unit_tail_start=k + 1)
 
-    if r == 0:
+    if rem == 0:
         if prefer_finite:
             return ReciprocalExpansion(xq, tuple(exps))
         # infinite twin: drop the last exponent, start a unit tail below it
@@ -288,7 +284,7 @@ def expand_reciprocal(x, prefer_finite: bool = True,
 
     # truncated: remaining weight mass is x * r < x * 2^-k_last; round the
     # bound one ulp up so the exact deficit can never exceed it
-    bound = math.nextafter(float(xq) * 2.0 ** (-last), math.inf)
+    bound = math.nextafter(float(xq) * 2.0 ** (-k), math.inf)
     return ReciprocalExpansion(xq, tuple(exps), tail_bound=bound)
 
 

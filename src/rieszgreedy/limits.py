@@ -21,6 +21,7 @@ import numpy as np
 
 from . import arith
 from .binary import expand_reciprocal
+from .energy import int_array
 
 __all__ = [
     "energy_form_at",
@@ -45,9 +46,9 @@ SCAN_TARGETS = ("energy_form", "log_kernel_form", "leja_offset")
 _CHUNK = 1 << 15
 
 
-def _weights_at(x):
+def _weights_at(x, prefer_finite: bool = True):
     # deep, for a non-terminating 1/x: the error scales like 2^{-terms (s+1)}
-    return expand_reciprocal(x, max_terms=256).weights()
+    return expand_reciprocal(x, prefer_finite, max_terms=256).weights()
 
 
 def energy_form_at(x, s: float, tol: float = 1e-12) -> float:
@@ -132,11 +133,9 @@ def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
         raise ValueError(f"target must be one of {SCAN_TARGETS}")
     if target == "energy_form" and s is None:
         raise ValueError("energy_form needs s")
-    ns = np.ascontiguousarray(ns, dtype=np.int64)
+    ns = int_array(ns, 1)
     if ns.size == 0:
         return np.empty(0)
-    if ns.min() < 1 or ns.max() >= 1 << 53:
-        raise ValueError("integers must lie in [1, 2^53)")
     return np.concatenate([_chunk_values(ns[i:i + _CHUNK], target, s)
                            for i in range(0, ns.size, _CHUNK)])
 
@@ -311,7 +310,7 @@ def stationarity_residual(x, s: float) -> float:
     """
     if s <= 0.0 or s == 1.0:
         raise ValueError("stationarity diagnostic needs s > 0, s != 1")
-    w_inf = expand_reciprocal(x, prefer_finite=False).weights()
+    w_inf = _weights_at(x, prefer_finite=False)
     g = arith.power_sum(w_inf, s)
     h = arith.energy_form(w_inf, s)
     return h - 2.0 * math.expm1(s * _LOG2) / (s + 1.0) * g

@@ -77,8 +77,6 @@ def _sin_half_pi(s: float) -> float:
     m = math.fmod(s, 4.0)
     n = round(m)
     f = m - n  # exact: |f| <= 1/2 and both operands share a fine enough grid
-    if f == 0.0:
-        return (0.0, 1.0, 0.0, -1.0)[int(n) % 4]
     r = int(n) % 4
     if r == 0:
         return math.sin(0.5 * math.pi * f)

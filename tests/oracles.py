@@ -13,6 +13,8 @@
   Fraction grid point, its reciprocal expansion and
   :func:`rieszgreedy.limits.energy_form_at`, the reference for the array
   form :func:`rieszgreedy.limits.child_identities`.
+- The greedy expansion of 1/x by exact Fraction steps, the reference for
+  the integer long division of :func:`rieszgreedy.binary.expand_reciprocal`.
 
 Nothing here checks its arguments; the package's functions do.
 """
@@ -26,8 +28,8 @@ from typing import Optional
 
 from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form
 from rieszgreedy.asymptotics import TPrediction, _expansion_coefficients
-from rieszgreedy.binary import (WeightVector, binary_weights, expand_reciprocal,
-                                grid_point)
+from rieszgreedy.binary import (ReciprocalExpansion, WeightVector,
+                                binary_weights, expand_reciprocal, grid_point)
 from rieszgreedy.energy import EnergyParams, extremal_potential, greedy_energy
 from rieszgreedy.limits import energy_form_at
 from rieszgreedy.special import EULER_GAMMA, arclength_energy, zeta
@@ -245,3 +247,31 @@ def child_identities(m: int, n: int, s: float):
                                  * 2.0 ** (-(m + 1) * (s + 1.0))
                                  + c * 2.0 ** (-m) * pow_head))
     return (lhs1, rhs1), (lhs2, rhs2)
+
+
+def expand_reciprocal_fractions(x, prefer_finite: bool,
+                                max_terms: int) -> ReciprocalExpansion:
+    """The greedy expansion of 1/x, each term the largest 2^-k past the
+    last one that is not above the remainder, subtracted as a Fraction."""
+    xq = Fraction(x)
+    r = 1 / xq
+    exps: list[int] = []
+    last = -1
+    while r > 0 and len(exps) < max_terms:
+        # smallest t >= 0 with r 2^t >= 1
+        t = max(0, r.denominator.bit_length() - r.numerator.bit_length())
+        if (r.numerator << t) < r.denominator:
+            t += 1
+        k = max(last + 1, t)
+        exps.append(k)
+        r -= Fraction(1, 1 << k)
+        last = k
+        if r == Fraction(1, 1 << k):
+            return ReciprocalExpansion(xq, tuple(exps), unit_tail_start=k + 1)
+    if r == 0:
+        if prefer_finite:
+            return ReciprocalExpansion(xq, tuple(exps))
+        return ReciprocalExpansion(xq, tuple(exps[:-1]),
+                                   unit_tail_start=exps[-1] + 1)
+    bound = math.nextafter(float(xq) * 2.0 ** (-last), math.inf)
+    return ReciprocalExpansion(xq, tuple(exps), tail_bound=bound)

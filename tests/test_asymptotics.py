@@ -249,6 +249,33 @@ class TestExpansionEnergy:
         assert math.isfinite(expansion_energy(267, 126.0))
 
 
+class TestBranchGuards:
+    @pytest.mark.parametrize("s,branch", [
+        (2.0 + 1e-12, 2.0), (2.0 - 1e-12, 2.0),
+        (3.0 + 1e-12, 3.0), (3.0 - 1e-12, 3.0)])
+    def test_prediction_next_to_a_scale_switch(self, s, branch):
+        message = f"s = {s} is within 1e-09 of the branch point {branch}"
+        for call in (lambda: predict_t(1000, s), lambda: t_predictions([1000], s)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("s,branch", [
+        (3.0 + 1e-12, 3.0), (3.0 - 1e-12, 3.0), (5.0 - 1e-12, 5.0)])
+    def test_expansion_next_to_an_odd_s(self, s, branch):
+        message = f"s = {s} is within 1e-09 of the branch point {branch}"
+        for call in (lambda: expansion_energy(100, s),
+                     lambda: expansion_energies([100], s)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("s", [2.0, 3.0, 5.0])
+    def test_branch_values_accepted(self, s):
+        assert math.isfinite(predict_t(1000, s).value)
+        assert math.isfinite(t_predictions([1000], s)[0][0])
+        assert math.isfinite(expansion_energy(100, s))
+        assert math.isfinite(expansion_energies([100], s)[0])
+
+
 class TestRemainderScan:
     def test_even_case_vanishes(self):
         scan = remainder_scan(2.0, 2, 1024)

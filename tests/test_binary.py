@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from rieszgreedy.binary import (BinaryDecomposition, ReciprocalExpansion,
                                 WeightVector, binary_weights, bit_count,
                                 decompose, expand_reciprocal, grid_point,
@@ -190,3 +192,75 @@ class TestGrid:
         pts = sorted(grid_points(m) + [Fraction(1, 2), Fraction(1)])
         gap = max(b - a for a, b in zip(pts, pts[1:]))
         assert gap < Fraction(1, 1 << (m - 1))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((Fraction(1, 2),), dict(unit_tail=Fraction(1, 4), tail_bound=0.5),
+         "unit tail is exact; tail_bound must be 0"),
+        ((Fraction(1),), dict(tail_bound=-1.0),
+         "tail_bound must be non-negative"),
+        ((Fraction(1, 2),), dict(unit_tail=Fraction(1, 2)),
+         "unit tail must start at least one binary place"),
+        ((Fraction(1, 2),), dict(unit_tail=Fraction(0)),
+         "unit tail must start at least one binary place"),
+        ((Fraction(1), Fraction(0)), {}, "component 2 is not positive"),
+        ((Fraction(1), Fraction(-1, 4)), {}, "component 2 is not positive"),
+        ((Fraction(1, 2), Fraction(3, 4)), {},
+         "components must be non-increasing"),
+        ((Fraction(1, 2), Fraction(1, 8)), {},
+         "suffix mass exceeds a component"),
+        ((Fraction(1), Fraction(1, 4)), {},
+         "weights sum to 5/4, deficit -1/4 outside"),
+    ])
+    def test_weight_vector(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            WeightVector(args, **kwargs)
+
+    @pytest.mark.parametrize("x,exponents,kwargs,message", [
+        (Fraction(1, 3), (0,), {}, r"x = 1/3 outside \[1/2, 1\]"),
+        (Fraction(2, 3), (1, 0), {}, "exponents must be strictly increasing"),
+        (Fraction(2, 3), (0, 1), dict(unit_tail_start=1),
+         "unit tail must start after the last exponent"),
+        (Fraction(1, 2), (0,), dict(unit_tail_start=1, tail_bound=0.5),
+         "unit tail is exact; tail_bound must be 0"),
+        (Fraction(1), (), {}, "empty expansion"),
+    ])
+    def test_reciprocal_expansion(self, x, exponents, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ReciprocalExpansion(x, exponents, **kwargs)
+
+    def test_expand_reciprocal_needs_a_term(self):
+        with pytest.raises(ValueError, match="max_terms must be positive"):
+            expand_reciprocal(0.7, max_terms=0)
+
+    def test_suffix_masses_are_kept_out_of_the_fields(self):
+        w = binary_weights(13)
+        w.suffix_masses().clear()  # a new list each call
+        assert w.suffix_masses() == [Fraction(5, 13), Fraction(1, 13), 0]
+        assert repr(w) == ("WeightVector(components=(Fraction(8, 13), "
+                           "Fraction(4, 13), Fraction(1, 13)), "
+                           "unit_tail=None, tail_bound=0.0)")
+        assert w == WeightVector(w.components)
+
+
+def _oracle_xs() -> list:
+    """Random floats and 100-bit Fractions, every grid point of orders
+    1..9, and 1/2, 1 and 2/3: 993 values of x."""
+    rng = random.Random(2604)
+    xs = [rng.uniform(0.5, 1.0) for _ in range(400)]
+    for _ in range(79):
+        den = rng.randrange(1 << 100, 1 << 101)
+        xs.append(Fraction(rng.randrange((den + 1) // 2, den + 1), den))
+    xs += [x for m in range(1, 10) for x in grid_points(m)]
+    return xs + [Fraction(1, 2), Fraction(1), Fraction(2, 3)]
+
+
+@pytest.mark.parametrize("max_terms", [1, 5, 64, 256])
+def test_expansion_matches_fraction_steps(max_terms):
+    for x in _oracle_xs():
+        for prefer_finite in (True, False):
+            want = oracles.expand_reciprocal_fractions(x, prefer_finite,
+                                                       max_terms)
+            got = expand_reciprocal(x, prefer_finite, max_terms)
+            assert got == want, x

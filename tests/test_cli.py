@@ -379,6 +379,13 @@ class TestExitCodes:
         assert main([*argv, f"--s={s}", "--out", out]) == 2
         assert f"s = {float(s)} is not finite" in capsys.readouterr().err
 
+    def test_expansion_next_to_an_odd_s(self, tmp_path, capsys):
+        out = str(tmp_path / "t.csv")
+        assert main(["expansion-check", "--s", "3.0000000000001",
+                     "--range", "100:105", "--out", out]) == 2
+        assert ("s = 3.0000000000001 is within 1e-09 of the branch point 3.0"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("argv", [
         ["energy", "--s", "0.5", "--range", "0:0"],
         ["energy", "--s", "0.5", "--N", "0"],

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rieszgreedy import limits
-from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form
+from rieszgreedy.arith import (energy_form, leja_offset, log_kernel_form,
+                              power_sum)
 from rieszgreedy.binary import binary_weights, expand_reciprocal, grid_point
 from rieszgreedy.limits import (SCAN_TARGETS, GridScan, batch_eta_values,
                                 child_identities, energy_form_at,
@@ -315,6 +316,15 @@ class TestStationarityResidual:
 
         left, mid, right = res(idx - 1), res(idx), res(idx + 1)
         assert min(left, mid, right) < 0.0 < max(left, mid, right)
+
+    @pytest.mark.parametrize("s", [0.2, 0.5, 2.0])
+    def test_deep_expansion(self, s):
+        # the power sum of a non-terminating 1/x needs the deep expansion
+        w = expand_reciprocal(0.7, prefer_finite=False, max_terms=512).weights()
+        want = (energy_form(w, s) - 2.0 * math.expm1(s * math.log(2.0))
+                / (s + 1.0) * power_sum(w, s))
+        got = stationarity_residual(0.7, s)
+        assert math.isfinite(got) and abs(got - want) <= 1e-14
 
     def test_domain(self):
         with pytest.raises(ValueError):
