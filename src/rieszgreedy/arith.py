@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 from .binary import WeightVector
+from .special import finite_s
 
 __all__ = [
     "energy_form",
@@ -66,6 +67,7 @@ def energy_form(w: WeightVector, s: float, tol: float = 1e-12) -> float:
     vectors with an infinite or truncated tail require s > -1 (the form is
     unbounded below that).
     """
+    finite_s(s)
     if not w.exact or w.unit_tail is not None:
         if s <= -1.0:
             raise ValueError("energy form needs s > -1 for infinite tails")
@@ -114,6 +116,7 @@ def power_sum(w: WeightVector, s: float, tol: float = 1e-12) -> float:
     expansions of a dyadic reciprocal; the exact unit tail is summed in
     closed form rather than collapsed.
     """
+    finite_s(s)
     infinite = w.unit_tail is not None or not w.exact
     if infinite and s <= 0.0:
         raise ValueError("power sum needs s > 0 for infinite tails")

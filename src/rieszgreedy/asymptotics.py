@@ -21,10 +21,7 @@ object array, so n stays an exact int under Python's float arithmetic.
 Powers and logs of n are taken per n with the scalar libm (numpy's
 vectorized pow and log differ in the last ulp), so both forms agree bit
 for bit wherever their inputs do.  The inputs keep two kernels because
-they serve different n (Xeon, numpy 2.4): over n = 2..16384
-greedy_energies takes 22 ms and a loop of greedy_energy 116 ms, but one
-n costs 274 us batched against 6.2 us scalar, and the batch kernels stop
-at 2^53.
+they serve different n: :mod:`rieszgreedy.energy` states their timings.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from .binary import binary_weights
 from .energy import (EnergyParams, extremal_potential, fsum_rows,
                      greedy_energies, greedy_energy, int_array)
 from .special import (EULER_GAMMA, RootsExpansion, arclength_energy,
-                      roots_expansion, zeta)
+                      finite_s, roots_expansion, zeta)
 # unused here, but perfbench/layertrace.py patches this name on this module
 from .special import sinc_power_series  # noqa: F401
 
@@ -70,6 +67,7 @@ _MAX_SCAN_N = 1 << 14
 
 
 def _check_branches(s: float, branches=(-1.0, 0.0, 1.0)) -> None:
+    finite_s(s)
     for b in branches:
         if s != b and abs(s - b) < _BRANCH_GUARD:
             raise ValueError(
@@ -123,9 +121,9 @@ def _exact_forms(n: int):
 
 
 def _check_sequence_s(s: float) -> None:
+    _check_branches(s)
     if s <= -2.0:
         raise ValueError("s must exceed -2")
-    _check_branches(s)
 
 
 def _t(n: np.ndarray, e: np.ndarray, s: float) -> np.ndarray:
@@ -259,9 +257,9 @@ def t_predictions(ns, s: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_expansion_s(s: float) -> None:
+    odd = 2.0 * round((finite_s(s) - 1.0) / 2.0) + 1.0  # the odd integer nearest s
     if s < -1.0 or s == 0.0:
         raise ValueError("expansion requires s >= -1 and s != 0")
-    odd = 2.0 * round((s - 1.0) / 2.0) + 1.0  # the odd integer nearest s
     _check_branches(s, (-1.0, 0.0, 1.0, odd))
 
 
@@ -415,7 +413,7 @@ def doubling_gap(n: int, s: float) -> float:
 
 
 def _check_cesaro_s(s: float) -> None:
-    if not -2.0 < s < 0.0:
+    if not -2.0 < finite_s(s) < 0.0:
         raise ValueError("Cesaro mean requires -2 < s < 0")
 
 

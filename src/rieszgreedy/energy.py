@@ -1,16 +1,22 @@
 """Exact Riesz energies on the unit circle: roots-of-unity energies, the
-closed-form energy of greedy configurations via binary decomposition, and
-a brute-force greedy construction used as an independent oracle.
+closed-form energy and extremal potential of greedy configurations via
+binary decomposition, and a brute-force greedy construction used as an
+independent oracle.
 
 Distances are always the chord |e^{ia} - e^{ib}| = 2 |sin((a - b)/2)|,
 evaluated in that trigonometric form to avoid cancellation near
 coincident points.
 
-The greedy energy has two kernels, bit-identical where both apply:
-:func:`greedy_energy` for one n of any size, and :func:`greedy_energies`
-for arrays of n < 2^53.  They serve different inputs (Xeon, numpy 2.4):
-over n = 2..16384 the array kernel takes 22 ms where a loop of the scalar
-one takes 116 ms, but one n costs it 274 us against 6.2 us.
+Greedy energies E and potentials U are sums over the set bits e of n of
+one per-exponent table: the roots-of-unity energy L(2^e), and D(2^e) =
+L(2^{e+1}) - 2 L(2^e) = 2^{e+1} V(2^e), V(M) the potential of the M-th
+roots of unity at a midpoint between two.  With S_e = n mod 2^e,
+E(n) = sum_e [L(2^e) + 2 S_e V(2^e)] and U_n = sum_e V(2^e), no difference
+of energies.  A scalar serves one n of any size, an array form n < 2^53,
+bit-identical where both apply (2-core Xeon, numpy 2.4, s = 1/2): over
+n = 2..16384 greedy_energies takes 33-40 ms, a loop of greedy_energy
+170-260 ms, but one n costs 330-550 us batched against 10-13 us;
+extremal_potentials takes 22 ms over n = 1..16384, extremal_potential 12 us.
 """
 
 from __future__ import annotations
@@ -19,12 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .binary import decompose
-from .special import RootsExpansion, roots_expansion
+from .special import RootsExpansion, finite_s, roots_expansion
 
 __all__ = [
     "EnergyParams",
@@ -80,8 +85,7 @@ class EnergyParams:
     s: float
 
     def __post_init__(self):
-        if not math.isfinite(self.s):
-            raise ValueError(f"s = {self.s} is not finite")
+        finite_s(self.s)
 
     def require_greedy_range(self) -> None:
         if self.s <= -2.0:
@@ -234,51 +238,41 @@ def roots_energy(n: int, params: EnergyParams) -> float:
     return _roots_energy_cached(n, params.s)
 
 
+def _doubling(e: int, s: float) -> float:
+    """D(2^e) = L(2^{e+1}) - 2 L(2^e) = 2^{e+1} V(2^e), the larger energy
+    asked for first; inf where L(2^{e+1}) is, so an inf L(2^e) makes no nan."""
+    upper = _roots_energy_cached(2 << e, s)
+    return upper if math.isinf(upper) else upper - 2 * _roots_energy_cached(1 << e, s)
+
+
 def greedy_energy(n: int, params: EnergyParams) -> float:
     """Energy of the first n points of a greedy sequence, from the binary
-    decomposition of n.
-
-    With n = 2^{n_1} + ... + 2^{n_p} and S_k = n mod 2^{n_k}, the bits of
-    n below n_k, the energy is sum_k (S_k / 2^{n_k}) L(2^{n_k + 1})
-    + sum_k (1 - 2 S_k / 2^{n_k}) L(2^{n_k}) where L is the roots-of-unity
-    energy.  Costs O(p) arithmetic plus p cached root energies.
+    decomposition of n: sum_e [L(2^e) + 2 S_e V(2^e)] over its set bits e,
+    S_e = n mod 2^e, V(M) = (L(2M) - 2 L(M)) / (2M).  The terms L(2^e) and
+    (S_e / 2^e) D(2^e), S_e / 2^e exact below 2^53, are summed with
+    math.fsum; none is negative where one can be inf (s > 0), so an energy
+    beyond the float range is inf.  Costs up to 2p cached L, p set bits.
     """
     params.require_greedy_range()
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 0.0
     terms = []
     for e in decompose(n).exponents:
         low = n & ((1 << e) - 1)
-        ratio = low / (1 << e)  # exact below 2^53, correctly rounded above
-        if low != 0:
-            terms.append(ratio * _roots_energy_cached(1 << (e + 1), params.s))
-        if ratio != 0.5:  # a zero weight takes no L(2^e), finite or not
-            terms.append((1.0 - 2.0 * ratio) * _roots_energy_cached(1 << e, params.s))
-    return _energy_sum(terms)
+        if low:  # S_e = 0 takes no D(2^e), finite or not
+            terms.append(low / (1 << e) * _doubling(e, params.s))
+        terms.append(_roots_energy_cached(1 << e, params.s))
+    return math.fsum(terms)
 
 
-def _energy_sum(terms) -> float:
-    """math.fsum of one greedy energy's terms, inf where they hold +inf
-    and -inf.  Only an L(2^e) beyond the float range makes a term
-    infinite (s > 0; other energies stay finite), and a -inf term has a
-    bit e of n set, so E(n) >= E(2^e) = L(2^e) is beyond it too."""
-    try:
-        return math.fsum(terms)
-    except ValueError:  # -inf + inf
-        return math.inf
-
-
-def fsum_rows(columns, total=math.fsum) -> np.ndarray:
-    """math.fsum (or ``total``) across equal-length float columns, row by
-    row: the correctly rounded row sums, whatever the order of the
-    columns."""
+def fsum_rows(columns) -> np.ndarray:
+    """math.fsum across equal-length float columns, row by row: the
+    correctly rounded row sums, whatever the order of the columns."""
     count = len(columns[0])
     out = np.empty(count)
     for i in range(0, count, _BLOCK):
         rows = zip(*(c[i:i + _BLOCK].tolist() for c in columns))
-        out[i:i + _BLOCK] = list(map(total, rows))
+        out[i:i + _BLOCK] = list(map(math.fsum, rows))
     return out
 
 
@@ -290,89 +284,78 @@ def int_array(ns, smallest: int) -> np.ndarray:
     return ns
 
 
-def _roots_table(ns: np.ndarray, s: float) -> np.ndarray:
-    """L(2^e) for e = 0 .. bit width, requested only where greedy_energy
-    requests it: L(2^e) where some n > 1 has bit e set, L(2^{e+1}) where
-    such an n also has a set bit below e.  Entries not requested are 0.
-
-    Like greedy_energy, this asks for the largest first: smallest first
-    measured 7% more peak memory on a window just below 2^24, as the
-    allocator kept the freed mid-size sine arrays."""
-    width = int(ns.max()).bit_length()
-    table = np.zeros(width + 1)
-    ns = ns[ns > 1]
+def _tables(ns: np.ndarray, s: float, potential: bool) -> tuple:
+    """L(2^e) (energies only) and D(2^e) where the scalars request them:
+    D(2^e) where some n has bit e set (and, for energies, a set bit below
+    e), L(2^e) where some n has bit e set; 0 elsewhere.  Largest first, as
+    smallest first measured 7% more peak memory on a window just below
+    2^24: the allocator kept the freed mid-size sine arrays."""
+    width = int(ns.max(initial=0)).bit_length()
+    roots, doubling = np.zeros(width), np.zeros(width)
     for e in reversed(range(width)):
         bit = (ns >> e) & 1 == 1
-        if (bit & (ns & ((1 << e) - 1) != 0)).any():
-            table[e + 1] = _roots_energy_cached(1 << (e + 1), s)
-        if bit.any():
-            table[e] = _roots_energy_cached(1 << e, s)
-    return table
+        if (bit if potential else bit & (ns & ((1 << e) - 1) != 0)).any():
+            doubling[e] = _doubling(e, s)
+        if not potential and bit.any():
+            roots[e] = _roots_energy_cached(1 << e, s)
+    return roots, doubling
 
 
-def _energy_terms(ns: np.ndarray, roots: np.ndarray) -> list[np.ndarray]:
-    """The terms greedy_energy sums for each n, one column per term, 0
-    where n has no such term or its weight is 0 (an infinite L(2^e) then
-    makes no nan).  With S = n mod 2^e, the ratio S / 2^e is an exact
-    dyadic for n < 2^53."""
-    columns = []
-    for e in range(int(ns.max()).bit_length()):
-        low = ns & ((1 << e) - 1)
-        ratio = low * 2.0 ** -e
-        weight = 1.0 - 2.0 * ratio
-        bit = (ns >> e) & 1 == 1
-        columns.append(np.multiply(ratio, roots[e + 1], out=np.zeros_like(ratio),
-                                   where=bit & (low != 0)))
-        columns.append(np.multiply(weight, roots[e], out=np.zeros_like(ratio),
-                                   where=bit & (weight != 0.0)))
-    return columns
+def _bit_sums(ns: np.ndarray, terms) -> np.ndarray:
+    """For each n, the math.fsum over its set bits e of the columns
+    ``terms(e, S_e / 2^e)``, built and summed in blocks of _BLOCK rows."""
+    out = np.empty(ns.size)
+    for i in range(0, ns.size, _BLOCK):
+        block = ns[i:i + _BLOCK]
+        columns = []
+        for e in range(int(block.max()).bit_length()):
+            bit = (block >> e) & 1 == 1
+            ratio = (block & ((1 << e) - 1)) * 2.0 ** -e
+            columns += [np.where(bit, term, 0.0) for term in terms(e, ratio)]
+        out[i:i + _BLOCK] = fsum_rows(columns)
+    return out
 
 
 def greedy_energies(ns, params: EnergyParams) -> np.ndarray:
     """:func:`greedy_energy` over an array of integers 1 <= n < 2^53,
-    bit-identical to it: the same terms, with the same roots energies,
-    each row reduced with math.fsum (whose result does not depend on the
-    order of the terms).  Rows are processed in blocks of 2^10."""
+    bit-identical to it: the same terms, each row reduced with math.fsum
+    (whose result does not depend on the order of the terms)."""
     params.require_greedy_range()
     ns = int_array(ns, 1)
-    if ns.size == 0:
-        return np.empty(0)
-    roots = _roots_table(ns, params.s)
-    return np.concatenate([fsum_rows(_energy_terms(ns[i:i + _BLOCK], roots),
-                                     _energy_sum)
-                           for i in range(0, ns.size, _BLOCK)])
+    roots, doubling = _tables(ns, params.s, potential=False)
+    return _bit_sums(ns, lambda e, ratio: (roots[e], np.multiply(
+        ratio, doubling[e], out=np.zeros_like(ratio), where=ratio != 0.0)))
 
 
 def extremal_potentials(ns, params: EnergyParams) -> np.ndarray:
-    """:func:`extremal_potential` over an array of integers
-    1 <= n < 2^53 - 1, bit-identical to it, with the same OverflowError."""
+    """:func:`extremal_potential` over an array of integers 1 <= n < 2^53,
+    bit-identical to it, with the same OverflowError."""
+    params.require_greedy_range()
     ns = int_array(ns, 1)
-    e_next = greedy_energies(ns + 1, params)
-    beyond = np.isinf(e_next)
-    if beyond.any():
-        _raise_undetermined(int(ns[beyond.argmax()]), params.s)
-    return 0.5 * (e_next - greedy_energies(ns, params))
+    _, doubling = _tables(ns, params.s, potential=True)
+    potentials = _bit_sums(ns, lambda e, _: (math.ldexp(doubling[e], -e - 1),))
+    beyond = np.isinf(potentials)
+    if beyond.any():  # the scalar raises, naming the first such n
+        extremal_potential(int(ns[beyond.argmax()]), params)
+    return potentials
 
 
 def extremal_potential(n: int, params: EnergyParams) -> float:
     """The extremal potential value attained by the (n+1)-st greedy point,
-    via U_n(a_n) = (E(n+1) - E(n)) / 2.
-
-    Only for s > 0 can E(n+1) be beyond the float range (inf), and there
-    E(n) <= E(n+1), so the difference is undetermined: that raises
-    OverflowError naming n and s, where a nan or inf would come out.
+    U_n = sum_e V(2^e) over the set bits e of n, V as in :func:`greedy_energy`,
+    summed with math.fsum; no energies are differenced.  V(2^e) needs
+    L(2^{e+1}): where that is beyond the float range (inf), OverflowError
+    names n and s, where an inf or nan would come out.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    e_next = greedy_energy(n + 1, params)
-    if math.isinf(e_next):
-        _raise_undetermined(n, params.s)
-    return 0.5 * (e_next - greedy_energy(n, params))
-
-
-def _raise_undetermined(n: int, s: float) -> None:
-    raise OverflowError(f"the extremal potential at n = {n}, s = {s} is "
-                        f"undetermined: E(n + 1) is beyond the float range")
+    params.require_greedy_range()
+    potential = math.fsum(math.ldexp(_doubling(e, params.s), -e - 1)
+                          for e in decompose(n).exponents)
+    if math.isinf(potential):
+        raise OverflowError(f"the extremal potential at n = {n}, s = {params.s} "
+                            f"needs a roots-of-unity energy beyond the float range")
+    return potential
 
 
 def prefix_energies(config: CircleConfig, params: EnergyParams) -> list[float]:

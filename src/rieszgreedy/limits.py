@@ -22,6 +22,7 @@ import numpy as np
 from . import arith
 from .binary import expand_reciprocal
 from .energy import int_array
+from .special import finite_s
 
 __all__ = [
     "energy_form_at",
@@ -129,6 +130,7 @@ def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
     against the exact evaluators in :mod:`rieszgreedy.arith` stays below
     2e-15 max(1, |value|) for n < 2^53 and s in [-0.9, 7].
     """
+    s = None if s is None else finite_s(s)
     if target not in SCAN_TARGETS:
         raise ValueError(f"target must be one of {SCAN_TARGETS}")
     if target == "energy_form" and s is None:
@@ -183,6 +185,7 @@ def _certified_bound(s: float, m: int) -> float:
 def _check_panel(m: int, target: str, s: Optional[float]) -> Optional[float]:
     """Reject a (target, s) the order-m scan does not take; return the
     energy form's certified bound (None for the other targets)."""
+    s = None if s is None else finite_s(s)
     if target not in SCAN_TARGETS:
         raise ValueError(f"target must be one of {SCAN_TARGETS}")
     if target != "energy_form":
@@ -290,7 +293,7 @@ def interval_estimate(s: float, m: int) -> tuple[float, float]:
     0.9489493 at order 10, 0.9489503 at order 11).  The scans of orders
     below m cost less than the order-m scan itself.
     """
-    if s <= -1.0:
+    if finite_s(s) <= -1.0:
         raise ValueError("interval estimate needs s > -1")
     if s == 0.0:
         return (0.0, _best_extremum(m, "leja_offset", None))
@@ -308,7 +311,7 @@ def stationarity_residual(x, s: float) -> float:
     this residual vanishes; at x = 1 it reduces to 1 - 2/(s + 1) and is a
     boundary diagnostic only.
     """
-    if s <= 0.0 or s == 1.0:
+    if finite_s(s) <= 0.0 or s == 1.0:
         raise ValueError("stationarity diagnostic needs s > 0, s != 1")
     w_inf = _weights_at(x, prefer_finite=False)
     g = arith.power_sum(w_inf, s)

@@ -57,6 +57,13 @@ def _borwein_weights() -> tuple[float, ...]:
     return tuple((dk - dn) / dn for dk in d[:n])
 
 
+def finite_s(s) -> float:
+    """s as a float; ValueError "s = nan is not finite" (or inf, -inf)."""
+    if not math.isfinite(s := float(s)):
+        raise ValueError(f"s = {s} is not finite")
+    return s
+
+
 def _eta_series(s: float) -> float:
     """Dirichlet eta(s) = sum (-1)^{k-1} k^-s, accelerated; s > 0."""
     w = _borwein_weights()
@@ -89,7 +96,7 @@ def _sin_half_pi(s: float) -> float:
 
 def zeta(s: float) -> float:
     """Riemann zeta function for real s != 1, |s| <= 200."""
-    s = float(s)
+    s = finite_s(s)
     if abs(s - 1.0) < _POLE_GUARD:
         raise ValueError("zeta has a pole at s = 1")
     if abs(s) > ZETA_RANGE:
@@ -130,7 +137,7 @@ def _zeta_positive(s: float) -> float:
 def regularized_zeta(s: float) -> float:
     """(s - 1) zeta(s) for 0 < s <= 200: finite through the pole, where it
     equals 1, and accurate to a few ulps right next to it."""
-    s = float(s)
+    s = finite_s(s)
     if not 0.0 < s <= ZETA_RANGE:
         raise ValueError(f"regularized zeta needs 0 < s <= {ZETA_RANGE}, got {s}")
     if s == 1.0:
@@ -198,7 +205,7 @@ def arclength_energy(s: float) -> float:
     continuation elsewhere.  Vanishes at positive even integers; poles at
     odd positive integers are rejected.
     """
-    s = float(s)
+    s = finite_s(s)
     if _is_integer(s) and s > 0:
         n = int(round(s))
         if n % 2 == 1:
@@ -236,6 +243,7 @@ def sinc_power_series(s: float, terms: int) -> SincPowerSeries:
     series follows the standard O(J^2) convolution recurrence.  This is
     numerically stable and yields the whole table at once.
     """
+    s = finite_s(s)
     if terms < 1:
         raise ValueError("need at least one coefficient")
     if terms > 65:
@@ -304,7 +312,7 @@ def roots_expansion(s: float, top: int, band: float = 0.0) -> RootsExpansion:
     """The :class:`RootsExpansion` coefficients c_0 .. c_top at s, with
     ``pole`` set where s is an odd positive integer or lies within
     ``band`` of one."""
-    s = float(s)
+    s = finite_s(s)
     m = round((s - 1.0) / 2.0)
     eps = s - (2.0 * m + 1.0)
     pole = m if m >= 0 and (eps == 0.0 or abs(eps) < band) else None

@@ -15,6 +15,11 @@
   form :func:`rieszgreedy.limits.child_identities`.
 - The greedy expansion of 1/x by exact Fraction steps, the reference for
   the integer long division of :func:`rieszgreedy.binary.expand_reciprocal`.
+- The greedy energy by the two-column formula over the roots-of-unity
+  energies, which :func:`rieszgreedy.energy.greedy_energy` regroups.
+- F, the translated and scaled extremal potential, for s < 1, summed bit
+  by bit in mpmath from the potentials of the 2^e-th roots of unity at a
+  midpoint, without any float energy.
 
 Nothing here checks its arguments; the package's functions do.
 """
@@ -24,13 +29,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
+
+import mpmath
 
 from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form
 from rieszgreedy.asymptotics import TPrediction, _expansion_coefficients
 from rieszgreedy.binary import (ReciprocalExpansion, WeightVector,
                                 binary_weights, expand_reciprocal, grid_point)
-from rieszgreedy.energy import EnergyParams, extremal_potential, greedy_energy
+from rieszgreedy.energy import (EnergyParams, extremal_potential, greedy_energy,
+                                roots_energy)
 from rieszgreedy.limits import energy_form_at
 from rieszgreedy.special import EULER_GAMMA, arclength_energy, zeta
 
@@ -275,3 +284,59 @@ def expand_reciprocal_fractions(x, prefer_finite: bool,
                                    unit_tail_start=exps[-1] + 1)
     bound = math.nextafter(float(xq) * 2.0 ** (-last), math.inf)
     return ReciprocalExpansion(xq, tuple(exps), tail_bound=bound)
+
+
+def greedy_energy_columns(n: int, s: float) -> float:
+    """sum_e (S_e / 2^e) L(2^{e+1}) + (1 - 2 S_e / 2^e) L(2^e) over the set
+    bits e of n, S_e = n mod 2^e, L the roots-of-unity energy; a zero
+    weight takes no L.  Terms holding +inf and -inf give inf: a -inf term
+    has bit e of n set, so E(n) >= L(2^e) is beyond the float range too."""
+    params = EnergyParams(s)
+    terms = []
+    for e in range(n.bit_length()):
+        if n >> e & 1:
+            ratio = (n & ((1 << e) - 1)) / (1 << e)
+            if ratio != 0.0:
+                terms.append(ratio * roots_energy(2 << e, params))
+            if ratio != 0.5:
+                terms.append((1.0 - 2.0 * ratio) * roots_energy(1 << e, params))
+    try:
+        return math.fsum(terms)
+    except ValueError:  # -inf + inf
+        return math.inf
+
+
+#: Largest M = 2^e whose midpoint potential is summed term by term.
+_DIRECT_E = 12
+
+
+@lru_cache(maxsize=None)
+def _midpoint_deviation(e: int, s: float):
+    """V(M) - I_s M at M = 2^e in mpmath (30 digits), V(M) the sum of
+    (2 sin(pi (2j + 1) / (2M)))^-s over j < M.  Up to 2^12 this is the sum
+    itself.  Above, it is the two leading terms of the roots-of-unity
+    expansion, c_j (2^{s-2j} - 1) M^{s-2j} for j = 0, 1, with
+    c_j = 2 b_j zeta(s - 2j) / (2 pi)^s, b_0 = 1, b_1 = s pi^2 / 6; the
+    terms left out are O(M^{s-4}), below 1e-13 from 2^13 on for s < 1."""
+    with mpmath.workdps(30):
+        s_mp, m = mpmath.mpf(s), 1 << e
+        arclength = (mpmath.power(2, -s_mp) * mpmath.gamma((1 - s_mp) / 2)
+                     / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - s_mp / 2)))
+        if e <= _DIRECT_E:
+            return mpmath.fsum(
+                (2 * mpmath.sin(mpmath.pi * (2 * j + 1) / (2 * m))) ** -s_mp
+                for j in range(m)) - arclength * m
+        front = 2 / (2 * mpmath.pi) ** s_mp
+        b = (1, s_mp * mpmath.pi ** 2 / 6)
+        return mpmath.fsum(front * b[j] * mpmath.zeta(s_mp - 2 * j)
+                           * (mpmath.power(2, s_mp - 2 * j) - 1)
+                           * mpmath.power(m, s_mp - 2 * j) for j in range(2))
+
+
+def f_reference(n: int, s: float) -> float:
+    """F(n) = U_n - I_s n for s < 0, (U_n - I_s n) / n^s for 0 < s < 1,
+    from U_n - I_s n = sum over the set bits e of n of V(2^e) - I_s 2^e."""
+    with mpmath.workdps(30):
+        total = mpmath.fsum(_midpoint_deviation(e, s)
+                            for e in range(n.bit_length()) if n >> e & 1)
+        return float(total if s < 0 else total / mpmath.power(n, s))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from rieszgreedy import cli, limits
 from rieszgreedy.arith import leja_offset
 from rieszgreedy.asymptotics import cesaro_mean, f_sequence, t_sequence
@@ -373,11 +374,25 @@ class TestExitCodes:
         ["energy", "--range", "1:4"], ["tseq", "--range", "2:4"],
         ["fseq", "--range", "1:4"], ["cesaro", "--range", "1:4"],
         ["expansion-check", "--range", "2:4"],
-        ["oracle-verify", "--N", "4", "--grid-bits", "10"]])
+        ["oracle-verify", "--N", "4", "--grid-bits", "10"],
+        ["scan", "--M", "6", "--target", "energy"], ["identities", "--M", "4"]])
     def test_non_finite_s(self, tmp_path, capsys, argv, s):
         out = str(tmp_path / "t.csv")
         assert main([*argv, f"--s={s}", "--out", out]) == 2
         assert f"s = {float(s)} is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s, first, last", [
+        ("-0.5", 67108867, 67108869), ("0.5", (1 << 53) - 1, (1 << 53) - 1)])
+    def test_fseq_at_large_n(self, tmp_path, s, first, last):
+        # as a difference of two energies the first F were off by up to
+        # 0.6, and the last n needed E(2^53), beyond the array kernel
+        out = tmp_path / "f.csv"
+        assert main(["fseq", "--s", s, "--range", f"{first}:{last}",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [int(r[0]) for r in rows] == list(range(first, last + 1))
+        for n, _, _, f in rows:
+            assert abs(float(f) - oracles.f_reference(int(n), float(s))) <= 1e-6
 
     def test_expansion_next_to_an_odd_s(self, tmp_path, capsys):
         out = str(tmp_path / "t.csv")

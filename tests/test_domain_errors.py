@@ -1,12 +1,17 @@
 """Each scalar entry point rejects an argument outside its domain with a
 ValueError that says which rule it broke."""
 
+import importlib
+import inspect
+import re
+
+import numpy as np
 import pytest
 
 from rieszgreedy.arith import log_moment
 from rieszgreedy.asymptotics import (cesaro_mean, doubling_gap, f_sequence,
                                      predict_t)
-from rieszgreedy.binary import bit_count, expand_reciprocal
+from rieszgreedy.binary import binary_weights, bit_count, expand_reciprocal
 from rieszgreedy.energy import EnergyParams, extremal_potential
 from rieszgreedy.special import log_term_constant, sinc_coeff_derivative
 
@@ -28,3 +33,45 @@ from rieszgreedy.special import log_term_constant, sinc_coeff_derivative
 def test_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+#: Valid arguments besides s for every public function that takes s.
+OTHER_ARGS = {
+    "zeta": {}, "regularized_zeta": {}, "arclength_energy": {},
+    "sinc_power_series": {"terms": 3}, "roots_expansion": {"top": 2},
+    "energy_form": {"w": binary_weights(5)}, "power_sum": {"w": binary_weights(5)},
+    "energy_form_at": {"x": 0.75}, "power_sum_at": {"x": 0.75},
+    "batch_eta_values": {"ns": [5], "target": "energy_form"},
+    "scan_extremum": {"m": 4, "target": "energy_form"},
+    "interval_estimate": {"m": 4}, "stationarity_residual": {"x": 0.75},
+    "child_identities": {"m": 3},
+    "t_sequence": {"n": 5}, "f_sequence": {"n": 5}, "predict_t": {"n": 5},
+    "expansion_energy": {"n": 5}, "doubling_gap": {"n": 5},
+    "cesaro_mean": {"n": 5},
+    "t_from_energies": {"ns": [5], "energies": np.ones(1)},
+    "f_from_potentials": {"ns": [5], "potentials": np.ones(1)},
+    "t_predictions": {"ns": [5]}, "expansion_energies": {"ns": [5]},
+    "cesaro_means": {"ns": [5]}, "cesaro_scales": {"ns": [5]},
+    "remainder_scan": {"n_lo": 2, "n_hi": 8},
+}
+
+
+def functions_of_s():
+    """Every function (not class) in the public API of these modules with
+    a parameter named s."""
+    for module in ("special", "arith", "limits", "asymptotics"):
+        mod = importlib.import_module(f"rieszgreedy.{module}")
+        for name in mod.__all__:
+            func = getattr(mod, name)
+            if (callable(func) and not inspect.isclass(func)
+                    and "s" in inspect.signature(func).parameters):
+                yield func
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("func", list(functions_of_s()), ids=lambda f: f.__name__)
+def test_non_finite_s(func, s):
+    name = func.__name__
+    assert name in OTHER_ARGS, f"add the valid arguments of {name} to OTHER_ARGS"
+    with pytest.raises(ValueError, match=re.escape(f"s = {s} is not finite")):
+        func(**OTHER_ARGS[name], s=s)

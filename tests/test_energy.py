@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,9 +11,11 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
 import rieszgreedy
 
 from rieszgreedy.arith import leja_offset
+from rieszgreedy.asymptotics import f_from_potentials
 from rieszgreedy.binary import binary_weights
 from rieszgreedy import energy
 from rieszgreedy.energy import (CircleConfig, EnergyParams,
@@ -359,6 +362,62 @@ class TestGreedyEnergies:
             greedy_energies([8], EnergyParams(-2.0))
 
 
+class TestAgainstTheTwoColumnFormula:
+    """The bit sums regroup the two-column formula of
+    :func:`oracles.greedy_energy_columns`, so they round differently."""
+
+    NS = (list(range(1, 5000))
+          + [random.Random(n).randrange(1, 1 << 53) for n in range(2000)]
+          + list(range((1 << 24) - 1024, 1 << 24)))
+
+    @pytest.mark.parametrize("s", [-1.5, -1.0, -0.5, -0.1, 0.0, 1.0 / 3.0, 0.5,
+                                   0.97, 1.0, 2.0, 2.5, 3.0, 3.5, 80.0])
+    def test_within_4_ulp_inf_alike_never_nan(self, s):
+        want = np.array([oracles.greedy_energy_columns(n, s) for n in self.NS])
+        got = np.array([greedy_energy(n, EnergyParams(s)) for n in self.NS])
+        assert bits(greedy_energies(self.NS, EnergyParams(s))) == bits(got)
+        assert not np.isnan(got).any()
+        assert (np.isinf(got) == np.isinf(want)).all()
+        finite = np.isfinite(want)
+        ulps = np.array([math.ulp(w) for w in want[finite]])
+        assert (np.abs(got[finite] - want[finite]) <= 4 * ulps).all()
+
+
+class TestRequestOrder:
+    """Roots energies are requested largest first, by every route: the
+    direct sums of a cold cache come in non-increasing N."""
+
+    WINDOW = range((1 << 16) - 128, 1 << 16)
+
+    @staticmethod
+    def requested(monkeypatch, route) -> list[int]:
+        sizes = []
+        direct = energy._roots_direct
+
+        def record(n, s):
+            sizes.append(n)
+            return direct(n, s)
+
+        monkeypatch.setattr(energy, "_roots_direct", record)
+        energy._roots_energy_cached.cache_clear()
+        route()
+        energy._roots_energy_cached.cache_clear()
+        return sizes
+
+    # outside the pole band, where the anchor 2^12 is requested early
+    @pytest.mark.parametrize("s", [-0.5, 0.5, 2.5])
+    def test_largest_first(self, monkeypatch, s):
+        params = EnergyParams(s)
+        ns = np.array(self.WINDOW)
+        routes = [lambda: greedy_energies(ns, params),
+                  lambda: extremal_potentials(ns, params)]
+        routes += [lambda n=n, f=f: f(n, params) for n in self.WINDOW
+                   for f in (greedy_energy, extremal_potential)]
+        for route in routes:
+            sizes = self.requested(monkeypatch, route)
+            assert sizes and sizes == sorted(sizes, reverse=True)
+
+
 class TestGreedyOracle:
     @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 2.0])
     def test_matches_closed_form_small(self, s):
@@ -431,6 +490,27 @@ class TestExtremalPotential:
             extremal_potential(last, params)
         with pytest.raises(OverflowError, match=message):
             extremal_potentials(ns + [last, last + 1], params)
+
+
+class TestPotentialAccuracy:
+    """U_n is a bit sum of midpoint potentials, with no energies
+    differenced."""
+
+    def test_log_kernel_is_popcount_log_2(self):
+        # at s = 0, V(M) = -log 2 for every M
+        rng = random.Random(7)
+        for n in [rng.randrange(1, 1 << 200) for _ in range(300)]:
+            want = -n.bit_count() * math.log(2.0)
+            got = extremal_potential(n, EnergyParams(0.0))
+            assert abs(got - want) <= 1e-14 * abs(want), n
+
+    def test_f_at_minus_half_in_the_2_to_20_octave(self):
+        # the difference of two energies was 4.1e-4 off here
+        rng = random.Random(20)
+        ns = [rng.randrange(1 << 20, 1 << 21) for _ in range(16)]
+        got = f_from_potentials(ns, extremal_potentials(ns, EnergyParams(-0.5)), -0.5)
+        for n, f in zip(ns, got):
+            assert abs(f - oracles.f_reference(n, -0.5)) <= 1e-8, n
 
 
 class TestCircleConfig:
