@@ -51,12 +51,20 @@ def _expanded(w: WeightVector) -> tuple[list[float], list[float]]:
     return thetas, bs
 
 
-def _check_truncation(w: WeightVector, per_tail_bound: float, tol: float,
-                      name: str) -> None:
-    if w.tail_bound != 0.0 and per_tail_bound > tol:
+def _check_truncation(w: WeightVector, tol: float, name: str, bound) -> None:
+    """Reject a truncated tail that ``bound(tau)`` says may contribute more
+    than tol.  Its i-th theta is at most tau 2^{1-i}: at most the tail mass
+    tau = ``w.tail_bound``, and at most half its predecessor."""
+    if w.tail_bound != 0.0 and (worst := bound(w.tail_bound)) > tol:
         raise ValueError(
-            f"{name}: truncated tail may contribute {per_tail_bound:.3e} "
+            f"{name}: truncated tail may contribute {worst:.3e} "
             f"> tol = {tol:.3e}; rebuild the expansion with more terms")
+
+
+def _log_tail(tau: float) -> float:
+    """Bounds sum theta |log theta| over the tail: theta <= u = tau 2^{1-i}
+    gives theta |log theta| <= u max(-log u, 1)."""
+    return 2.0 * tau * (max(-math.log(tau), 1.0) + _LOG2)
 
 
 def energy_form(w: WeightVector, s: float, tol: float = 1e-12) -> float:
@@ -71,11 +79,9 @@ def energy_form(w: WeightVector, s: float, tol: float = 1e-12) -> float:
     if not w.exact or w.unit_tail is not None:
         if s <= -1.0:
             raise ValueError("energy form needs s > -1 for infinite tails")
-    p = len(w)
-    if w.tail_bound != 0.0:
-        # dropped terms are bounded by (2^{s+1}+3) 2^{-(n-1)(s+1)} each
-        geom = 2.0 ** (-p * (s + 1.0)) / -math.expm1(-(s + 1.0) * _LOG2)
-        _check_truncation(w, (_pow2m1(s + 1.0) + 4.0) * geom, tol, "energy_form")
+    # a dropped theta contributes at most (2^{s+1} + 3) theta^{s+1}
+    _check_truncation(w, tol, "energy_form", lambda tau: (_pow2m1(s + 1.0) + 4.0)
+                      * tau ** (s + 1.0) / -math.expm1(-(s + 1.0) * _LOG2))
     thetas, bs = _expanded(w)
     c = 2.0 * _pow2m1(s)
     return math.fsum(t ** (s + 1.0) + c * t ** s * b
@@ -88,8 +94,8 @@ def log_kernel_form(w: WeightVector, tol: float = 1e-12) -> float:
 
     Bounded by 5 log 4 in absolute value on vectors from integers.
     """
-    p = len(w)
-    _check_truncation(w, 6.0 / math.e * 2.0 ** (1 - p), tol, "log_kernel_form")
+    # a dropped theta contributes at most (6 / e) theta
+    _check_truncation(w, tol, "log_kernel_form", lambda tau: 6.0 / math.e * tau)
     thetas, bs = _expanded(w)
     return 2.0 * _LOG2 + math.fsum(
         t * t * (math.log(t) - _LOG4) + 2.0 * t * math.log(t) * b
@@ -102,8 +108,9 @@ def leja_offset(w: WeightVector, tol: float = 1e-12) -> float:
     For weights of an integer N this equals the translated, scaled
     logarithmic greedy energy at N exactly; it lies in [0, log(4/3)).
     """
-    p = len(w)
-    _check_truncation(w, _LOG2 * 2.0 ** (1 - p) * (3 * p + 4), tol, "leja_offset")
+    # the i-th dropped theta has the index p + i
+    _check_truncation(w, tol, "leja_offset",
+                      lambda tau: tau * _LOG2 * (4 * len(w) + 4) + _log_tail(tau))
     thetas, _ = _expanded(w)
     return -math.fsum((2.0 * _LOG2 * k + math.log(t)) * t
                       for k, t in enumerate(thetas))
@@ -120,10 +127,8 @@ def power_sum(w: WeightVector, s: float, tol: float = 1e-12) -> float:
     infinite = w.unit_tail is not None or not w.exact
     if infinite and s <= 0.0:
         raise ValueError("power sum needs s > 0 for infinite tails")
-    if w.tail_bound != 0.0:
-        p = len(w)
-        geom = 2.0 ** (-p * s) / -math.expm1(-s * _LOG2)
-        _check_truncation(w, geom, tol, "power_sum")
+    _check_truncation(w, tol, "power_sum",
+                      lambda tau: tau ** s / -math.expm1(-s * _LOG2))
     total = math.fsum(float(t) ** s for t in w.components)
     if w.unit_tail is not None:
         c = float(w.unit_tail)
@@ -137,9 +142,7 @@ def log_moment(w: WeightVector, tol: float = 1e-12) -> float:
     Like :func:`power_sum`, sensitive to which expansion of a dyadic
     reciprocal produced the vector.
     """
-    if w.tail_bound != 0.0:
-        p = len(w)
-        _check_truncation(w, _LOG2 * (p + 1) * 2.0 ** (1 - p), tol, "log_moment")
+    _check_truncation(w, tol, "log_moment", _log_tail)
     total = math.fsum(float(t) * math.log(float(t)) for t in w.components)
     if w.unit_tail is not None:
         c = float(w.unit_tail)

@@ -9,26 +9,25 @@ zeta(s - 2j) coefficient has its pole.  Parameters within 1e-9 of a
 branch (but not exactly on it) are rejected instead of silently switched,
 since the scalings differ by log factors.
 
-T, F, the prediction of T, the expansion terms and the Cesaro mean are
-each written once, as a body over an array of n.  The array forms
-(:func:`t_from_energies`, :func:`f_from_potentials`, :func:`t_predictions`,
-:func:`expansion_energies`, :func:`cesaro_means`) run it over float n in
-[1, 2^53), with the forms from :func:`limits.batch_eta_values`.  The
-scalar functions serve any Python int: they take E(n) from
-:func:`~rieszgreedy.energy.greedy_energy` and the forms from the exact
-evaluators in :mod:`rieszgreedy.arith`, and run the body on a one-element
-object array, so n stays an exact int under Python's float arithmetic.
-Powers and logs of n are taken per n with the scalar libm (numpy's
-vectorized pow and log differ in the last ulp), so both forms agree bit
-for bit wherever their inputs do.  The inputs keep two kernels because
-they serve different n: :mod:`rieszgreedy.energy` states their timings.
+T, F, the prediction of T and the Cesaro mean are each written once, as a
+body over an array of n.  The array forms (:func:`t_from_energies`,
+:func:`f_from_potentials`, :func:`t_predictions`, :func:`cesaro_means`)
+run it over float n in [1, 2^53), the scalar functions over any Python int
+on a one-element object array, so n stays an exact int under Python's
+float arithmetic.  Powers and logs of n are taken per n with the scalar
+libm (numpy's vectorized pow and log differ in the last ulp), so both
+forms agree bit for bit wherever their inputs do.  The prediction takes
+its forms from two kernels, as they serve different n:
+:func:`limits.batch_eta_values` and the exact :mod:`rieszgreedy.arith`
+(:mod:`rieszgreedy.energy` states the timings).  The energy expansion is
+the greedy energy's own bit sum over another table (:func:`expansion_energy`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -36,8 +35,8 @@ import numpy as np
 from . import limits
 from .arith import energy_form, leja_offset, log_kernel_form
 from .binary import binary_weights
-from .energy import (EnergyParams, extremal_potential, fsum_rows,
-                     greedy_energies, greedy_energy, int_array)
+from .energy import (EnergyParams, _roots_expanded, bit_energy, bit_sums,
+                     extremal_potential, greedy_energies, greedy_energy, int_array)
 from .special import (EULER_GAMMA, RootsExpansion, arclength_energy,
                       finite_s, roots_expansion, zeta)
 # unused here, but perfbench/layertrace.py patches this name on this module
@@ -80,44 +79,20 @@ def _per_n(func, n: np.ndarray) -> np.ndarray:
     return np.fromiter(map(func, n.tolist()), n.dtype, n.size)
 
 
-def _powers(n: np.ndarray, p: float, s: float, times_n: bool = False) -> np.ndarray:
-    """n^p, or n^p * n with ``times_n``, by the scalar pow and product,
-    per n; a value beyond the float range raises OverflowError naming the
-    first such n, the power and s."""
-    power = (lambda x: x ** p * x) if times_n else (lambda x: x ** p)
-    try:
-        values = _per_n(power, n)
-        if not np.isinf(np.asarray(values, dtype=float)).any():
-            return values
-    except OverflowError:  # the pow raises; the product comes out inf
-        pass
-    for x in n.tolist():
+def _powers(n: np.ndarray, p: float, s: float) -> np.ndarray:
+    """n^p by the scalar pow, per n; a value beyond the float range raises
+    OverflowError naming the first such n, the power and s."""
+    def power(x):
         try:
-            beyond = math.isinf(power(x))
+            return x ** p
         except OverflowError:
-            beyond = True
-        if beyond:
-            factor = " * n" if times_n else ""
-            raise OverflowError(f"n^{p}{factor} overflows at n = {int(x)}, s = {s}")
+            raise OverflowError(f"n^{p} overflows at n = {int(x)}, s = {s}") from None
+    return _per_n(power, n)
 
 
 def _one(x) -> np.ndarray:
     """x as a one-element array that keeps it a Python number."""
     return np.array([x], dtype=object)
-
-
-def _exact_forms(n: int):
-    """The ``form(target, s)`` of the scalar functions: the exact
-    :mod:`~rieszgreedy.arith` evaluator on binary_weights(n), as a
-    one-element array."""
-    w = binary_weights(n)
-
-    def form(target: str, s: Optional[float]) -> np.ndarray:
-        if target == "energy_form":
-            return _one(energy_form(w, s))
-        return _one(leja_offset(w) if target == "leja_offset"
-                    else log_kernel_form(w))
-    return form
 
 
 def _check_sequence_s(s: float) -> None:
@@ -243,7 +218,13 @@ def predict_t(n: int, s: float) -> TPrediction:
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_prediction_s(s)
-    value, scale = _prediction(_one(n), _exact_forms(n), s)
+    w = binary_weights(n)
+
+    def form(target: str, s: Optional[float]) -> np.ndarray:  # the exact evaluators
+        if target == "energy_form":
+            return _one(energy_form(w, s))
+        return _one(leja_offset(w) if target == "leja_offset" else log_kernel_form(w))
+    value, scale = _prediction(_one(n), form, s)
     return TPrediction(float(value[0]), float(scale[0]))
 
 
@@ -271,55 +252,52 @@ def _expansion_coefficients(s: float) -> RootsExpansion:
     return roots_expansion(s, top)
 
 
-def _expansion_terms(n: np.ndarray, form, s: float) -> list[np.ndarray]:
-    """The terms of the energy expansion, one column per term, given the
-    arithmetic forms ``form(target, s)`` of each n."""
-    ex = _expansion_coefficients(s)
-    if ex.log_factor:
-        q = ex.log_factor
-        columns = [q * n * n * _per_n(math.log, n),
-                   q * (ex.log_constant + form("log_kernel_form", None)) * n * n]
-    else:
-        columns = [ex.arclength * n * n]
-    for j, c in enumerate(ex.coeffs):
-        sj = s - 2.0 * j
-        columns.append(c * form("energy_form", sj) * _powers(n, sj, s, times_n=True))
-    return columns
+@lru_cache(maxsize=4096)
+def _expansion_table(m: int, s: float) -> float:
+    """L_x(M): L(M) expanded with the terms kept, inf beyond the float range."""
+    try:
+        return _roots_expanded(m, s, _expansion_coefficients(s))
+    except OverflowError:
+        return math.inf
 
 
 def expansion_energy(n: int, s: float) -> float:
     """Multi-term energy expansion at index n, valid for s >= -1, s != 0.
 
-    Generic s sums v(s) n^2 plus floor((s+1)/2) + 1 zeta-weighted terms;
-    positive even integers make this exact.  Odd integers s = 2m + 1 get
-    the n^2 log n term and the log-kernel-bearing n^2 term instead of the
-    divergent j = m contribution.  The coefficients are those of the
-    roots-of-unity expansion (:func:`~rieszgreedy.special.roots_expansion`),
-    each weighted by an arithmetic form of the binary weights of n, and
-    n^{1+s-2j} is taken as n^{s-2j} n, so s + 1 is never rounded; where
-    that power is beyond the float range, OverflowError names n and s.
-    The terms are summed with math.fsum.
+    Generic s sums v(s) n^2 plus floor((s+1)/2) + 1 zeta-weighted terms
+    c_j n^{1+s-2j} energy_form(s - 2j), the c_j of
+    :func:`~rieszgreedy.special.roots_expansion`; positive even integers
+    make this exact.  Odd integers s = 2m + 1 get q n^2 (log n +
+    log_constant + log_kernel_form) instead of v(s) n^2 and the divergent
+    j = m term.
+
+    This is :func:`~rieszgreedy.energy.greedy_energy` with these
+    roots-of-unity terms at 2^e as its table, exactly: the bit sum of
+    M^{1+t} is n^{1+t} energy_form(t), of M^2 log M it is
+    n^2 (log n + log_kernel_form).  No power of n takes a rounded exponent.
+    Where the expansion, or a table entry it takes, is beyond the float
+    range, OverflowError names n and s.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_expansion_s(s)
-    return float(fsum_rows(_expansion_terms(_one(n), _exact_forms(n), s))[0])
+    value = bit_energy(n, s, _expansion_table)
+    if math.isinf(value):
+        raise OverflowError(f"the energy expansion at n = {n}, s = {s} "
+                            f"is beyond the float range")
+    return value
 
 
 def expansion_energies(ns, s: float) -> np.ndarray:
-    """:func:`expansion_energy` over n in ns (2 <= n < 2^53).
-
-    The same terms, each row reduced with math.fsum; the coefficients
-    (zeta(s - 2j), the sinc coefficients, I_s and the odd-s log constant)
-    are computed once.  The arithmetic forms come from
-    :func:`limits.batch_eta_values`, so a row differs from
-    :func:`expansion_energy` by at most 1e-14 times the sum of the
-    absolute values of its terms.
-    """
+    """:func:`expansion_energy` over n in ns (2 <= n < 2^53), bit-identical
+    to it, with the same OverflowError."""
     ns = int_array(ns, 2)
     _check_expansion_s(s)
-    forms = partial(limits.batch_eta_values, ns)
-    return fsum_rows(_expansion_terms(ns.astype(float), forms, s))
+    values = bit_sums(ns, s, _expansion_table, False)
+    beyond = np.isinf(values)
+    if beyond.any():  # the scalar raises, naming the first such n
+        expansion_energy(int(ns[beyond.argmax()]), s)
+    return values
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,19 @@ one per-exponent table: the roots-of-unity energy L(2^e), and D(2^e) =
 L(2^{e+1}) - 2 L(2^e) = 2^{e+1} V(2^e), V(M) the potential of the M-th
 roots of unity at a midpoint between two.  With S_e = n mod 2^e,
 E(n) = sum_e [L(2^e) + 2 S_e V(2^e)] and U_n = sum_e V(2^e), no difference
-of energies.  A scalar serves one n of any size, an array form n < 2^53,
-bit-identical where both apply (2-core Xeon, numpy 2.4, s = 1/2): over
-n = 2..16384 greedy_energies takes 33-40 ms, a loop of greedy_energy
-170-260 ms, but one n costs 330-550 us batched against 10-13 us;
-extremal_potentials takes 22 ms over n = 1..16384, extremal_potential 12 us.
+of energies; over the truncated expansion of L the same walk gives
+:func:`~rieszgreedy.asymptotics.expansion_energy`.  A scalar serves one n
+of any size, an array form n < 2^53, bit-identical where both apply
+(2-core Xeon, numpy 2.4, s = 1/2): over n = 2..16384 greedy_energies takes
+33-40 ms, a loop of greedy_energy 170-260 ms, but one n costs 330-550 us
+batched against 10-13 us; extremal_potentials takes 22 ms over
+n = 1..16384, extremal_potential 12 us.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -124,8 +127,8 @@ def _kernel_np(chord: np.ndarray, s: float) -> np.ndarray:
 def _roots_energy_cached(n: int, s: float) -> float:
     if n <= 1:
         return 0.0
-    if s == 0.0:
-        return -n * math.log(n)
+    if s == 0.0:  # -inf also where n itself is beyond the float range
+        return -n * math.log(n) if n <= sys.float_info.max else -math.inf
     if n < EXPANSION_MIN_N:
         return _roots_direct(n, s)
     top = math.floor((s + 1.0) / 2.0) + 1
@@ -238,11 +241,23 @@ def roots_energy(n: int, params: EnergyParams) -> float:
     return _roots_energy_cached(n, params.s)
 
 
-def _doubling(e: int, s: float) -> float:
-    """D(2^e) = L(2^{e+1}) - 2 L(2^e) = 2^{e+1} V(2^e), the larger energy
-    asked for first; inf where L(2^{e+1}) is, so an inf L(2^e) makes no nan."""
-    upper = _roots_energy_cached(2 << e, s)
-    return upper if math.isinf(upper) else upper - 2 * _roots_energy_cached(1 << e, s)
+def _doubling(e: int, s: float, table) -> float:
+    """D(2^e) = L(2^{e+1}) - 2 L(2^e) = 2^{e+1} V(2^e), L(M) = ``table(M, s)``,
+    the larger L first; inf where L(2^{e+1}) is, so an inf L(2^e) makes no nan."""
+    upper = table(2 << e, s)
+    return upper if math.isinf(upper) else upper - 2 * table(1 << e, s)
+
+
+def bit_energy(n: int, s: float, table) -> float:
+    """math.fsum of L(2^e) and (S_e / 2^e) D(2^e) over the set bits e of n,
+    L(M) = ``table(M, s)``; S_e = 0 takes no D(2^e), finite or not."""
+    terms = []
+    for e in decompose(n).exponents:
+        low = n & ((1 << e) - 1)
+        if low:
+            terms.append(low / (1 << e) * _doubling(e, s, table))
+        terms.append(table(1 << e, s))
+    return math.fsum(terms)
 
 
 def greedy_energy(n: int, params: EnergyParams) -> float:
@@ -256,24 +271,7 @@ def greedy_energy(n: int, params: EnergyParams) -> float:
     params.require_greedy_range()
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = []
-    for e in decompose(n).exponents:
-        low = n & ((1 << e) - 1)
-        if low:  # S_e = 0 takes no D(2^e), finite or not
-            terms.append(low / (1 << e) * _doubling(e, params.s))
-        terms.append(_roots_energy_cached(1 << e, params.s))
-    return math.fsum(terms)
-
-
-def fsum_rows(columns) -> np.ndarray:
-    """math.fsum across equal-length float columns, row by row: the
-    correctly rounded row sums, whatever the order of the columns."""
-    count = len(columns[0])
-    out = np.empty(count)
-    for i in range(0, count, _BLOCK):
-        rows = zip(*(c[i:i + _BLOCK].tolist() for c in columns))
-        out[i:i + _BLOCK] = list(map(math.fsum, rows))
-    return out
+    return bit_energy(n, params.s, _roots_energy_cached)
 
 
 def int_array(ns, smallest: int) -> np.ndarray:
@@ -284,7 +282,7 @@ def int_array(ns, smallest: int) -> np.ndarray:
     return ns
 
 
-def _tables(ns: np.ndarray, s: float, potential: bool) -> tuple:
+def _tables(ns: np.ndarray, s: float, table, potential: bool) -> tuple:
     """L(2^e) (energies only) and D(2^e) where the scalars request them:
     D(2^e) where some n has bit e set (and, for energies, a set bit below
     e), L(2^e) where some n has bit e set; 0 elsewhere.  Largest first, as
@@ -295,36 +293,39 @@ def _tables(ns: np.ndarray, s: float, potential: bool) -> tuple:
     for e in reversed(range(width)):
         bit = (ns >> e) & 1 == 1
         if (bit if potential else bit & (ns & ((1 << e) - 1) != 0)).any():
-            doubling[e] = _doubling(e, s)
+            doubling[e] = _doubling(e, s, table)
         if not potential and bit.any():
-            roots[e] = _roots_energy_cached(1 << e, s)
+            roots[e] = table(1 << e, s)
     return roots, doubling
 
 
-def _bit_sums(ns: np.ndarray, terms) -> np.ndarray:
-    """For each n, the math.fsum over its set bits e of the columns
-    ``terms(e, S_e / 2^e)``, built and summed in blocks of _BLOCK rows."""
+def bit_sums(ns: np.ndarray, s: float, table, potential: bool) -> np.ndarray:
+    """For each n, math.fsum over its set bits e of L(2^e) and (S_e / 2^e) D(2^e)
+    (or D(2^e) / 2^{e+1}: potentials), L(M) = ``table(M, s)``, in blocks of
+    _BLOCK rows; bit-identical to the scalars, as fsum ignores term order."""
+    roots, doubling = _tables(ns, s, table, potential)
     out = np.empty(ns.size)
     for i in range(0, ns.size, _BLOCK):
         block = ns[i:i + _BLOCK]
         columns = []
         for e in range(int(block.max()).bit_length()):
             bit = (block >> e) & 1 == 1
-            ratio = (block & ((1 << e) - 1)) * 2.0 ** -e
-            columns += [np.where(bit, term, 0.0) for term in terms(e, ratio)]
-        out[i:i + _BLOCK] = fsum_rows(columns)
+            if potential:
+                terms = (math.ldexp(doubling[e], -e - 1),)
+            else:
+                ratio = (block & ((1 << e) - 1)) * 2.0 ** -e
+                terms = (roots[e], np.multiply(ratio, doubling[e], where=ratio != 0.0,
+                                               out=np.zeros_like(ratio)))
+            columns += [np.where(bit, term, 0.0).tolist() for term in terms]
+        out[i:i + _BLOCK] = list(map(math.fsum, zip(*columns)))
     return out
 
 
 def greedy_energies(ns, params: EnergyParams) -> np.ndarray:
     """:func:`greedy_energy` over an array of integers 1 <= n < 2^53,
-    bit-identical to it: the same terms, each row reduced with math.fsum
-    (whose result does not depend on the order of the terms)."""
+    bit-identical to it."""
     params.require_greedy_range()
-    ns = int_array(ns, 1)
-    roots, doubling = _tables(ns, params.s, potential=False)
-    return _bit_sums(ns, lambda e, ratio: (roots[e], np.multiply(
-        ratio, doubling[e], out=np.zeros_like(ratio), where=ratio != 0.0)))
+    return bit_sums(int_array(ns, 1), params.s, _roots_energy_cached, False)
 
 
 def extremal_potentials(ns, params: EnergyParams) -> np.ndarray:
@@ -332,8 +333,7 @@ def extremal_potentials(ns, params: EnergyParams) -> np.ndarray:
     bit-identical to it, with the same OverflowError."""
     params.require_greedy_range()
     ns = int_array(ns, 1)
-    _, doubling = _tables(ns, params.s, potential=True)
-    potentials = _bit_sums(ns, lambda e, _: (math.ldexp(doubling[e], -e - 1),))
+    potentials = bit_sums(ns, params.s, _roots_energy_cached, True)
     beyond = np.isinf(potentials)
     if beyond.any():  # the scalar raises, naming the first such n
         extremal_potential(int(ns[beyond.argmax()]), params)
@@ -350,10 +350,11 @@ def extremal_potential(n: int, params: EnergyParams) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     params.require_greedy_range()
-    potential = math.fsum(math.ldexp(_doubling(e, params.s), -e - 1)
+    s = params.s
+    potential = math.fsum(math.ldexp(_doubling(e, s, _roots_energy_cached), -e - 1)
                           for e in decompose(n).exponents)
     if math.isinf(potential):
-        raise OverflowError(f"the extremal potential at n = {n}, s = {params.s} "
+        raise OverflowError(f"the extremal potential at n = {n}, s = {s} "
                             f"needs a roots-of-unity energy beyond the float range")
     return potential
 

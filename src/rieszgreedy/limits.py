@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import arith
-from .binary import expand_reciprocal
+from .binary import ReciprocalExpansion, expand_reciprocal
 from .energy import int_array
 from .special import finite_s
 
@@ -46,10 +46,23 @@ SCAN_TARGETS = ("energy_form", "log_kernel_form", "leja_offset")
 
 _CHUNK = 1 << 15
 
-
-def _weights_at(x, prefer_finite: bool = True):
-    # deep, for a non-terminating 1/x: the error scales like 2^{-terms (s+1)}
-    return expand_reciprocal(x, prefer_finite, max_terms=256).weights()
+def _weights_at(x, order: float, tol: float, prefer_finite: bool = True):
+    """The weights of 1/x down to the binary place k where a dropped tail
+    2^-k, entering the form as its power ``order``, is 2^-16 below tol (a
+    margin for the factors of the :mod:`rieszgreedy.arith` bounds), but not
+    past 1021, where a weight x 2^-k (x >= 1/2) would leave the normal
+    floats.  Expansions ending above the place k stay exact."""
+    place = 1021
+    if order > 0.0 and tol > 0.0:
+        place = math.ceil(min(place, max(1.0, (16.0 - math.log2(tol)) / order)))
+    e = expand_reciprocal(x, prefer_finite, max_terms=place + 1)
+    first = next((k for k in e.exponents if k > place), e.unit_tail_start)
+    if first is not None and first > place:
+        # the digits of 1/x from place ``first`` on add up to at most 2^{1-first}
+        kept = tuple(k for k in e.exponents if k < first)
+        bound = math.nextafter(float(e.x) * 2.0 ** (1 - first), math.inf)
+        e = ReciprocalExpansion(e.x, kept, tail_bound=bound)
+    return e.weights()
 
 
 def energy_form_at(x, s: float, tol: float = 1e-12) -> float:
@@ -59,17 +72,17 @@ def energy_form_at(x, s: float, tol: float = 1e-12) -> float:
     Dyadic reciprocals have two expansions; both give the same value, and
     the terminating one is used.
     """
-    return arith.energy_form(_weights_at(x), s, tol)
+    return arith.energy_form(_weights_at(x, s + 1.0, tol), s, tol)
 
 
 def log_kernel_form_at(x, tol: float = 1e-12) -> float:
     """The limit log-kernel form at x; expansion-independent."""
-    return arith.log_kernel_form(_weights_at(x), tol)
+    return arith.log_kernel_form(_weights_at(x, 1.0, tol), tol)
 
 
 def leja_offset_at(x, tol: float = 1e-12) -> float:
     """The limit offset function at x, ranging over [0, log(4/3)]."""
-    return arith.leja_offset(_weights_at(x), tol)
+    return arith.leja_offset(_weights_at(x, 1.0, tol), tol)
 
 
 def power_sum_at(x, s: float, tol: float = 1e-12) -> float:
@@ -79,13 +92,13 @@ def power_sum_at(x, s: float, tol: float = 1e-12) -> float:
     terminating expansion, which is the left-limit value; the infinite
     expansion gives the (different) right limit.
     """
-    return arith.power_sum(_weights_at(x), s, tol)
+    return arith.power_sum(_weights_at(x, s, tol), s, tol)
 
 
 def log_moment_at(x, tol: float = 1e-12) -> float:
     """The limit log moment at x, in [-2 log 2, 0]; finite-expansion
     convention as in :func:`power_sum_at`."""
-    return arith.log_moment(_weights_at(x), tol)
+    return arith.log_moment(_weights_at(x, 1.0, tol), tol)
 
 
 def _chunk_values(ns: np.ndarray, target: str, s: Optional[float]) -> np.ndarray:
@@ -112,6 +125,16 @@ def _chunk_values(ns: np.ndarray, target: str, s: Optional[float]) -> np.ndarray
     return 2.0 * _LOG2 - logy - _LOG2 * x * x * acc
 
 
+def _check_target(target: str, s: Optional[float]) -> Optional[float]:
+    """s, checked finite, for a known target; the energy form needs one."""
+    s = None if s is None else finite_s(s)
+    if target not in SCAN_TARGETS:
+        raise ValueError(f"target must be one of {SCAN_TARGETS}")
+    if target == "energy_form" and s is None:
+        raise ValueError("energy_form needs s")
+    return s
+
+
 def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
     """Evaluate one arithmetic function on binary_weights(n) for an array
     of integers 1 <= n < 2^53.
@@ -130,11 +153,7 @@ def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
     against the exact evaluators in :mod:`rieszgreedy.arith` stays below
     2e-15 max(1, |value|) for n < 2^53 and s in [-0.9, 7].
     """
-    s = None if s is None else finite_s(s)
-    if target not in SCAN_TARGETS:
-        raise ValueError(f"target must be one of {SCAN_TARGETS}")
-    if target == "energy_form" and s is None:
-        raise ValueError("energy_form needs s")
+    s = _check_target(target, s)
     ns = int_array(ns, 1)
     if ns.size == 0:
         return np.empty(0)
@@ -185,13 +204,9 @@ def _certified_bound(s: float, m: int) -> float:
 def _check_panel(m: int, target: str, s: Optional[float]) -> Optional[float]:
     """Reject a (target, s) the order-m scan does not take; return the
     energy form's certified bound (None for the other targets)."""
-    s = None if s is None else finite_s(s)
-    if target not in SCAN_TARGETS:
-        raise ValueError(f"target must be one of {SCAN_TARGETS}")
+    s = _check_target(target, s)
     if target != "energy_form":
         return None
-    if s is None:
-        raise ValueError("energy_form needs s")
     if s in (0.0, 1.0):
         raise ValueError(f"energy form is identically 1 at s = {s}")
     if not -1.0 < s < 1023.0:  # beyond, the kernel's 2 (2^s - 1) overflows
@@ -313,7 +328,7 @@ def stationarity_residual(x, s: float) -> float:
     """
     if finite_s(s) <= 0.0 or s == 1.0:
         raise ValueError("stationarity diagnostic needs s > 0, s != 1")
-    w_inf = _weights_at(x, prefer_finite=False)
+    w_inf = _weights_at(x, s, 1e-12, prefer_finite=False)
     g = arith.power_sum(w_inf, s)
     h = arith.energy_form(w_inf, s)
     return h - 2.0 * math.expm1(s * _LOG2) / (s + 1.0) * g

@@ -1,11 +1,16 @@
 """Independent routes the tests hold the package to.
 
-- Scalar references for T, F, the prediction of T, the energy expansion
-  and the Cesaro mean, each written directly in Python arithmetic on the
-  exact int n.  The package evaluates one array body per function, for
-  its scalar and its array forms alike; the tests compare both with these
-  by IEEE bits.  The arithmetic forms are looked up as module globals, so
-  a test can put the batch kernel in place of the exact evaluators.
+- Scalar references for T, F, the prediction of T and the Cesaro mean,
+  each written directly in Python arithmetic on the exact int n.  The
+  package evaluates one array body per function, for its scalar and its
+  array forms alike; the tests compare both with these by IEEE bits.  The
+  arithmetic forms are looked up as module globals, so a test can put the
+  batch kernel in place of the exact evaluators.
+- The energy expansion term by term at n, each coefficient weighted by an
+  exact arithmetic form of the binary weights of n.  The package sums the
+  same expansion bit by bit over the roots-of-unity terms at 2^e; the
+  tests hold it within a few eps times the sum of the terms' absolute
+  values.
 - The block partition of a dyadic weight vector and the block-telescoped
   route to the energy form, checked against
   :func:`rieszgreedy.arith.energy_form`.
@@ -97,7 +102,9 @@ def predict_t(n: int, s: float) -> TPrediction:
     return TPrediction(value, scale)
 
 
-def expansion_energy(n: int, s: float) -> float:
+def expansion_terms(n: int, s: float) -> list[float]:
+    """The terms of the energy expansion at n, one per coefficient, each
+    weighted by an exact arithmetic form of binary_weights(n)."""
     w = binary_weights(n)
     ex = _expansion_coefficients(s)
     if ex.log_factor:
@@ -109,7 +116,11 @@ def expansion_energy(n: int, s: float) -> float:
     for j, c in enumerate(ex.coeffs):
         sj = s - 2.0 * j
         terms.append(c * energy_form(w, sj) * (float(n) ** sj * n))
-    return math.fsum(terms)
+    return terms
+
+
+def expansion_energy(n: int, s: float) -> float:
+    return math.fsum(expansion_terms(n, s))
 
 
 def cesaro_mean(n: int, s: float) -> float:

@@ -1,11 +1,9 @@
 import math
 import random
-from functools import partial
 
 import numpy as np
 import pytest
 
-from rieszgreedy import asymptotics
 from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form, log_moment
 from rieszgreedy.asymptotics import (cesaro_mean, cesaro_means, cesaro_scales,
                                      doubling_gap, expansion_energies,
@@ -17,7 +15,6 @@ from rieszgreedy.binary import binary_weights
 from rieszgreedy.energy import (EnergyParams, extremal_potential,
                                 extremal_potentials, greedy_energies,
                                 greedy_energy, roots_energy)
-from rieszgreedy.limits import batch_eta_values
 from rieszgreedy.special import EULER_GAMMA, arclength_energy
 
 
@@ -208,17 +205,14 @@ class TestExpansionEnergy:
     @pytest.mark.parametrize("s", [-1.0, -0.5, 0.5, 2.0, 3.0, 3.001, 3.5,
                                    4.999, 5.0])
     def test_array_form_within_term_tolerance(self, s):
-        # includes the odd-s log branch (3, 5) and s = 3.001, where the
-        # zeta(s - 2) pole term cancels against I_s n^2
+        # the tolerance is nil: both forms walk the same table.  Includes
+        # the odd-s log branch (3, 5) and s = 3.001, where the zeta(s - 2)
+        # pole term cancels against I_s n^2
         rng = random.Random(11)
         ns = np.array(list(range(2, 1025))
                       + [rng.randrange(1 << 10, 1 << 50) for _ in range(200)])
-        got = expansion_energies(ns, s)
-        terms = asymptotics._expansion_terms(
-            ns.astype(float), partial(batch_eta_values, ns), s)
-        size = sum(np.abs(c) for c in terms)
-        for n, v, scale in zip(ns.tolist(), got.tolist(), size.tolist()):
-            assert abs(v - expansion_energy(n, s)) <= 1e-14 * scale, n
+        want = [expansion_energy(n, s) for n in ns.tolist()]
+        assert bits(expansion_energies(ns, s)) == bits(want)
 
     @pytest.mark.parametrize("s", [1.5, 2.5, 3.421, 4.7])
     def test_powers_of_two_within_8_ulp(self, s):
@@ -239,14 +233,19 @@ class TestExpansionEnergy:
             expansion_energies([1, 16], 2.0)
 
     def test_power_overflow_names_n_and_s(self):
-        # at s = 126, n^s fits the float range up to n = 279 but n^s * n
-        # not from n = 268 on, though the energy there is about 3e242
-        for call in (lambda: expansion_energy(270, 126.0),
-                     lambda: expansion_energies(range(270, 280), 126.0)):
+        # E(2^20) at s = 60 is beyond the float range
+        n = 1 << 20
+        for call in (lambda: expansion_energy(n, 60.0),
+                     lambda: expansion_energies(range(n, n + 5), 60.0)):
             with pytest.raises(OverflowError) as err:
                 call()
-            assert str(err.value) == "n^126.0 * n overflows at n = 270, s = 126.0"
-        assert math.isfinite(expansion_energy(267, 126.0))
+            assert str(err.value) == ("the energy expansion at n = 1048576, "
+                                      "s = 60.0 is beyond the float range")
+        # n^126 * n overflowed here, though E(n) is about 3e242; the even s
+        # makes the expansion exact
+        for n in range(267, 280):
+            want = greedy_energy(n, EnergyParams(126.0))
+            assert expansion_energy(n, 126.0) == pytest.approx(want, rel=1e-13)
 
 
 class TestBranchGuards:

@@ -10,7 +10,8 @@ import pytest
 import oracles
 from rieszgreedy import cli, limits
 from rieszgreedy.arith import leja_offset
-from rieszgreedy.asymptotics import cesaro_mean, f_sequence, t_sequence
+from rieszgreedy.asymptotics import (cesaro_mean, expansion_energy, f_sequence,
+                                     t_sequence)
 from rieszgreedy.binary import binary_weights
 from rieszgreedy.cli import main
 from rieszgreedy.energy import EnergyParams, extremal_potential, greedy_energy
@@ -201,6 +202,12 @@ def _cesaro_row(n, s):
     return mean, dev, dev * scale
 
 
+def _expansion_row(n, s):
+    exact = greedy_energy(n, EnergyParams(s))
+    predicted = expansion_energy(n, s)
+    return exact, predicted, exact - predicted
+
+
 # each range command against rows built from the scalar per-n functions
 SCALAR_ROWS = {
     "energy": lambda n, s: (greedy_energy(n, EnergyParams(s)),),
@@ -208,6 +215,7 @@ SCALAR_ROWS = {
     "fseq": lambda n, s: (extremal_potential(n, EnergyParams(s)),
                           f_sequence(n, s)),
     "cesaro": _cesaro_row,
+    "expansion-check": _expansion_row,
 }
 
 
@@ -215,7 +223,8 @@ class TestRangeCommandsMatchScalar:
     @pytest.mark.parametrize("command,s", [
         *[(c, s) for c in ("energy", "tseq", "fseq")
           for s in (-1.5, -1.0, -0.413, 0.0, 1.0 / 3.0, 1.0, 3.5)],
-        *[("cesaro", s) for s in (-1.5, -1.0, -0.413)]])
+        *[("cesaro", s) for s in (-1.5, -1.0, -0.413)],
+        *[("expansion-check", s) for s in (-1.0, -0.413, 1.0 / 3.0, 1.0, 3.5, 5.0)]])
     def test_bytes(self, tmp_path, command, s):
         out = tmp_path / "r.csv"
         assert main([command, "--s", repr(s), "--range", "2:300",
@@ -509,15 +518,22 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_expansion_overflow_names_n_and_s(self, tmp_path, capsys):
-        # n^126 fits the float range at every n of the range, n^126 * n
-        # does not, and E(n) is about 3e242: not a row of inf predictions
+        # E(2^20) at s = 60 is beyond the float range: not a row of inf
+        # predictions
         out = tmp_path / "t.csv"
-        assert main(["expansion-check", "--s", "126", "--range", "270:279",
+        assert main(["expansion-check", "--s", "60", "--range", "1048576:1048580",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "n^126.0 * n overflows at n = 270, s = 126.0" in err
+        assert "n = 1048576, s = 60.0" in err
         assert not out.exists()
         assert not out.with_name(out.name + ".manifest.json").exists()
+        # E(n) is about 3e242 here, where n^126 * n overflowed
+        assert main(["expansion-check", "--s", "126", "--range", "270:279",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        for row in rows:
+            exact, predicted = float(row[2]), float(row[3])
+            assert abs(predicted - exact) <= 1e-13 * exact, row[0]
 
     @pytest.mark.parametrize("flags", [
         ["--M", "0", "--s", "0.5"], ["--M=-3", "--s", "0.5"]])

@@ -272,6 +272,11 @@ class TestGreedyEnergy:
             assert cur > prev
             prev = cur
 
+    def test_log_kernel_beyond_the_float_range(self):
+        # L(N) = -N log N at s = 0 is -inf from N = 2^1024 on, as at 2^1023
+        for n in (1 << 1023, 1 << 1030, (1 << 1030) + 12345):
+            assert greedy_energy(n, EnergyParams(0.0)) == -math.inf
+
     def test_domain(self):
         with pytest.raises(ValueError):
             greedy_energy(8, EnergyParams(-2.0))
@@ -490,6 +495,13 @@ class TestExtremalPotential:
             extremal_potential(last, params)
         with pytest.raises(OverflowError, match=message):
             extremal_potentials(ns + [last, last + 1], params)
+
+
+    def test_log_kernel_beyond_the_float_range(self):
+        # U_n needs L(2^1031) = -inf: the documented error, naming n and s
+        n = 1 << 1030
+        with pytest.raises(OverflowError, match=re.escape(f"n = {n}, s = 0.0")):
+            extremal_potential(n, EnergyParams(0.0))
 
 
 class TestPotentialAccuracy:

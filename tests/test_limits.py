@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,6 +52,53 @@ class TestPointEvaluators:
         assert energy_form_at(2.0 / 3.0, 2.0) == pytest.approx(11.0 / 9.0,
                                                                abs=1e-12)
         assert energy_form_at(0.7071067811865476, -0.5) > 1.0
+
+
+def mp_form_at(x, target: str, s=None) -> float:
+    """The limit form at x in 50-digit mpmath, summed over the binary
+    digits of 1/x (of the exact value of a float x) to 1400 terms, with
+    exact suffix masses."""
+    xq = Fraction(x)
+    taken = Fraction(0)
+    with mpmath.workdps(50):
+        xm, log2, total = mpmath.mpf(xq.numerator) / xq.denominator, mpmath.log(2), 0
+        for i, k in enumerate(expand_reciprocal(xq, max_terms=1400).exponents):
+            theta = mpmath.ldexp(xm, -k)
+            taken += Fraction(1, 1 << k)
+            rest = 1 - xq * taken
+            b = mpmath.mpf(rest.numerator) / rest.denominator
+            if target == "energy_form":
+                total += (theta ** (s + 1)
+                          + 2 * (mpmath.mpf(2) ** s - 1) * theta ** s * b)
+            elif target == "log_kernel_form":
+                total += (theta ** 2 * (mpmath.log(theta) - 2 * log2)
+                          + 2 * theta * mpmath.log(theta) * b)
+            elif target == "leja_offset":
+                total -= (2 * log2 * i + mpmath.log(theta)) * theta
+            else:
+                total += theta * mpmath.log(theta)
+        if target == "log_kernel_form":
+            total += 2 * log2
+        return float(total)
+
+
+class TestFloatArguments:
+    """A float x is a dyadic with a long reciprocal expansion: that of 2/3
+    takes places 0, 1, 54, 55, 108, ..., so its weights leave the float
+    range within 256 terms, and that of 7/10 needs a deep expansion at
+    s = -0.9, where the dropped tail enters as its power 0.1."""
+
+    @pytest.mark.parametrize("target, x, s", [
+        ("energy_form", 2.0 / 3.0, -0.5),
+        ("log_kernel_form", 2.0 / 3.0, None),
+        ("leja_offset", 2.0 / 3.0, None),
+        ("log_moment", 2.0 / 3.0, None),
+        ("energy_form", 0.7, -0.9),
+        ("energy_form", Fraction(7, 10), -0.9)])
+    def test_against_mpmath(self, target, x, s):
+        at = getattr(limits, target + "_at")
+        got = at(x) if s is None else at(x, s)
+        assert abs(got - mp_form_at(x, target, s)) <= 1e-12
 
 
 class TestWellDefinedness:
