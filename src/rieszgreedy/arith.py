@@ -51,12 +51,16 @@ def _expanded(w: WeightVector) -> tuple[list[float], list[float]]:
     return thetas, bs
 
 
+class TruncationError(ValueError):
+    """A truncated tail may contribute more than tol."""
+
+
 def _check_truncation(w: WeightVector, tol: float, name: str, bound) -> None:
     """Reject a truncated tail that ``bound(tau)`` says may contribute more
     than tol.  Its i-th theta is at most tau 2^{1-i}: at most the tail mass
     tau = ``w.tail_bound``, and at most half its predecessor."""
     if w.tail_bound != 0.0 and (worst := bound(w.tail_bound)) > tol:
-        raise ValueError(
+        raise TruncationError(
             f"{name}: truncated tail may contribute {worst:.3e} "
             f"> tol = {tol:.3e}; rebuild the expansion with more terms")
 

@@ -18,9 +18,9 @@ float arithmetic.  Powers and logs of n are taken per n with the scalar
 libm (numpy's vectorized pow and log differ in the last ulp), so both
 forms agree bit for bit wherever their inputs do.  The prediction takes
 its forms from two kernels, as they serve different n:
-:func:`limits.batch_eta_values` and the exact :mod:`rieszgreedy.arith`
-(:mod:`rieszgreedy.energy` states the timings).  The energy expansion is
-the greedy energy's own bit sum over another table (:func:`expansion_energy`).
+:func:`limits.batch_eta_values` (n < 2^53, one n in 140-200 us) and the
+exact :mod:`rieszgreedy.arith` (any n, 23-35 us; 2-core Xeon).  The
+expansion is the greedy energy's walk over another table (:func:`expansion_energy`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from . import limits
 from .arith import energy_form, leja_offset, log_kernel_form
 from .binary import binary_weights
-from .energy import (EnergyParams, _roots_expanded, bit_energy, bit_sums,
+from .energy import (EnergyParams, _roots_expanded, bit_sum, bit_sums,
                      extremal_potential, greedy_energies, greedy_energy, int_array)
 from .special import (EULER_GAMMA, RootsExpansion, arclength_energy,
                       finite_s, roots_expansion, zeta)
@@ -281,7 +281,7 @@ def expansion_energy(n: int, s: float) -> float:
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_expansion_s(s)
-    value = bit_energy(n, s, _expansion_table)
+    value = bit_sum(n, s, _expansion_table, False)
     if math.isinf(value):
         raise OverflowError(f"the energy expansion at n = {n}, s = {s} "
                             f"is beyond the float range")
@@ -418,7 +418,7 @@ def cesaro_mean(n: int, s: float) -> float:
 def cesaro_means(ns, s: float) -> np.ndarray:
     """:func:`cesaro_mean` over n in ns (1 <= n < 2^53 - 1)."""
     params = EnergyParams(s)
-    ns = int_array(ns, 1)
+    ns = int_array(ns, 1, successor=True)  # E(n + 1) from the array form
     _check_cesaro_s(s)
     return _cesaro(ns.astype(float), greedy_energies(ns + 1, params), s)
 

@@ -13,12 +13,10 @@ L(2^{e+1}) - 2 L(2^e) = 2^{e+1} V(2^e), V(M) the potential of the M-th
 roots of unity at a midpoint between two.  With S_e = n mod 2^e,
 E(n) = sum_e [L(2^e) + 2 S_e V(2^e)] and U_n = sum_e V(2^e), no difference
 of energies; over the truncated expansion of L the same walk gives
-:func:`~rieszgreedy.asymptotics.expansion_energy`.  A scalar serves one n
-of any size, an array form n < 2^53, bit-identical where both apply
-(2-core Xeon, numpy 2.4, s = 1/2): over n = 2..16384 greedy_energies takes
-33-40 ms, a loop of greedy_energy 170-260 ms, but one n costs 330-550 us
-batched against 10-13 us; extremal_potentials takes 22 ms over
-n = 1..16384, extremal_potential 12 us.
+:func:`~rieszgreedy.asymptotics.expansion_energy`.  The scalars walk one
+n of any size, the array forms n < 2^53, bit-identical where both apply
+(2-core Xeon, s = 1/2): over n = 2..16384 greedy_energies takes 23-40 ms
+and extremal_potentials 14-28 ms; one n takes 8-13 us, 14-28 us batched.
 """
 
 from __future__ import annotations
@@ -28,11 +26,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .binary import decompose
 from .special import RootsExpansion, finite_s, roots_expansion
+# unused here, but perfbench/layertrace.py patches this name on this module
+from .binary import decompose  # noqa: F401
 
 __all__ = [
     "EnergyParams",
@@ -48,8 +48,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-#: Rows whose energy terms are built and summed at once: the term matrix
-#: and its Python floats then stay small for any range length.
+#: n walked per block, so that few of them are Python ints at a time.
 _BLOCK = 1 << 10
 
 #: Roots energies L(N) for N >= 2^16 come from their large-N expansion,
@@ -241,25 +240,6 @@ def roots_energy(n: int, params: EnergyParams) -> float:
     return _roots_energy_cached(n, params.s)
 
 
-def _doubling(e: int, s: float, table) -> float:
-    """D(2^e) = L(2^{e+1}) - 2 L(2^e) = 2^{e+1} V(2^e), L(M) = ``table(M, s)``,
-    the larger L first; inf where L(2^{e+1}) is, so an inf L(2^e) makes no nan."""
-    upper = table(2 << e, s)
-    return upper if math.isinf(upper) else upper - 2 * table(1 << e, s)
-
-
-def bit_energy(n: int, s: float, table) -> float:
-    """math.fsum of L(2^e) and (S_e / 2^e) D(2^e) over the set bits e of n,
-    L(M) = ``table(M, s)``; S_e = 0 takes no D(2^e), finite or not."""
-    terms = []
-    for e in decompose(n).exponents:
-        low = n & ((1 << e) - 1)
-        if low:
-            terms.append(low / (1 << e) * _doubling(e, s, table))
-        terms.append(table(1 << e, s))
-    return math.fsum(terms)
-
-
 def greedy_energy(n: int, params: EnergyParams) -> float:
     """Energy of the first n points of a greedy sequence, from the binary
     decomposition of n: sum_e [L(2^e) + 2 S_e V(2^e)] over its set bits e,
@@ -271,54 +251,60 @@ def greedy_energy(n: int, params: EnergyParams) -> float:
     params.require_greedy_range()
     if n < 1:
         raise ValueError("n must be >= 1")
-    return bit_energy(n, params.s, _roots_energy_cached)
+    return bit_sum(n, params.s, _roots_energy_cached, False)
 
 
-def int_array(ns, smallest: int) -> np.ndarray:
-    """ns as int64, each in [smallest, 2^53), where floats hold them exactly."""
+def int_array(ns, smallest: int, successor: bool = False) -> np.ndarray:
+    """ns as int64, each in [smallest, 2^53) where floats hold it exactly,
+    and below 2^53 - 1 where its ``successor`` n + 1 must be held too."""
     ns = np.ascontiguousarray(ns, dtype=np.int64)
-    if ns.size and (ns.min() < smallest or ns.max() >= 1 << 53):
-        raise ValueError(f"n must lie in [{smallest}, 2^53)")
+    if ns.size and (ns.min() < smallest or ns.max() >= (1 << 53) - successor):
+        top = "2^53 - 1" if successor else "2^53"
+        raise ValueError(f"n must lie in [{smallest}, {top})")
     return ns
 
 
-def _tables(ns: np.ndarray, s: float, table, potential: bool) -> tuple:
-    """L(2^e) (energies only) and D(2^e) where the scalars request them:
-    D(2^e) where some n has bit e set (and, for energies, a set bit below
-    e), L(2^e) where some n has bit e set; 0 elsewhere.  Largest first, as
-    smallest first measured 7% more peak memory on a window just below
-    2^24: the allocator kept the freed mid-size sine arrays."""
-    width = int(ns.max(initial=0)).bit_length()
-    roots, doubling = np.zeros(width), np.zeros(width)
-    for e in reversed(range(width)):
-        bit = (ns >> e) & 1 == 1
-        if (bit if potential else bit & (ns & ((1 << e) - 1) != 0)).any():
-            doubling[e] = _doubling(e, s, table)
-        if not potential and bit.any():
-            roots[e] = table(1 << e, s)
-    return roots, doubling
+def _walk(ns, union: int, lows: int, s: float, table, potential: bool):
+    """For each int n in ns, math.fsum over its set bits e of L(2^e) and,
+    where S_e = n mod 2^e is not 0, (S_e / 2^e) D(2^e) (potentials: of
+    D(2^e) / 2^{e+1} alone), L(M) = ``table(M, s)``.  The table is read
+    first, L(2^e) at the bits of ``union`` and D(2^e) at those of ``lows``,
+    the larger L first; D is inf where L(2^{e+1}) is, so an inf L(2^e) makes
+    no nan.  Top bit first: smallest first measured 7% more peak memory just
+    below 2^24, as the allocator kept the freed mid-size sine arrays."""
+    first, doubling = [0.0] * union.bit_length(), [0.0] * union.bit_length()
+    for e in reversed(range(union.bit_length())):
+        if lows >> e & 1:
+            upper = table(2 << e, s)
+            doubling[e] = upper if math.isinf(upper) else upper - 2 * table(1 << e, s)
+        if union >> e & 1:
+            first[e] = math.ldexp(doubling[e], -e - 1) if potential else table(1 << e, s)
+    for n in ns:
+        terms = []
+        while n:
+            e = n.bit_length() - 1
+            top = 1 << e
+            n -= top
+            terms.append(first[e])
+            if not potential and n:
+                terms.append(n / top * doubling[e])
+        yield math.fsum(terms)
+
+
+def bit_sum(n: int, s: float, table, potential: bool) -> float:
+    """E(n), or U_n for potentials, over L(M) = ``table(M, s)``, for one
+    n >= 1 of any size."""
+    return next(_walk((n,), n, n if potential else n & (n - 1), s, table, potential))
 
 
 def bit_sums(ns: np.ndarray, s: float, table, potential: bool) -> np.ndarray:
-    """For each n, math.fsum over its set bits e of L(2^e) and (S_e / 2^e) D(2^e)
-    (or D(2^e) / 2^{e+1}: potentials), L(M) = ``table(M, s)``, in blocks of
-    _BLOCK rows; bit-identical to the scalars, as fsum ignores term order."""
-    roots, doubling = _tables(ns, s, table, potential)
-    out = np.empty(ns.size)
-    for i in range(0, ns.size, _BLOCK):
-        block = ns[i:i + _BLOCK]
-        columns = []
-        for e in range(int(block.max()).bit_length()):
-            bit = (block >> e) & 1 == 1
-            if potential:
-                terms = (math.ldexp(doubling[e], -e - 1),)
-            else:
-                ratio = (block & ((1 << e) - 1)) * 2.0 ** -e
-                terms = (roots[e], np.multiply(ratio, doubling[e], where=ratio != 0.0,
-                                               out=np.zeros_like(ratio)))
-            columns += [np.where(bit, term, 0.0).tolist() for term in terms]
-        out[i:i + _BLOCK] = list(map(math.fsum, zip(*columns)))
-    return out
+    """:func:`bit_sum` over an int64 array, bit-identical to it (fsum
+    ignores term order): one table for all n, walked _BLOCK n at a time."""
+    union = int(np.bitwise_or.reduce(ns))
+    lows = union if potential else int(np.bitwise_or.reduce(ns & (ns - 1)))
+    blocks = (ns[i:i + _BLOCK].tolist() for i in range(0, ns.size, _BLOCK))
+    walk = _walk(chain.from_iterable(blocks), union, lows, s, table, potential)
+    return np.fromiter(walk, float, ns.size)
 
 
 def greedy_energies(ns, params: EnergyParams) -> np.ndarray:
@@ -350,11 +336,9 @@ def extremal_potential(n: int, params: EnergyParams) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     params.require_greedy_range()
-    s = params.s
-    potential = math.fsum(math.ldexp(_doubling(e, s, _roots_energy_cached), -e - 1)
-                          for e in decompose(n).exponents)
+    potential = bit_sum(n, params.s, _roots_energy_cached, True)
     if math.isinf(potential):
-        raise OverflowError(f"the extremal potential at n = {n}, s = {s} "
+        raise OverflowError(f"the extremal potential at n = {n}, s = {params.s} "
                             f"needs a roots-of-unity energy beyond the float range")
     return potential
 

@@ -65,24 +65,36 @@ def _weights_at(x, order: float, tol: float, prefer_finite: bool = True):
     return e.weights()
 
 
+def _at(form, x, order: float, tol: float, *s) -> float:
+    """``form(weights, *s, tol)``, s being () or (s,), on the weights of 1/x
+    that :func:`_weights_at` keeps for ``order``."""
+    try:
+        return form(_weights_at(x, order, tol), *s, tol)
+    except arith.TruncationError:
+        given = "".join(f", s = {v}" for v in s)
+        raise ValueError(f"{form.__name__}_at(x = {x}{given}, tol = {tol}): tol cannot "
+                         f"be reached{' at this s' if s else ''}, as the weights of 1/x "
+                         f"stop at binary place 1021") from None
+
+
 def energy_form_at(x, s: float, tol: float = 1e-12) -> float:
     """The limit energy form at x in [1/2, 1]; equals 1 at both endpoints
     and for s in {0, 1}.
 
     Dyadic reciprocals have two expansions; both give the same value, and
-    the terminating one is used.
+    the terminating one is used.  ValueError where tol is out of reach.
     """
-    return arith.energy_form(_weights_at(x, s + 1.0, tol), s, tol)
+    return _at(arith.energy_form, x, s + 1.0, tol, s)
 
 
 def log_kernel_form_at(x, tol: float = 1e-12) -> float:
     """The limit log-kernel form at x; expansion-independent."""
-    return arith.log_kernel_form(_weights_at(x, 1.0, tol), tol)
+    return _at(arith.log_kernel_form, x, 1.0, tol)
 
 
 def leja_offset_at(x, tol: float = 1e-12) -> float:
     """The limit offset function at x, ranging over [0, log(4/3)]."""
-    return arith.leja_offset(_weights_at(x, 1.0, tol), tol)
+    return _at(arith.leja_offset, x, 1.0, tol)
 
 
 def power_sum_at(x, s: float, tol: float = 1e-12) -> float:
@@ -90,15 +102,15 @@ def power_sum_at(x, s: float, tol: float = 1e-12) -> float:
 
     Not expansion-independent: at a two-expansion x this uses the
     terminating expansion, which is the left-limit value; the infinite
-    expansion gives the (different) right limit.
+    expansion gives the (different) right limit.  ValueError where tol is out of reach.
     """
-    return arith.power_sum(_weights_at(x, s, tol), s, tol)
+    return _at(arith.power_sum, x, s, tol, s)
 
 
 def log_moment_at(x, tol: float = 1e-12) -> float:
     """The limit log moment at x, in [-2 log 2, 0]; finite-expansion
     convention as in :func:`power_sum_at`."""
-    return arith.log_moment(_weights_at(x, 1.0, tol), tol)
+    return _at(arith.log_moment, x, 1.0, tol)
 
 
 def _chunk_values(ns: np.ndarray, target: str, s: Optional[float]) -> np.ndarray:

@@ -49,7 +49,7 @@ class TestEnergyForm:
 
     def test_truncated_vector_tolerance_guard(self):
         w = expand_reciprocal(Fraction(1, 2)).materialize(8).weights()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rebuild the expansion with more terms"):
             energy_form(w, -0.5, tol=1e-12)
         # a deeper materialization meets a modest tolerance
         w24 = expand_reciprocal(Fraction(1, 2)).materialize(24).weights()

@@ -460,6 +460,14 @@ class TestExitCodes:
         assert main(["energy", "--s", "0.5", "--N", str(1 << 53),
                      "--out", out]) == 2
 
+    def test_cesaro_names_its_own_bound(self, tmp_path, capsys):
+        # 2^53 - 1 lies in [1, 2^53), but its mean needs E(2^53)
+        out = tmp_path / "t.csv"
+        assert main(["cesaro", "--s", "-0.5", "--range",
+                     "9007199254740991:9007199254740991", "--out", str(out)]) == 2
+        assert "n must lie in [1, 2^53 - 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_range_syntax(self, tmp_path):
         out = str(tmp_path / "t.csv")
         assert main(["tseq", "--s", "0", "--range", "junk", "--out", out]) == 2

@@ -423,6 +423,45 @@ class TestRequestOrder:
             assert sizes and sizes == sorted(sizes, reverse=True)
 
 
+class TestTableRequests:
+    """The walk asks its table for L(2^e) at the set bits e of n and for
+    L(2^{e+1}), L(2^e) where D(2^e) is used: exactly these, largest first."""
+
+    CASES = [[1 << 40], [(1 << 40) + 1], [(1 << 53) - 1],
+             [(1 << 200) + 3 ** 50], [1 << k for k in range(20)]]
+
+    @staticmethod
+    def expected(ns, potential: bool) -> set[int]:
+        union = lows = 0
+        for n in ns:
+            union |= n
+            lows |= n & (n - 1)
+        doubled = union if potential else lows
+        return ({1 << e for e in range(union.bit_length()) if union >> e & 1}
+                | {m << e for e in range(doubled.bit_length()) if doubled >> e & 1
+                   for m in (1, 2)})
+
+    @pytest.mark.parametrize("potential", [False, True])
+    @pytest.mark.parametrize("ns", CASES)
+    def test_exactly_the_bits_requested(self, ns, potential):
+        requested = []
+
+        def table(m, s):
+            requested.append(m)
+            return float(m.bit_length())
+
+        calls = [([n], lambda n=n: energy.bit_sum(n, 0.5, table, potential))
+                 for n in ns]
+        if max(ns) < 1 << 53:
+            calls.append((ns, lambda: energy.bit_sums(np.array(ns), 0.5, table,
+                                                      potential)))
+        for covered, call in calls:
+            requested.clear()
+            call()
+            assert set(requested) == self.expected(covered, potential)
+            assert requested == sorted(requested, reverse=True)
+
+
 class TestGreedyOracle:
     @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 2.0])
     def test_matches_closed_form_small(self, s):

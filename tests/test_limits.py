@@ -53,6 +53,22 @@ class TestPointEvaluators:
                                                                abs=1e-12)
         assert energy_form_at(0.7071067811865476, -0.5) > 1.0
 
+    @pytest.mark.parametrize("at, x, s, shown", [
+        (energy_form_at, 0.7, -0.99, "x = 0.7, s = -0.99"),
+        (energy_form_at, Fraction(3, 4), -0.99, "x = 3/4, s = -0.99"),
+        (energy_form_at, 0.7, -0.97, "x = 0.7, s = -0.97"),
+        (power_sum_at, 0.7, 0.005, "x = 0.7, s = 0.005")])
+    def test_unreachable_tol_named(self, at, x, s, shown):
+        # the weights stop at binary place 1021; a caller of an *_at
+        # function has no expansion to rebuild
+        with pytest.raises(ValueError) as err:
+            at(x, s)
+        message = str(err.value)
+        assert message.startswith(f"{at.__name__}({shown}, tol = 1e-12)")
+        assert "tol cannot be reached at this s" in message
+        assert "binary place 1021" in message
+        assert "rebuild" not in message
+
 
 def mp_form_at(x, target: str, s=None) -> float:
     """The limit form at x in 50-digit mpmath, summed over the binary

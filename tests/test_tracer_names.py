@@ -1,8 +1,9 @@
 """perfbench/layertrace.py times the layers by patching the names in its
 BOUNDARIES on the package's modules.  Each must resolve, so that deleting
 a name the tracer patches fails this suite, not only the benchmark's own
-tests."""
+tests.  The same names are the only imports a module may leave unused."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "rieszgreedy"
 
 
 def boundaries():
@@ -23,3 +25,32 @@ def boundaries():
 def test_boundary_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"rieszgreedy.{module}"),
                             name, None))
+
+
+def imported_names(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def exported_names(tree) -> set[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # no lint tool runs on the package: an import must be used, exported,
+    # or patched by the tracer on this module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    patched = {name for module, name in boundaries() if module == path.stem}
+    stray = imported_names(tree) - used - exported_names(tree) - patched
+    assert not stray, f"{path.name} imports {sorted(stray)} without using them"
