@@ -1,6 +1,8 @@
 """Command-line front end: every computation in the library, emitted as
-CSV (UTF-8, header row, 17-significant-digit decimals) plus a JSON run
-manifest.
+CSV (UTF-8, header row) plus a JSON run manifest.  One row writer writes
+every CSV: each float as ``'%.17g' % v``, byte for byte, by a numpy kernel
+(:func:`_float_cells`, with ``%`` as its per-cell fallback), every other
+value through ``str``.
 
 Each command is one :data:`_COMMANDS` entry, its help text and its
 runner.  A runner takes the parsed flags and the ``--out`` path and
@@ -35,11 +37,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
 from contextlib import ExitStack
-from itertools import chain
+from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +77,11 @@ _FIGURES = (
     ("fig5_log_kernel.csv", "log_kernel_form", None),
 )
 
-_CSV_CHUNK = 1 << 10  # rows formatted per write; bounds the strings held
+_CSV_CHUNK = 1 << 12  # rows per write: bounds the cells held, keeps them in cache
 _PANEL_HEADER = "x,value"  # the CSV header of scan and of each figures file
+_LOW32, _LOW64 = (1 << 32) - 1, (1 << 64) - 1
+_STRIPPED = np.uint64(10_000)  # offset of the stripped digit groups
+_COMMA, _NEWLINE = (np.array([[ord(c)]], np.uint8) for c in ",\n")
 
 #: Most N one range command takes.  expansion-check, which holds the most
 #: arrays over N, peaks at 177 MB over 2^20 N (610 MB over 2^22).
@@ -118,49 +125,137 @@ def _range_ns(args, smallest: int) -> np.ndarray:
     return np.arange(max(lo, smallest), hi + 1, dtype=np.int64)
 
 
-def _cell(value) -> str:
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
+@cache
+def _float_tables() -> tuple:
+    """The tables of :func:`_float_cells`, built on first use: the 4-digit
+    groups 0000..9999 as little-endian ASCII words, plain and with trailing
+    '0' as NUL; per biased binary exponent, kbase and thresh, whence the
+    decimal exponent of mantissa m is kbase - (m < thresh) (99 outside the
+    binades around [1e-11, 1e15)); per k = -11..14, the layout words (masks
+    of the digits before the '.', the '.', the "0.000" prefix, the "e-XX"
+    suffix); and 5^0..5^27."""
+    i = np.arange(10_000, dtype=np.uint64)
+    plain = stripped = np.zeros_like(i)
+    for j in range(4):
+        char = (i // 10 ** (3 - j) % 10 + ord("0")) << 8 * j
+        plain = plain | char
+        stripped = stripped | np.where(i % 10 ** (4 - j) != 0, char, 0)
+    kbase = np.full(2048, 99, np.int64)
+    thresh = np.zeros(2048, np.uint64)
+    for e2 in range(-40, 51):  # binade [2^e2, 2^(e2+1)), mantissa m = v·2^(52-e2)
+        j = math.floor(e2 * math.log10(2)) + 1  # 10^(j-1) <= 2^e2 < 10^j
+        t = math.ceil(Fraction(10) ** j * 2 ** (52 - e2))  # least m with v >= 10^j
+        kbase[e2 + 1023], thresh[e2 + 1023] = (j, t) if t < 1 << 53 else (j - 1, 0)
+    layout = []
+    for k in range(-11, 15):  # d.ddd (k >= 0), 0.000ddd (k >= -4), d.ddde-XX
+        fixed0 = -4 <= k < 0
+        front = (1 << 8 * k) - 1 if k >= 0 else (1 << 128) - 1 if fixed0 else 0
+        dot = 0 if fixed0 else ord(".") << 8 * max(k, 0)
+        prefix = b"\0" + b"0." + b"0" * (-k - 1) if fixed0 else b""
+        suffix = b"\0e-" + b"%02d" % -k if k < -4 else b""
+        layout.append([front & _LOW64, front >> 64, dot & _LOW64, dot >> 64,
+                       *(int.from_bytes(b, "little") for b in (prefix, suffix))])
+    return (np.concatenate([plain, stripped]), kbase, thresh,
+            np.array(layout, np.uint64).T.copy(),
+            np.uint64(5) ** np.arange(28, dtype=np.uint64))
 
 
-def _cells(part) -> tuple[str, object]:
-    """One column's chunk as a conversion of the row template and its
-    arguments, by the one formatting rule: floats with 17 significant
-    digits, every other value through ``str``.  A float array keeps its
-    values for ``%.17g``; other columns are formatted cell by cell; a
-    single int or float is a constant column, whose one cell is the
-    conversion itself (arguments None)."""
-    if isinstance(part, (int, float)):
-        return _cell(part).replace("%", "%%"), None
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """Each value as ``'%.17g' % value``, byte for byte, in a row of a
+    NUL-padded (n, 32) uint8 matrix.
+
+    The fast path takes finite |v| in [1e-11, 1e15), decimal exponents
+    k = -11..14.  From the bits v = m·2^q it forms the 17 digits
+    D = round-half-even(m·5^(16-k)·2^(q+16-k)) exactly: a 128-bit product
+    in 32-bit limbs, shifted right by 1..63 bits.  D is a lead digit and
+    four 4-digit groups, looked up as ASCII words; a group followed by
+    zeros only takes its stripped form, which drops %g's trailing zeros.
+    Per-k masks and shifts place the words, with NUL between the parts.
+    Every other value, and every whole number (whose integer zeros the
+    strip would drop), is formatted by ``%`` and spliced into its row.
+    """
+    groups, kbase, thresh, layout, pow5 = _float_tables()
+    values = np.ascontiguousarray(values, np.float64)
+    bits = values.view(np.uint64)
+    ef = (bits >> 52 & 0x7FF).view(np.int64)
+    m = bits & (1 << 52) - 1 | 1 << 52
+    k = kbase[ef] - (m < thresh[ef])
+    shift = 1059 + k - ef  # -(q + 16 - k)
+    fast = (k >= -11) & (k <= 14) & (shift >= 1) & (shift <= 63)
+    k = np.where(fast, k, 0)
+    shift = shift.view(np.uint64)
+    f = pow5[16 - k]
+    ml, mh, fl, fh = m & _LOW32, m >> 32, f & _LOW32, f >> 32
+    ll, lh, hl = ml * fl, ml * fh, mh * fl
+    mid = (ll >> 32) + (lh & _LOW32) + (hl & _LOW32)
+    lo = ll & _LOW32 | mid << 32
+    hi = mh * fh + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    d = hi << 64 - shift | lo >> shift
+    below = (np.uint64(1) << shift) - 1  # the bits shifted out
+    d += ((lo & below) + (below >> 1) + (d & 1)) >> shift  # half to even
+    lead = d // 10 ** 16
+    hi8 = (d - lead * 10 ** 16) // 10 ** 8
+    lo8 = d - lead * 10 ** 16 - hi8 * 10 ** 8
+    g1, g3 = hi8 // 10 ** 4, lo8 // 10 ** 4
+    g2, g4 = hi8 - g1 * 10 ** 4, lo8 - g3 * 10 ** 4
+    y = (groups[g1 + _STRIPPED * ((g2 | lo8) == 0)]  # digits 2..9
+         | groups[g2 + _STRIPPED * (lo8 == 0)] << 32)
+    z = groups[g3 + _STRIPPED * (g4 == 0)] | groups[g4 + _STRIPPED] << 32  # 10..17
+    front0, front1, dot0, dot1, prefix, suffix = np.take(layout, k + 11, axis=1)
+    back0, back1 = y & ~front0, z & ~front1  # the digits after the '.'
+    frac = (back0 | back1) != 0
+    fast &= (k < 0) | frac
+    words = np.empty((values.size, 4), "<u8")
+    words[:, 0] = (bits >> 63) * ord("-") | prefix | (lead + ord("0")) << 48
+    words[:, 1] = y & front0 | dot0 * frac | back0 << 8
+    words[:, 2] = z & front1 | dot1 * frac | back1 << 8 | back0 >> 56
+    words[:, 3] = back1 >> 56 | suffix
+    cells = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells[slow] = 0
+        cells[slow, :24] = np.array(["%.17g" % v for v in values[slow].tolist()],
+                                    "S24").view(np.uint8).reshape(-1, 24)
+    return cells
+
+
+def _column_cells(part) -> np.ndarray:
+    """One column's chunk as a NUL-padded uint8 cell matrix, one row per
+    value: float arrays through :func:`_float_cells`, every other value
+    through ``str``, floats among them as ``%.17g``."""
+    if isinstance(part, np.ndarray) and part.dtype.kind == "f":
+        return _float_cells(part)
     if isinstance(part, np.ndarray):
-        if part.dtype.kind == "f":
-            return "%.17g", part.tolist()
         part = part.tolist()  # numpy scalars become Python's
-    return "%s", list(map(_cell, part))
+    text = np.array(["%.17g" % v if isinstance(v, float) else str(v)
+                     for v in part], "S")
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _format_rows(cells: list, rows: int) -> str:
-    """``rows`` CSV rows from the columns' :func:`_cells`, with one %
-    template for the chunk."""
-    args = [a for _, a in cells if a is not None]
-    template = ",".join(conv for conv, _ in cells) + "\n"
-    return (template * rows) % tuple(chain.from_iterable(zip(*args, strict=True)))
+def _csv_rows(cells: list, rows: int) -> bytes:
+    """``rows`` CSV rows from each column's cell matrix (a one-row matrix
+    is a constant column): cells, ',' between them and '\\n' after the
+    last, with the NUL padding dropped."""
+    seps = [_COMMA] * (len(cells) - 1) + [_NEWLINE]
+    return np.hstack([np.broadcast_to(a, (rows, a.shape[1]))
+                      for cell, sep in zip(cells, seps) for a in (cell, sep)]
+                     ).tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
     """Write the header line, then equal-length columns (sequences or numpy
     arrays, or a single int or float for a constant column) as CSV rows:
-    floats with 17 significant digits, every other value through
-    ``str``."""
+    floats as ``%.17g``, every other value through ``str``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     sized = [c for c in columns if not isinstance(c, (int, float))]
     count = len(sized[0]) if sized else 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for i in range(0, count, _CSV_CHUNK):
-            rows = min(_CSV_CHUNK, count - i)
-            fh.write(_format_rows(
-                [_cells(c if isinstance(c, (int, float)) else c[i:i + rows])
-                 for c in columns], rows))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, count, _CSV_CHUNK):
+            rows = min(_CSV_CHUNK, count - start)
+            fh.write(_csv_rows([_column_cells([c] if isinstance(c, (int, float))
+                                              else c[start:start + rows])
+                                for c in columns], rows))
 
 
 def _write_panels(paths: list, m: int, panels) -> list:
@@ -174,18 +269,16 @@ def _write_panels(paths: list, m: int, panels) -> list:
     for path in paths:
         path.parent.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
-        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline=""))
-                 for p in paths]
+        files = [stack.enter_context(open(p, "wb")) for p in paths]
         for fh in files:
-            fh.write(_PANEL_HEADER + "\n")
+            fh.write(_PANEL_HEADER.encode() + b"\n")
 
         def write_block(xs, values):
-            for i in range(0, xs.size, _CSV_CHUNK):
-                rows = min(_CSV_CHUNK, xs.size - i)
-                conv, args = _cells(xs[i:i + rows])
-                x = ("%s", list(map(conv.__mod__, args)))
+            for start in range(0, xs.size, _CSV_CHUNK):
+                part = slice(start, start + _CSV_CHUNK)
+                x = _float_cells(xs[part])
                 for fh, column in zip(files, values):
-                    fh.write(_format_rows([x, _cells(column[i:i + rows])], rows))
+                    fh.write(_csv_rows([x, _float_cells(column[part])], len(x)))
 
         return scan.run(write_block)
 

@@ -336,13 +336,18 @@ def stationarity_residual(x, s: float) -> float:
 
     At interior extrema of the energy form (in x, for fixed s > 0, s != 1)
     this residual vanishes; at x = 1 it reduces to 1 - 2/(s + 1) and is a
-    boundary diagnostic only.
+    boundary diagnostic only.  ValueError where the sums cannot reach
+    1e-12 (small s, e.g. x = 0.7 at s = 0.005).
     """
     if finite_s(s) <= 0.0 or s == 1.0:
         raise ValueError("stationarity diagnostic needs s > 0, s != 1")
     w_inf = _weights_at(x, s, 1e-12, prefer_finite=False)
-    g = arith.power_sum(w_inf, s)
-    h = arith.energy_form(w_inf, s)
+    try:
+        g, h = arith.power_sum(w_inf, s), arith.energy_form(w_inf, s)
+    except arith.TruncationError:
+        raise ValueError(f"stationarity_residual(x = {x}, s = {s}, tol = 1e-12): tol "
+                         "cannot be reached at this s, as the weights of 1/x stop at "
+                         "binary place 1021") from None
     return h - 2.0 * math.expm1(s * _LOG2) / (s + 1.0) * g
 
 

@@ -25,6 +25,9 @@
 - F, the translated and scaled extremal potential, for s < 1, summed bit
   by bit in mpmath from the potentials of the 2^e-th roots of unity at a
   midpoint, without any float energy.
+- CSV rows by one ``%`` template per chunk, floats through Python's
+  ``%.17g``: the reference for the byte-matrix row writer of
+  :mod:`rieszgreedy.cli`.
 
 Nothing here checks its arguments; the package's functions do.
 """
@@ -35,9 +38,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 import mpmath
+import numpy as np
 
 from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form
 from rieszgreedy.asymptotics import TPrediction, _expansion_coefficients
@@ -351,3 +356,30 @@ def f_reference(n: int, s: float) -> float:
         total = mpmath.fsum(_midpoint_deviation(e, s)
                             for e in range(n.bit_length()) if n >> e & 1)
         return float(total if s < 0 else total / mpmath.power(n, s))
+
+
+def _template_cells(part) -> tuple[str, object]:
+    """One column's chunk as a conversion of the row template and its
+    arguments: a float array keeps its values for ``%.17g``, other columns
+    are formatted cell by cell (floats with 17 significant digits, every
+    other value through ``str``), and a single int or float is a constant
+    column, whose one cell is the conversion itself (arguments None)."""
+    def cell(value) -> str:
+        return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+    if isinstance(part, (int, float)):
+        return cell(part).replace("%", "%%"), None
+    if isinstance(part, np.ndarray):
+        if part.dtype.kind == "f":
+            return "%.17g", part.tolist()
+        part = part.tolist()  # numpy scalars become Python's
+    return "%s", list(map(cell, part))
+
+
+def csv_rows(columns, rows: int) -> str:
+    """``rows`` CSV rows of the columns (equal-length sequences or arrays,
+    or a single int or float for a constant column), with one % template."""
+    cells = [_template_cells(c) for c in columns]
+    args = [a for _, a in cells if a is not None]
+    template = ",".join(conv for conv, _ in cells) + "\n"
+    return (template * rows) % tuple(chain.from_iterable(zip(*args, strict=True)))

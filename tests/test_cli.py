@@ -158,6 +158,49 @@ class TestStreamedScans:
         assert not (d / "manifest.json").exists()
 
 
+class TestPanelsMatchTemplateWriter:
+    """figures and scan at M = 12 write the bytes of the % template writer
+    of tests/oracles.py over the blocks of the same GridScan, at the
+    package's block and chunk sizes and at sizes that split the grid
+    into uneven blocks and chunks."""
+
+    @staticmethod
+    def template_bytes(m, panels) -> list:
+        files = [["x,value\n"] for _ in panels]
+
+        def sink(xs, values):
+            for rows, column in zip(files, values):
+                rows.append(oracles.csv_rows([xs, column], xs.size))
+
+        limits.GridScan(m, panels).run(sink)
+        return ["".join(rows).encode() for rows in files]
+
+    @pytest.mark.parametrize("block,chunk", [(None, None), (1000, 300)])
+    def test_figures(self, tmp_path, monkeypatch, block, chunk):
+        if block:
+            monkeypatch.setattr(limits, "_CHUNK", block)
+            monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        want = self.template_bytes(12, [(t, s) for _, t, s in cli._FIGURES])
+        d = tmp_path / "f"
+        assert main(["figures", "--M", "12", "--out", str(d)]) == 0
+        for (name, _, _), expected in zip(cli._FIGURES, want):
+            assert (d / name).read_bytes() == expected, name
+
+    @pytest.mark.parametrize("block,chunk", [(None, None), (1000, 300)])
+    @pytest.mark.parametrize("target,s", [("energy", "0.7"), ("energy", "-0.5"),
+                                          ("log-kernel", None), ("offset", None)])
+    def test_scan(self, tmp_path, monkeypatch, block, chunk, target, s):
+        if block:
+            monkeypatch.setattr(limits, "_CHUNK", block)
+            monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        (want,) = self.template_bytes(12, [(cli._SCAN_TARGETS[target],
+                                            None if s is None else float(s))])
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--M", "12", "--target", target, "--out", str(out)]
+        assert main(argv + ([] if s is None else ["--s", s])) == 0
+        assert out.read_bytes() == want
+
+
 def _fmt(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 

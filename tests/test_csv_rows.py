@@ -1,0 +1,131 @@
+"""The float cells of the CSV writers equal ``'%.17g' % v`` byte for byte
+for every double: over random bit patterns, at the edges of the fast path
+(its exponent range, powers of ten, exact rounding ties, whole numbers)
+and with the ``%`` fallback at any row of a chunk.  Whole rows are held to
+the % template writer of tests/oracles.py."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from rieszgreedy import cli
+
+EXPONENT_FIELD = np.uint64(0x7FF << 52)
+
+
+def cell_texts(values: np.ndarray) -> list:
+    return [row.tobytes().replace(b"\0", b"").decode()
+            for row in cli._float_cells(values)]
+
+
+def assert_matches_percent(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    assert cell_texts(values) == ["%.17g" % v for v in values.tolist()]
+    other = values[::-1].copy()
+    rows = cli._csv_rows([cli._float_cells(values), cli._float_cells(other)],
+                         values.size)
+    assert rows == oracles.csv_rows([values, other], values.size).encode()
+
+
+@st.composite
+def bit_patterns(draw) -> np.ndarray:
+    """Random 64-bit patterns viewed as float64, a drawn share of them moved
+    into the binades around the fast path's range [1e-11, 1e15), with
+    patterns and floats drawn by hypothesis spliced in at drawn rows."""
+    size = draw(st.sampled_from([0, 1]) | st.integers(2, 3 << 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = rng.integers(0, 1 << 64, size, dtype=np.uint64)
+    near = rng.random(size) < draw(st.floats(0.0, 1.0))
+    exponents = rng.integers(1023 - 40, 1023 + 52, size, dtype=np.uint64)
+    bits[near] = bits[near] & ~EXPONENT_FIELD | exponents[near] << np.uint64(52)
+    values = bits.view(np.float64)
+    if size:
+        for v in draw(st.lists(st.integers(0, (1 << 64) - 1).map(
+                lambda b: np.uint64(b).view(np.float64)) | st.floats(), max_size=8)):
+            values[draw(st.integers(0, size - 1))] = v
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=bit_patterns())
+def test_random_bit_patterns(values):
+    assert_matches_percent(values)
+
+
+def _neighbours(v: float) -> list:
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+EDGES = [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
+         100.0, 1e14, 120.5, 9.9999999999999995e-05,
+         *_neighbours(1e-11), *_neighbours(1e15),
+         *(v for k in range(-11, 16) for v in _neighbours(float(Fraction(10) ** k)))]
+
+
+@pytest.mark.parametrize("value", EDGES + [-v for v in EDGES], ids=repr)
+def test_edge_values(value):
+    assert_matches_percent([value])
+
+
+def test_ties_round_half_even_both_ways():
+    directions = set()
+    for j in (1, 3, 5):
+        v = 1234567 + j * 2.0 ** -11
+        scaled = Fraction(v) * 10 ** 10  # the 17 digits end at 10^-10
+        assert scaled.denominator == 2  # an exact tie
+        assert_matches_percent([v])
+        digits = int(cell_texts(np.array([v]))[0].replace(".", ""))
+        assert digits == round(scaled) and digits % 2 == 0
+        directions.add(digits > scaled)
+    assert directions == {True, False}
+
+
+@pytest.mark.parametrize("fallback", [0.0, -0.0, 100.0, -120.0, np.inf, np.nan,
+                                      5e-324, 1e300, 1e-12, 1e15])
+def test_fallback_at_first_middle_and_last_row(fallback):
+    size = 3 << 12
+    values = 0.5 + np.arange(size) / 7e5
+    for row in (0, size // 2, size - 1):
+        values[row] = fallback
+    assert_matches_percent(values)
+    assert_matches_percent(values[size // 2:size // 2 + 1])
+
+
+def test_write_csv_chunks_match_template_writer(tmp_path):
+    size = 3 * cli._CSV_CHUNK + 5
+    values = np.linspace(-2.0, 3e-5, size)
+    values[[0, cli._CSV_CHUNK, size - 1]] = [np.nan, 100.0, -np.inf]
+    columns = (np.arange(size, dtype=np.int64) - 7, 0.25, values, values * 1e9)
+    out = tmp_path / "out.csv"
+    cli._write_csv(out, "a,b,c,d", *columns)
+    assert out.read_bytes() == ("a,b,c,d\n" + oracles.csv_rows(columns, size)).encode()
+
+
+def test_decimal_exponent_table_is_exact():
+    _, kbase, thresh, _, _ = cli._float_tables()
+    for e2 in range(-40, 51):
+        ef = e2 + 1023
+        t = int(thresh[ef])
+        for m in (1 << 52, (1 << 53) - 1, t - 1, t):
+            if 1 << 52 <= m < 1 << 53:
+                k = int(kbase[ef]) - (m < t)
+                v = Fraction(m) * Fraction(2) ** (e2 - 52)
+                assert Fraction(10) ** k <= v < Fraction(10) ** (k + 1)
+
+
+def test_tables_built_on_first_use():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import rieszgreedy.cli as cli\n"
+             "print(cli._float_tables.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

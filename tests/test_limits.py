@@ -1,12 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from rieszgreedy import limits
+from rieszgreedy import arith, limits
 from rieszgreedy.arith import (energy_form, leja_offset, log_kernel_form,
                               power_sum)
 from rieszgreedy.binary import binary_weights, expand_reciprocal, grid_point
@@ -389,6 +390,14 @@ class TestStationarityResidual:
                 / (s + 1.0) * power_sum(w, s))
         got = stationarity_residual(0.7, s)
         assert math.isfinite(got) and abs(got - want) <= 1e-14
+
+    def test_tol_out_of_reach_names_the_call(self):
+        # at s = 0.005 the tail past binary place 1021 still weighs about 8
+        with pytest.raises(ValueError, match=re.escape(
+                "stationarity_residual(x = 0.7, s = 0.005, tol = 1e-12): "
+                "tol cannot be reached")) as info:
+            stationarity_residual(0.7, 0.005)
+        assert not isinstance(info.value, arith.TruncationError)
 
     def test_domain(self):
         with pytest.raises(ValueError):
