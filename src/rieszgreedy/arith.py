@@ -7,7 +7,7 @@ theta_k), summed exactly when it was built, are rounded once each, which
 keeps the inner double sums O(p) and free of cancellation.  An exact
 geometric unit tail (c, c/2, ...) is folded in through closed forms, so
 vectors coming from dyadic reciprocals evaluate exactly up to double
-rounding.
+rounding.  A weight that underflows to 0.0 raises OverflowError in the forms.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ def _expanded(w: WeightVector) -> tuple[list[float], list[float]]:
     if w.unit_tail is not None:
         thetas.append(float(2 * w.unit_tail))
         bs.append(0.0)
+    if thetas[-1] == 0.0:  # the smallest, as the components decrease
+        raise OverflowError("a weight underflows to 0.0, beyond the float range")
     return thetas, bs
 
 
@@ -71,18 +73,22 @@ def _log_tail(tau: float) -> float:
     return 2.0 * tau * (max(-math.log(tau), 1.0) + _LOG2)
 
 
+def energy_form_s(s) -> float:
+    """s, checked finite and below 1023, where 2 (2^s - 1) overflows."""
+    if (s := finite_s(s)) >= 1023.0:
+        raise ValueError(f"energy form needs s < 1023, got s = {s}")
+    return s
+
+
 def energy_form(w: WeightVector, s: float, tol: float = 1e-12) -> float:
     """The quadratic-in-weights form
     sum_k theta_k^{s+1} + 2(2^s - 1) sum_k theta_k^s b_k.
 
-    Identically 1 at s = 0 and s = 1.  Finite vectors admit any real s;
-    vectors with an infinite or truncated tail require s > -1 (the form is
-    unbounded below that).
+    Identically 1 at s = 0 and s = 1.  Finite vectors admit any s < 1023; vectors
+    with an infinite or truncated tail require s > -1 (the form is unbounded below).
     """
-    finite_s(s)
-    if not w.exact or w.unit_tail is not None:
-        if s <= -1.0:
-            raise ValueError("energy form needs s > -1 for infinite tails")
+    if energy_form_s(s) <= -1.0 and (not w.exact or w.unit_tail is not None):
+        raise ValueError("energy form needs s > -1 for infinite tails")
     # a dropped theta contributes at most (2^{s+1} + 3) theta^{s+1}
     _check_truncation(w, tol, "energy_form", lambda tau: (_pow2m1(s + 1.0) + 4.0)
                       * tau ** (s + 1.0) / -math.expm1(-(s + 1.0) * _LOG2))

@@ -95,6 +95,19 @@ def _one(x) -> np.ndarray:
     return np.array([x], dtype=object)
 
 
+def _at_one(what: str, n: int, s: float, body) -> list[float]:
+    """The arrays ``body(_one(n))`` returns, as floats; where n, a power of
+    it or a result leaves the float range, OverflowError names n and s."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            values = [float(v[0]) for v in body(_one(n))]
+        except OverflowError:  # an int, or a weight, beyond the float range
+            values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"{what}(n = {n}, s = {s}) is beyond the float range")
+    return values
+
+
 def _check_sequence_s(s: float) -> None:
     _check_branches(s)
     if s <= -2.0:
@@ -128,7 +141,7 @@ def t_sequence(n: int, s: float) -> float:
         raise ValueError("n must be >= 2")
     _check_sequence_s(s)
     e = greedy_energy(n, EnergyParams(s))
-    return float(_t(_one(n), _one(e), s)[0])
+    return _at_one("t_sequence", n, s, lambda n: [_t(n, _one(e), s)])[0]
 
 
 def t_from_energies(ns, energies: np.ndarray, s: float) -> np.ndarray:
@@ -159,7 +172,7 @@ def f_sequence(n: int, s: float) -> float:
         raise ValueError("n must be >= 1")
     _check_sequence_s(s)
     u = extremal_potential(n, EnergyParams(s))
-    return float(_f(_one(n), _one(u), s)[0])
+    return _at_one("f_sequence", n, s, lambda n: [_f(n, _one(u), s)])[0]
 
 
 def f_from_potentials(ns, potentials: np.ndarray, s: float) -> np.ndarray:
@@ -224,8 +237,7 @@ def predict_t(n: int, s: float) -> TPrediction:
         if target == "energy_form":
             return _one(energy_form(w, s))
         return _one(leja_offset(w) if target == "leja_offset" else log_kernel_form(w))
-    value, scale = _prediction(_one(n), form, s)
-    return TPrediction(float(value[0]), float(scale[0]))
+    return TPrediction(*_at_one("predict_t", n, s, lambda n: _prediction(n, form, s)))
 
 
 def t_predictions(ns, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +399,8 @@ def doubling_gap(n: int, s: float) -> float:
     """T at 2n minus T at n; tends to 0 for every s >= -1."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return t_sequence(2 * n, s) - t_sequence(n, s)
+    t_n = t_sequence(n, s)  # beyond the float range, names n
+    return t_sequence(2 * n, s) - t_n
 
 
 def _check_cesaro_s(s: float) -> None:
@@ -412,7 +425,7 @@ def cesaro_mean(n: int, s: float) -> float:
         raise ValueError("n must be >= 1")
     _check_cesaro_s(s)
     e_next = greedy_energy(n + 1, EnergyParams(s))
-    return float(_cesaro(_one(n), _one(e_next), s)[0])
+    return _at_one("cesaro_mean", n, s, lambda n: [_cesaro(n, _one(e_next), s)])[0]
 
 
 def cesaro_means(ns, s: float) -> np.ndarray:

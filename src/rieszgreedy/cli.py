@@ -506,6 +506,8 @@ def main(argv=None) -> int:
     directory = command == "figures"  # writes its files into --out
 
     try:
+        if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:  # no result could pass
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
         out = args.out or Path("figures" if directory else f"{command}.csv")
         manifest = (out / "manifest.json" if directory
                     else out.with_name(out.name + ".manifest.json"))

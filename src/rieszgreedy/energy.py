@@ -244,9 +244,10 @@ def greedy_energy(n: int, params: EnergyParams) -> float:
     """Energy of the first n points of a greedy sequence, from the binary
     decomposition of n: sum_e [L(2^e) + 2 S_e V(2^e)] over its set bits e,
     S_e = n mod 2^e, V(M) = (L(2M) - 2 L(M)) / (2M).  The terms L(2^e) and
-    (S_e / 2^e) D(2^e), S_e / 2^e exact below 2^53, are summed with
-    math.fsum; none is negative where one can be inf (s > 0), so an energy
-    beyond the float range is inf.  Costs up to 2p cached L, p set bits.
+    (S_e / 2^e) D(2^e), S_e / 2^e exact below 2^53 and the term dropped where
+    S_e / 2^e underflows to 0.0 (bits over 1074 apart; 0.0 * inf is nan), are
+    summed with math.fsum; none is negative where one can be inf (s > 0), so an
+    energy beyond the float range is inf.  Costs up to 2p cached L, p set bits.
     """
     params.require_greedy_range()
     if n < 1:
@@ -266,7 +267,7 @@ def int_array(ns, smallest: int, successor: bool = False) -> np.ndarray:
 
 def _walk(ns, union: int, lows: int, s: float, table, potential: bool):
     """For each int n in ns, math.fsum over its set bits e of L(2^e) and,
-    where S_e = n mod 2^e is not 0, (S_e / 2^e) D(2^e) (potentials: of
+    where S_e / 2^e is not 0.0 (S_e = n mod 2^e), (S_e / 2^e) D(2^e) (potentials: of
     D(2^e) / 2^{e+1} alone), L(M) = ``table(M, s)``.  The table is read
     first, L(2^e) at the bits of ``union`` and D(2^e) at those of ``lows``,
     the larger L first; D is inf where L(2^{e+1}) is, so an inf L(2^e) makes
@@ -286,8 +287,8 @@ def _walk(ns, union: int, lows: int, s: float, table, potential: bool):
             top = 1 << e
             n -= top
             terms.append(first[e])
-            if not potential and n:
-                terms.append(n / top * doubling[e])
+            if not potential and (ratio := n / top):
+                terms.append(ratio * doubling[e])
         yield math.fsum(terms)
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import arith
-from .binary import ReciprocalExpansion, expand_reciprocal
+from .binary import ReciprocalExpansion, expand_reciprocal, grid_point
 from .energy import int_array
 from .special import finite_s
 
@@ -144,12 +144,12 @@ def _check_target(target: str, s: Optional[float]) -> Optional[float]:
         raise ValueError(f"target must be one of {SCAN_TARGETS}")
     if target == "energy_form" and s is None:
         raise ValueError("energy_form needs s")
-    return s
+    return arith.energy_form_s(s) if target == "energy_form" else s
 
 
 def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
     """Evaluate one arithmetic function on binary_weights(n) for an array
-    of integers 1 <= n < 2^53.
+    of integers 1 <= n < 2^53, and the energy form for s < 1023 only.
 
     With n = 2^t y, y in [1, 2), x = 1/y and, for each exponent e_k of n,
     depth d_k = t - e_k and q_k = (n mod 2^{e_k}) 2^{-t} (so theta_k =
@@ -214,15 +214,15 @@ def _certified_bound(s: float, m: int) -> float:
 
 
 def _check_panel(m: int, target: str, s: Optional[float]) -> Optional[float]:
-    """Reject a (target, s) the order-m scan does not take; return the
-    energy form's certified bound (None for the other targets)."""
+    """Reject a (target, s) the order-m scan does not take (energy form: s > -1,
+    not 0 or 1, and the kernel's s < 1023); return its certified bound or None."""
     s = _check_target(target, s)
     if target != "energy_form":
         return None
     if s in (0.0, 1.0):
         raise ValueError(f"energy form is identically 1 at s = {s}")
-    if not -1.0 < s < 1023.0:  # beyond, the kernel's 2 (2^s - 1) overflows
-        raise ValueError(f"energy form scan needs -1 < s < 1023, got s = {s}")
+    if s <= -1.0:
+        raise ValueError(f"energy form scan needs s > -1, got s = {s}")
     return _certified_bound(s, m)
 
 
@@ -268,8 +268,7 @@ class GridScan:
                         or (top <= best[k][0] if minimize[k] else top >= best[k][0])):
                     best[k] = (top, start + int(np.nonzero(v == top)[0][-1]))
             sink(float(1 << m) / ns.astype(float), values)
-        return [ScanResult(m, target, s, None, None, top,
-                           Fraction(1 << m, (1 << m) + 1 + 2 * i), i,
+        return [ScanResult(m, target, s, None, None, top, grid_point(m, i), i,
                            "min" if low else "max", bound)
                 for (target, s), (top, i), low, bound
                 in zip(self.panels, best, minimize, self._bounds)]
@@ -358,17 +357,14 @@ def child_identities(m: int, s: float):
 
     The point x = 2^m/N, N = 2^m + 2n + 1, has the children 2^{m+1}/(2N + 1)
     (exponent m + 1 appended to 1/x) and 2^{m+1}/(2N - 1) (last exponent m
-    replaced by m + 1), so the energy forms are :func:`batch_eta_values` of
-    N, 2N + 1 and 2N - 1.  m and s are checked as the energy-form scan does.
+    replaced by m + 1); one walk of :func:`batch_eta_values` takes 2N - 1, 2N
+    (with the weights and x of N) and 2N + 1.  m and s are checked as the scan does.
     """
     GridScan(m, [("energy_form", s)])  # checks m and s, runs nothing
     ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1), dtype=np.int64)
-    h = batch_eta_values(ns, "energy_form", s)
-    h_odd = batch_eta_values(2 * ns + 1, "energy_form", s)
-    h_evn = batch_eta_values(2 * ns - 1, "energy_form", s)
-    xf = float(1 << m) / ns
-    xof = float(1 << (m + 1)) / (2 * ns + 1)
-    xef = float(1 << (m + 1)) / (2 * ns - 1)
+    rows = 2 * ns[:, None] + np.arange(-1, 2)  # 2N - 1, 2N, 2N + 1
+    h_evn, h, h_odd = batch_eta_values(rows.ravel(), "energy_form", s).reshape(-1, 3).T
+    xef, xf, xof = (float(2 << m) / rows).T
 
     pow_head = np.zeros(ns.size)  # the exponents k < m of 1/x
     for k in range(m):  # exponent k is bit m - k of N

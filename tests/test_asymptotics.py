@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,13 @@ class TestExpansionEnergy:
                 expansion_energies([16], bad)
         with pytest.raises(ValueError):
             expansion_energies([1, 16], 2.0)
+
+    def test_bits_far_apart_overflow_names_n_and_s(self):
+        # S_e / 2^e = 2^-1100 underflows to 0.0 against an inf table entry:
+        # the term is dropped, so the walk gives inf, not 0.0 * inf = nan
+        n = (1 << 1100) + 1
+        with pytest.raises(OverflowError, match=re.escape(f"n = {n}, s = 0.5 ")):
+            expansion_energy(n, 0.5)
 
     def test_power_overflow_names_n_and_s(self):
         # E(2^20) at s = 60 is beyond the float range

@@ -557,6 +557,17 @@ class TestExitCodes:
     def test_float_range_overflow_is_a_domain_error(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["identities", "--M", "3", "--s", "0.5", "--tol", "nan"],
+        ["identities", "--M", "3", "--s", "0.5", "--tol", "inf"],
+        ["oracle-verify", "--N", "5", "--s", "0.5", "--tol", "-1"]])
+    def test_bad_tol_is_a_domain_error(self, tmp_path, capsys, argv):
+        # no result could pass such a tolerance: not a verification failure
+        out = tmp_path / "t.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "--tol must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("s, first", [("80", 32000), ("1e308", 2)])
     def test_power_overflow_names_n_and_s(self, tmp_path, capsys, s, first):
         # n^{1+s} passes the float range at every n of the range

@@ -4,13 +4,14 @@ ValueError that says which rule it broke."""
 import importlib
 import inspect
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from rieszgreedy.arith import log_moment
+from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form, log_moment
 from rieszgreedy.asymptotics import (cesaro_mean, doubling_gap, f_sequence,
-                                     predict_t)
+                                     predict_t, t_sequence)
 from rieszgreedy.binary import binary_weights, bit_count, expand_reciprocal
 from rieszgreedy.energy import EnergyParams, extremal_potential
 from rieszgreedy.special import log_term_constant, sinc_coeff_derivative
@@ -33,6 +34,37 @@ from rieszgreedy.special import log_term_constant, sinc_coeff_derivative
 def test_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+BIG, HUGE = (1 << 600) + 1, (1 << 1100) + 1
+
+
+@pytest.mark.parametrize("call, n, s", [
+    (t_sequence, BIG, 0.5), (t_sequence, BIG, -0.5), (cesaro_mean, BIG, -0.5),
+    (t_sequence, BIG, 1.0), (t_sequence, HUGE, 0.5), (doubling_gap, 1 << 1100, 0.5),
+    (cesaro_mean, HUGE, -0.5), (predict_t, HUGE, -1.0), (predict_t, HUGE, 0.0),
+    (predict_t, HUGE, 1.0)], ids=lambda v: f"2^{v.bit_length() - 1}" if
+    isinstance(v, int) else getattr(v, "__name__", str(v)))
+def test_scalar_beyond_the_float_range(call, n, s):
+    # n^2, or n itself, is beyond the float range (at HUGE also the weight
+    # 1/n): an OverflowError that names the call, n and s, never a nan, a
+    # ZeroDivisionError or a bare "int too large to convert to float";
+    # doubling_gap names the T at n that it takes first
+    name = "t_sequence" if call is doubling_gap else call.__name__
+    message = f"{name}(n = {n}, s = {s}) is beyond the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            call(n, s)
+
+
+@pytest.mark.parametrize("form", [lambda w: energy_form(w, -1.0), leja_offset,
+                                  log_kernel_form],
+                         ids=["energy_form", "leja_offset", "log_kernel_form"])
+def test_weight_underflow(form):
+    # the weight 2^-1100 of the smallest bit is 0.0 as a float
+    with pytest.raises(OverflowError, match="weight underflows to 0.0"):
+        form(binary_weights(HUGE))
 
 
 #: Valid arguments besides s for every public function that takes s.

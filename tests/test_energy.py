@@ -277,6 +277,14 @@ class TestGreedyEnergy:
         for n in (1 << 1023, 1 << 1030, (1 << 1030) + 12345):
             assert greedy_energy(n, EnergyParams(0.0)) == -math.inf
 
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 2.5])
+    def test_bits_far_apart_beyond_the_float_range(self, s):
+        # S_e / 2^e = 2^-1100 underflows to 0.0 against D(2^1100) = +-inf:
+        # the term is dropped, not taken as a nan
+        want = -math.inf if s == 0.0 else math.inf
+        for n in ((1 << 1100) + 1, (1 << 1100) + (1 << 30)):
+            assert greedy_energy(n, EnergyParams(s)) == want, n
+
     def test_domain(self):
         with pytest.raises(ValueError):
             greedy_energy(8, EnergyParams(-2.0))

@@ -213,6 +213,19 @@ class TestScanExtremum:
         with pytest.raises(ValueError):
             scan_extremum(8, "energy_form", s)
 
+    @pytest.mark.parametrize("call", [
+        lambda: energy_form_at(0.5, 1023.5),
+        lambda: energy_form_at(0.75, 1023.5),
+        lambda: stationarity_residual(0.75, 1023.5),
+        lambda: batch_eta_values([5, 6, 7], "energy_form", 1023.5),
+        lambda: energy_form(binary_weights(5), 1023.5)],
+        ids=["energy_form_at-dyadic", "energy_form_at", "stationarity_residual",
+             "batch_eta_values", "arith.energy_form"])
+    def test_form_kernels_reject_s_from_1023(self, call):
+        # 2 (2^s - 1) overflows there: nan or a bare "math range error" before
+        with pytest.raises(ValueError, match="1023"):
+            call()
+
     def test_s_where_the_kernel_overflows_rejected(self):
         # 2 (2^s - 1) is finite below s = 1023: the values stay finite
         r = scan_extremum(8, "energy_form", 1022.9)
@@ -416,6 +429,41 @@ class TestChildIdentities:
     def test_children_are_neighbors(self):
         x = grid_point(5, 7)
         assert grid_point(6, 15) < x < grid_point(6, 14)
+
+    @staticmethod
+    def three_walks(m, s):
+        """The identities from separate walks over N, 2N + 1 and 2N - 1,
+        each x by its own formula."""
+        ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1), dtype=np.int64)
+        h = batch_eta_values(ns, "energy_form", s)
+        h_odd = batch_eta_values(2 * ns + 1, "energy_form", s)
+        h_evn = batch_eta_values(2 * ns - 1, "energy_form", s)
+        xf = float(1 << m) / ns
+        xof = float(1 << (m + 1)) / (2 * ns + 1)
+        xef = float(1 << (m + 1)) / (2 * ns - 1)
+        pow_head = np.zeros(ns.size)
+        for k in range(m):
+            pow_head += 2.0 ** (-k * s) * ((ns >> (m - k)) & 1)
+        pow_full = pow_head + 2.0 ** (-m * s)
+        c = math.expm1(s * math.log(2.0))
+        rhs1 = ((1.0 - (xof / xf) ** (s + 1.0)) * h
+                - xof ** (s + 1.0) * (2.0 ** (-(m + 1) * (s + 1.0))
+                                      + c * 2.0 ** (-m) * pow_full))
+        rhs2 = (((xf / xef) ** (s + 1.0) - 1.0) * h_evn
+                + xf ** (s + 1.0) * ((2.0 ** (s + 1.0) - 1.0)
+                                     * 2.0 ** (-(m + 1) * (s + 1.0))
+                                     + c * 2.0 ** (-m) * pow_head))
+        return h - h_odd, rhs1, h - h_evn, rhs2
+
+    @pytest.mark.parametrize("s", [0.5, 3.5, -0.5, 2.0, 1.0 / 3.0])
+    def test_one_walk_matches_three_bit_for_bit(self, s):
+        # 2N has the weights and x of N, so one walk over 2N - 1, 2N, 2N + 1
+        # gives what three walks gave
+        for m in range(1, 11):
+            got = child_identities(m, s)
+            want = self.three_walks(m, s)
+            for g, w in zip(got, want):
+                assert g.view(np.int64).tolist() == w.view(np.int64).tolist(), m
 
 
 class TestContinuity:
