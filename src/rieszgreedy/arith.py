@@ -7,12 +7,14 @@ theta_k), summed exactly when it was built, are rounded once each, which
 keeps the inner double sums O(p) and free of cancellation.  An exact
 geometric unit tail (c, c/2, ...) is folded in through closed forms, so
 vectors coming from dyadic reciprocals evaluate exactly up to double
-rounding.  A weight that underflows to 0.0 raises OverflowError in the forms.
+rounding.  A weight that underflows to 0.0 raises OverflowError in every
+evaluator.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from .binary import WeightVector
 from .special import finite_s
@@ -48,9 +50,24 @@ def _expanded(w: WeightVector) -> tuple[list[float], list[float]]:
     if w.unit_tail is not None:
         thetas.append(float(2 * w.unit_tail))
         bs.append(0.0)
-    if thetas[-1] == 0.0:  # the smallest, as the components decrease
-        raise OverflowError("a weight underflows to 0.0, beyond the float range")
+    _representable(thetas[-1])  # the smallest, as the components decrease
     return thetas, bs
+
+
+def _representable(smallest: float) -> None:
+    """OverflowError where the smallest float weight underflows to 0.0."""
+    if smallest == 0.0:
+        raise OverflowError("a weight underflows to 0.0, beyond the float range")
+
+
+def _float_weights(w: WeightVector) -> tuple[list[float], Optional[float]]:
+    """Float components and the first element c of any exact unit tail
+    (None without one), kept apart for the sums that tell the two
+    expansions of a dyadic reciprocal apart."""
+    thetas = [float(t) for t in w.components]
+    c = None if w.unit_tail is None else float(w.unit_tail)
+    _representable(thetas[-1] if c is None else c)
+    return thetas, c
 
 
 class TruncationError(ValueError):
@@ -139,9 +156,9 @@ def power_sum(w: WeightVector, s: float, tol: float = 1e-12) -> float:
         raise ValueError("power sum needs s > 0 for infinite tails")
     _check_truncation(w, tol, "power_sum",
                       lambda tau: tau ** s / -math.expm1(-s * _LOG2))
-    total = math.fsum(float(t) ** s for t in w.components)
-    if w.unit_tail is not None:
-        c = float(w.unit_tail)
+    thetas, c = _float_weights(w)
+    total = math.fsum(t ** s for t in thetas)
+    if c is not None:
         total += c ** s / -math.expm1(-s * _LOG2)
     return total
 
@@ -153,8 +170,8 @@ def log_moment(w: WeightVector, tol: float = 1e-12) -> float:
     reciprocal produced the vector.
     """
     _check_truncation(w, tol, "log_moment", _log_tail)
-    total = math.fsum(float(t) * math.log(float(t)) for t in w.components)
-    if w.unit_tail is not None:
-        c = float(w.unit_tail)
+    thetas, c = _float_weights(w)
+    total = math.fsum(t * math.log(t) for t in thetas)
+    if c is not None:
         total += 2.0 * c * (math.log(c) - _LOG2)
     return total

@@ -18,8 +18,9 @@ float arithmetic.  Powers and logs of n are taken per n with the scalar
 libm (numpy's vectorized pow and log differ in the last ulp), so both
 forms agree bit for bit wherever their inputs do.  The prediction takes
 its forms from two kernels, as they serve different n:
-:func:`limits.batch_eta_values` (n < 2^53, one n in 140-200 us) and the
-exact :mod:`rieszgreedy.arith` (any n, 23-35 us; 2-core Xeon).  The
+:func:`limits.batch_eta_values` (n < 2^53: a one-element call takes
+140-200 us, :func:`t_predictions` over 2..16383 about 0.3 us per n) and
+the exact :mod:`rieszgreedy.arith` (any n, 23-35 us; 2-core Xeon).  The
 expansion is the greedy energy's walk over another table (:func:`expansion_energy`).
 """
 

@@ -219,12 +219,25 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """Each int64 value >= 0 as ``str(value)``, byte for byte, in a row of
+    a uint8 matrix as wide as the largest, NUL in place of leading zeros."""
+    powers = 10 ** np.arange(len(str(int(values.max()))) - 1, -1, -1, dtype=np.int64)
+    lead = values[:, None] >= powers
+    lead[:, -1] = True  # the units digit, also of 0
+    return np.where(lead, values[:, None] // powers % 10 + ord("0"), 0).astype(np.uint8)
+
+
 def _column_cells(part) -> np.ndarray:
     """One column's chunk as a NUL-padded uint8 cell matrix, one row per
-    value: float arrays through :func:`_float_cells`, every other value
-    through ``str``, floats among them as ``%.17g``."""
+    value: float arrays through :func:`_float_cells`, int arrays without a
+    negative value through :func:`_int_cells`, every other value through
+    ``str``, floats among them as ``%.17g``."""
     if isinstance(part, np.ndarray) and part.dtype.kind == "f":
         return _float_cells(part)
+    if isinstance(part, np.ndarray) and part.dtype.kind == "i" and part.size:
+        if part.min() >= 0:  # negative values take str
+            return _int_cells(part.astype(np.int64, copy=False))
     if isinstance(part, np.ndarray):
         part = part.tolist()  # numpy scalars become Python's
     text = np.array(["%.17g" % v if isinstance(v, float) else str(v)

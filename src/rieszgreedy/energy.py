@@ -13,10 +13,20 @@ L(2^{e+1}) - 2 L(2^e) = 2^{e+1} V(2^e), V(M) the potential of the M-th
 roots of unity at a midpoint between two.  With S_e = n mod 2^e,
 E(n) = sum_e [L(2^e) + 2 S_e V(2^e)] and U_n = sum_e V(2^e), no difference
 of energies; over the truncated expansion of L the same walk gives
-:func:`~rieszgreedy.asymptotics.expansion_energy`.  The scalars walk one
-n of any size, the array forms n < 2^53, bit-identical where both apply
-(2-core Xeon, s = 1/2): over n = 2..16384 greedy_energies takes 23-40 ms
-and extremal_potentials 14-28 ms; one n takes 8-13 us, 14-28 us batched.
+:func:`~rieszgreedy.asymptotics.expansion_energy`.
+
+The scalars sum the terms of one n of any size with math.fsum.  The array
+forms (n < 2^53) return the same floats from a numpy kernel: each n's
+terms go into hi + lo by TwoSum (Sum2 of Ogita, Rump & Oishi), and
+r = fl(hi + lo) is kept where the Sum2 error bound, r's own rounding
+error and the gap to r's neighbours prove it the correctly rounded sum,
+which is what fsum returns (see :func:`_certified`).  The other rows (ties,
+inf or nan terms, zero sums: 0-65 of 2^20 n) take the fsum loop.
+Timings (2-core Xeon, s = 1/2, tables cached): over n = 2..16384,
+greedy_energies takes 5-6 ms and extremal_potentials 3 ms (fsum per n:
+24-29 and 17 ms); over 2^20 n, 0.37-0.41 s and 0.2 s (3.4-3.6 and 2.5 s).
+One n takes 11-19 us; a one-element array takes 0.26-0.31 ms, the
+kernel's fixed cost (the fsum loop over a block took 14-28 us).
 """
 
 from __future__ import annotations
@@ -26,7 +36,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -48,8 +57,13 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-#: n walked per block, so that few of them are Python ints at a time.
-_BLOCK = 1 << 10
+#: n summed per block by the certified kernel, whose eight work arrays
+#: (512 KB) stay in cache: over 2^20 n blocks of 2^12, 2^13, 2^14 and
+#: 2^15 took 0.43, 0.38, 0.36 and 0.41 s, over 2..16384 all about 5.5 ms.
+_BLOCK = 1 << 13
+#: Unit roundoff, and the largest sum |t| of the kernel's certificate.
+_U = 2.0 ** -53
+_HUGE = 2.0 ** 1020
 
 #: Roots energies L(N) for N >= 2^16 come from their large-N expansion,
 #: smaller ones from the direct sine sum.  The expansion costs 30-60 us
@@ -265,14 +279,14 @@ def int_array(ns, smallest: int, successor: bool = False) -> np.ndarray:
     return ns
 
 
-def _walk(ns, union: int, lows: int, s: float, table, potential: bool):
-    """For each int n in ns, math.fsum over its set bits e of L(2^e) and,
-    where S_e / 2^e is not 0.0 (S_e = n mod 2^e), (S_e / 2^e) D(2^e) (potentials: of
-    D(2^e) / 2^{e+1} alone), L(M) = ``table(M, s)``.  The table is read
-    first, L(2^e) at the bits of ``union`` and D(2^e) at those of ``lows``,
-    the larger L first; D is inf where L(2^{e+1}) is, so an inf L(2^e) makes
-    no nan.  Top bit first: smallest first measured 7% more peak memory just
-    below 2^24, as the allocator kept the freed mid-size sine arrays."""
+def _tables(union: int, lows: int, s: float, table, potential: bool):
+    """The per-exponent lists (first, doubling) of the walk over L(M) =
+    ``table(M, s)``: first[e] is L(2^e) (potentials: D(2^e) / 2^{e+1}) at
+    the bits e of ``union``, doubling[e] is D(2^e) at those of ``lows``,
+    0.0 elsewhere.  The larger L is read first; D is inf where L(2^{e+1})
+    is, so an inf L(2^e) makes no nan.  Top bit first: smallest first
+    measured 7% more peak memory just below 2^24, as the allocator kept the
+    freed mid-size sine arrays."""
     first, doubling = [0.0] * union.bit_length(), [0.0] * union.bit_length()
     for e in reversed(range(union.bit_length())):
         if lows >> e & 1:
@@ -280,6 +294,13 @@ def _walk(ns, union: int, lows: int, s: float, table, potential: bool):
             doubling[e] = upper if math.isinf(upper) else upper - 2 * table(1 << e, s)
         if union >> e & 1:
             first[e] = math.ldexp(doubling[e], -e - 1) if potential else table(1 << e, s)
+    return first, doubling
+
+
+def _exact(ns, first, doubling, potential: bool):
+    """For each int n in ns, math.fsum over its set bits e of first[e] and,
+    where S_e / 2^e is not 0.0 (S_e = n mod 2^e), (S_e / 2^e) doubling[e]
+    (potentials: first[e] alone)."""
     for n in ns:
         terms = []
         while n:
@@ -292,20 +313,86 @@ def _walk(ns, union: int, lows: int, s: float, table, potential: bool):
         yield math.fsum(terms)
 
 
+def _certified(ns: np.ndarray, first, doubling, potential: bool):
+    """The sums of :func:`_exact` over an int64 block of n < 2^53, and where
+    each is certified equal to it.
+
+    Top bit first, each term, the same float as there (0.0 at an unset
+    bit), goes into (hi, lo) by TwoSum, with sum |t| alongside: Sum2 of
+    Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J. Sci.
+    Comput. 26 (2005), whose hi + lo is within B = gamma_{k-1}^2 sum |t| of
+    the exact sum of k terms.  r = fl(hi + lo) is then the correctly rounded
+    sum, which fsum returns, where
+
+        2 B < spacing(nextafter(|r|, 0)) / 2 - |d|   and   sum |t| < 2^1020,
+
+    d the exact error of r.  The factor 2 covers B's own rounding and
+    underflow: where B is below 2^-1074, a positive right side, a
+    difference of floats, is at least 2^-1074.  The second rule keeps r
+    finite and every prefix of fsum's partials too.  A tie, an inf or nan
+    term, and a zero or subnormal r (whose half gap is 0.0) are never
+    certified."""
+    hi, lo, mag, total, back, tmp, term = (np.zeros(ns.size) for _ in range(7))
+    low = np.empty(ns.size, np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for e in reversed(range(len(first))):
+            if first[e] == 0.0 and doubling[e] == 0.0:
+                continue
+            on = np.bitwise_and(ns, 1 << e, out=low) != 0
+            terms = [first[e]]
+            if not potential:  # (S_e / 2^e) D(2^e)
+                np.multiply(np.bitwise_and(ns, (1 << e) - 1, out=low),
+                            math.ldexp(1.0, -e), out=term)
+                terms.append(np.multiply(term, doubling[e], out=term))
+            for t in terms:
+                t = np.where(on, t, 0.0)
+                np.add(hi, t, out=total)
+                np.subtract(total, hi, out=back)
+                np.subtract(hi, np.subtract(total, back, out=tmp), out=tmp)
+                lo += tmp
+                lo += np.subtract(t, back, out=back)
+                hi, total = total, hi
+                mag += np.abs(t, out=t)
+        r = hi + lo
+        back = r - hi
+        d = (hi - (r - back)) + (lo - back)
+        k = len(first) * (1 if potential else 2)
+        gamma = (k - 1) * _U / (1.0 - (k - 1) * _U)
+        half_gap = 0.5 * np.spacing(np.nextafter(np.abs(r), 0.0))
+        ok = ((2.0 * gamma * gamma) * mag < half_gap - np.abs(d)) & (mag < _HUGE)
+    return r, ok
+
+
+def _sums(ns: np.ndarray, first, doubling, potential: bool) -> np.ndarray:
+    """The sums of :func:`_exact` over an int64 array of n < 2^53, _BLOCK n
+    at a time: :func:`_certified`, then the exact loop on the rows it
+    leaves."""
+    out = np.empty(ns.size)
+    for i in range(0, ns.size, _BLOCK):
+        block = ns[i:i + _BLOCK]
+        values, ok = _certified(block, first, doubling, potential)
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            values[rest] = np.fromiter(_exact(block[rest].tolist(), first, doubling,
+                                              potential), float, rest.size)
+        out[i:i + _BLOCK] = values
+    return out
+
+
 def bit_sum(n: int, s: float, table, potential: bool) -> float:
     """E(n), or U_n for potentials, over L(M) = ``table(M, s)``, for one
     n >= 1 of any size."""
-    return next(_walk((n,), n, n if potential else n & (n - 1), s, table, potential))
+    tables = _tables(n, n if potential else n & (n - 1), s, table, potential)
+    return next(_exact((n,), *tables, potential))
 
 
 def bit_sums(ns: np.ndarray, s: float, table, potential: bool) -> np.ndarray:
-    """:func:`bit_sum` over an int64 array, bit-identical to it (fsum
-    ignores term order): one table for all n, walked _BLOCK n at a time."""
+    """:func:`bit_sum` over an int64 array, bit-identical to it: one table
+    for all n, summed _BLOCK n at a time by :func:`_certified`, and the
+    rows it cannot certify by :func:`_exact` over the same lists."""
     union = int(np.bitwise_or.reduce(ns))
     lows = union if potential else int(np.bitwise_or.reduce(ns & (ns - 1)))
-    blocks = (ns[i:i + _BLOCK].tolist() for i in range(0, ns.size, _BLOCK))
-    walk = _walk(chain.from_iterable(blocks), union, lows, s, table, potential)
-    return np.fromiter(walk, float, ns.size)
+    return _sums(ns, *_tables(union, lows, s, table, potential), potential)
 
 
 def greedy_energies(ns, params: EnergyParams) -> np.ndarray:

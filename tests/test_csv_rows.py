@@ -2,7 +2,8 @@
 for every double: over random bit patterns, at the edges of the fast path
 (its exponent range, powers of ten, exact rounding ties, whole numbers)
 and with the ``%`` fallback at any row of a chunk.  Whole rows are held to
-the % template writer of tests/oracles.py."""
+the % template writer of tests/oracles.py.  The int cells equal ``str(v)``
+for every int64 value."""
 
 import os
 import subprocess
@@ -129,3 +130,29 @@ def test_tables_built_on_first_use():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+INT_EDGES = [0, 9, 10, 99, 100, (1 << 53) - 1, (1 << 63) - 1,
+             *(10 ** k + d for k in range(1, 19) for d in (-1, 0, 1))]
+
+
+def texts(cells: np.ndarray) -> list:
+    return [row.tobytes().replace(b"\0", b"").decode() for row in cells]
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(st.integers(0, (1 << 63) - 1) | st.sampled_from(INT_EDGES),
+                       min_size=1, max_size=300))
+def test_int_cells_match_str(values):
+    column = np.array(values, np.int64)
+    assert texts(cli._int_cells(column)) == [str(v) for v in values]
+    assert texts(cli._column_cells(column)) == [str(v) for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=1,
+                       max_size=50), dtype=st.sampled_from([np.int64, np.int32]))
+def test_int_columns_of_any_sign_match_str(values, dtype):
+    # negative columns take the str route; int32 is widened
+    values = [int(v) for v in np.array(values, np.int64).astype(dtype)]
+    assert texts(cli._column_cells(np.array(values, dtype))) == [str(v) for v in values]

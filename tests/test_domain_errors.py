@@ -5,14 +5,17 @@ import importlib
 import inspect
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form, log_moment
+from rieszgreedy.arith import (energy_form, leja_offset, log_kernel_form, log_moment,
+                              power_sum)
 from rieszgreedy.asymptotics import (cesaro_mean, doubling_gap, f_sequence,
                                      predict_t, t_sequence)
-from rieszgreedy.binary import binary_weights, bit_count, expand_reciprocal
+from rieszgreedy.binary import (WeightVector, binary_weights, bit_count,
+                               expand_reciprocal)
 from rieszgreedy.energy import EnergyParams, extremal_potential
 from rieszgreedy.special import log_term_constant, sinc_coeff_derivative
 
@@ -59,12 +62,24 @@ def test_scalar_beyond_the_float_range(call, n, s):
 
 
 @pytest.mark.parametrize("form", [lambda w: energy_form(w, -1.0), leja_offset,
-                                  log_kernel_form],
-                         ids=["energy_form", "leja_offset", "log_kernel_form"])
+                                  log_kernel_form, lambda w: power_sum(w, -0.5),
+                                  lambda w: power_sum(w, 0.5), log_moment],
+                         ids=["energy_form", "leja_offset", "log_kernel_form",
+                              "power_sum_negative_s", "power_sum", "log_moment"])
 def test_weight_underflow(form):
-    # the weight 2^-1100 of the smallest bit is 0.0 as a float
+    # the weight 2^-1100 of the smallest bit is 0.0 as a float; the sums
+    # would give a log of 0.0, a ZeroDivisionError, or (s > 0) drop it
     with pytest.raises(OverflowError, match="weight underflows to 0.0"):
         form(binary_weights(HUGE))
+
+
+@pytest.mark.parametrize("call", [lambda w: power_sum(w, 0.5), log_moment],
+                         ids=["power_sum", "log_moment"])
+def test_unit_tail_underflow(call):
+    # the unit tail's first element c = 2^-1100 is 0.0 as a float
+    c = Fraction(1, 1 << 1100)
+    with pytest.raises(OverflowError, match="weight underflows to 0.0"):
+        call(WeightVector((1 - 2 * c,), unit_tail=c))
 
 
 #: Valid arguments besides s for every public function that takes s.

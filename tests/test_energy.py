@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import re
@@ -6,10 +7,13 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import rieszgreedy
@@ -468,6 +472,135 @@ class TestTableRequests:
             call()
             assert set(requested) == self.expected(covered, potential)
             assert requested == sorted(requested, reverse=True)
+
+
+def fsum_loop(ns, first, doubling, potential: bool) -> list[float]:
+    """The bit sum of each n as math.fsum over its terms, top bit first."""
+    sums = []
+    for n in ns:
+        terms = []
+        for e in reversed(range(int(n).bit_length())):
+            if n >> e & 1:
+                terms.append(first[e])
+                ratio = (n & ((1 << e) - 1)) / (1 << e)
+                if not potential and ratio:
+                    terms.append(ratio * doubling[e])
+        sums.append(math.fsum(terms))
+    return sums
+
+
+@st.composite
+def bit_tables(draw):
+    """first/doubling tables of a drawn width: mixed signs, magnitudes from
+    1e-300 to 1e300, subnormals, zeros and infs, and entries an anchor's
+    half ulp apart (2^-52 to 2^-54, 2^-105 or 2^-106 times it, or a neighbour)
+    that make sums land on or next to a rounding tie."""
+    width = draw(st.integers(1, 53))
+    anchor = draw(st.floats(1e-280, 1e280))
+    sign = st.sampled_from([1.0, -1.0])
+    entry = st.one_of(
+        st.builds(operator.mul, sign, st.floats(1e-300, 1e300)),
+        st.builds(operator.mul, sign, st.floats(5e-324, 2.2250738585072014e-308)),
+        st.sampled_from([0.0, math.inf, -math.inf, anchor, -anchor]),
+        st.builds(lambda k, s, m: s * math.ldexp(anchor * m, k),
+                  st.sampled_from([-52, -53, -54, -105, -106]), sign,
+                  st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53])))
+    tables = st.lists(entry, min_size=width, max_size=width)
+    ns = st.lists(st.integers(1, (1 << width) - 1), min_size=1, max_size=200)
+    return draw(tables), draw(tables), np.array(draw(ns), np.int64)
+
+
+class TestCertifiedSums:
+    """The numpy kernel of bit_sums returns what math.fsum returns, bit for
+    bit, certifying a row only where its rounding is settled and leaving
+    the rest to the exact loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=bit_tables(), potential=st.booleans(),
+           block=st.sampled_from([1, 3, 64, energy._BLOCK]))
+    def test_bit_identical_to_fsum(self, drawn, potential, block):
+        # the kernel on blocks of every size, and its certified rows alone
+        first, doubling, ns = drawn
+        values, certified = energy._certified(ns, first, doubling, potential)
+        kernel = mock.patch.object(energy, "_BLOCK", block)
+        try:
+            want = fsum_loop(ns.tolist(), first, doubling, potential)
+        except (ValueError, OverflowError) as err:  # -inf + inf, or overflow
+            with kernel, pytest.raises(type(err)):
+                energy._sums(ns, first, doubling, potential)
+            want = [fsum_loop([n], first, doubling, potential)[0] if ok else math.nan
+                    for n, ok in zip(ns.tolist(), certified)]  # a row alone
+        else:
+            with kernel:
+                assert bits(energy._sums(ns, first, doubling, potential)) == bits(want)
+        assert bits(values[certified]) == bits(np.array(want)[certified])
+
+    def test_ties_and_zero_take_the_exact_loop(self):
+        # 1 + 2^-53 is halfway between 1.0 and its successor: fsum rounds to
+        # even, 1.0; one more 2^-106 tips it up to 1 + 2^-52, where hi + lo
+        # still rounds to 1.0.  1 + 2^-106 is settled, and 1 - 1 is zero.
+        first = [2.0 ** -106, 2.0 ** -53, 1.0, -1.0]
+        ns = np.array([6, 7, 4, 5, 12])
+        values, certified = energy._certified(ns, first, [0.0] * 4, True)
+        assert certified.tolist() == [False, False, True, True, False]
+        assert values[1] == 1.0
+        want = fsum_loop(ns.tolist(), first, [0.0] * 4, True)
+        assert want[:2] == [1.0, 1.0 + 2.0 ** -52]
+        assert bits(energy._sums(ns, first, [0.0] * 4, True)) == bits(want)
+
+    def test_the_error_of_lo_counts(self):
+        # 1.5, -2^-106, 2^-53 leave hi = 1.5, lo = 2^-53 - 2^-106, just
+        # short of the tie; lo then drops five 2^-108, so the sum is past the
+        # tie and rounds up.  Only the Sum2 bound B keeps 1.5 uncertified.
+        first = [2.0 ** -108] * 5 + [2.0 ** -53, -(2.0 ** -106), 1.5]
+        values, certified = energy._certified(np.array([255]), first, [0.0] * 8, True)
+        assert values[0] == 1.5 and not certified[0]
+        assert energy._sums(np.array([255]), first, [0.0] * 8, True)[0] == 1.5 + 2.0 ** -52
+
+    def test_the_gap_below_a_power_of_two(self):
+        # 1 - 2^-54 - 2^-108 rounds to 1 - 2^-53, but lo drops the 2^-108 and
+        # hi + lo is the tie 1 - 2^-54, which rounds to 1.0: the gap below
+        # 1.0, half the one above, leaves no room for the certificate
+        first = [-(2.0 ** -108), -(2.0 ** -54), 1.0]
+        values, certified = energy._certified(np.array([7]), first, [0.0] * 3, True)
+        assert values[0] == 1.0 and not certified[0]
+        assert energy._sums(np.array([7]), first, [0.0] * 3, True)[0] == 1.0 - 2.0 ** -53
+
+    def test_near_overflow_takes_the_exact_loop(self):
+        # terms max, 2^969, 2^969, -3 2^968: their sum rounds to max, but
+        # fsum's partials reach max + 2^970 on the way, which overflows;
+        # sum |t| also rounds to max, past the certificate's 2^1020
+        first = [-3 * 2.0 ** 968, 2.0 ** 969, 2.0 ** 969, sys.float_info.max]
+        with pytest.raises(OverflowError):
+            fsum_loop([15], first, [0.0] * 4, True)
+        values, certified = energy._certified(np.array([15]), first, [0.0] * 4, True)
+        assert values[0] == sys.float_info.max and not certified[0]
+        with pytest.raises(OverflowError):
+            energy._sums(np.array([15]), first, [0.0] * 4, True)
+
+    @pytest.mark.parametrize("potential", [False, True])
+    def test_the_exact_loop_requests_no_table(self, potential):
+        # a nan table leaves every row to the exact loop, which sums over
+        # the lists already read: the requests are those of a finite table
+        def requests(value):
+            requested = []
+
+            def table(m, s):
+                requested.append(m)
+                return value(m)
+
+            return requested, energy.bit_sums(np.arange(1, 64), 0.5, table, potential)
+
+        fallback, sums = requests(lambda m: math.nan)
+        assert np.isnan(sums).all()
+        assert fallback == requests(lambda m: float(m.bit_length()))[0]
+
+    def test_overflow_names_the_first_n_in_a_later_block(self, monkeypatch):
+        # at s = 80, U_n is beyond the float range from n = 2^15 on
+        monkeypatch.setattr(energy, "_BLOCK", 4)
+        ns = np.arange((1 << 15) - 9, (1 << 15) + 3)
+        with pytest.raises(OverflowError, match=re.escape(f"n = {1 << 15}, s = 80.0")):
+            extremal_potentials(ns, EnergyParams(80.0))
 
 
 class TestGreedyOracle:
