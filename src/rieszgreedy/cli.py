@@ -273,11 +273,13 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
 def _write_panels(paths: list, m: int, panels) -> list:
     """Scan the order-m grid once for every (target, s) panel and write
-    panel k as :data:`_PANEL_HEADER` CSV to ``paths[k]``, block by block:
-    each chunk's x column is formatted once for all files.  Nothing is
-    opened before the panels are checked, and every file is closed on
-    every path.  Returns each panel's :class:`~rieszgreedy.limits.ScanResult`
-    (without the grid arrays)."""
+    panel k as :data:`_PANEL_HEADER` CSV to ``paths[k]``, block by block.
+    Each CSV chunk has one row matrix for all files: its x cells, ',' and
+    '\n' are laid once, and each file overwrites only the value cells
+    before its NUL padding is dropped, which gives the bytes of
+    :func:`_csv_rows`.  Nothing is opened before the panels are checked,
+    and every file is closed on every path.  Returns each panel's
+    :class:`~rieszgreedy.limits.ScanResult` (without the grid arrays)."""
     scan = GridScan(m, panels)
     for path in paths:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -290,8 +292,13 @@ def _write_panels(paths: list, m: int, panels) -> list:
             for start in range(0, xs.size, _CSV_CHUNK):
                 part = slice(start, start + _CSV_CHUNK)
                 x = _float_cells(xs[part])
+                width = x.shape[1]  # every float cell matrix is as wide
+                row = np.empty((len(x), 2 * width + 2), np.uint8)
+                row[:, :width], row[:, -1:] = x, _NEWLINE
+                row[:, width:width + 1] = _COMMA
                 for fh, column in zip(files, values):
-                    fh.write(_csv_rows([x, _float_cells(column[part])], len(x)))
+                    row[:, width + 1:-1] = _float_cells(column[part])
+                    fh.write(row.tobytes().translate(None, b"\0"))
 
         return scan.run(write_block)
 

@@ -5,8 +5,10 @@ Every grid point x = 2^m / (2^m + 2n + 1) corresponds to the odd integer
 N = 2^m + 2n + 1 via the weight identity theta(x) = binary_weights(N), so
 a grid scan is a vectorized sweep of the arithmetic functions over the odd
 integers in (2^m, 2^{m+1}), evaluated in blocks by :class:`GridScan`, the
-one scan path.  The parent-child identities (:func:`child_identities`) run
-on the same kernel, :func:`batch_eta_values`; the exact ``*_at`` functions
+one scan path.  One block kernel, ``_chunk_values``, evaluates every form:
+it peels a block's bits once for all the (target, s) panels of a scan, and
+:func:`batch_eta_values` is its one-panel case, which the parent-child
+identities (:func:`child_identities`) run on; the exact ``*_at`` functions
 serve arbitrary x.
 """
 
@@ -113,43 +115,60 @@ def log_moment_at(x, tol: float = 1e-12) -> float:
     return _at(arith.log_moment, x, 1.0, tol)
 
 
-def _chunk_values(ns: np.ndarray, target: str, s: Optional[float]) -> np.ndarray:
+def _chunk_values(ns: np.ndarray, panels) -> list:
+    """One block's values for each checked (target, s) panel: the bits of
+    every n are peeled once, depth by depth, and each depth's terms go
+    into each panel's own accumulator, by the same float operations, in the
+    same order, as a one-panel pass."""
     mant, top = np.frexp(ns.astype(float))
     q = 2.0 * mant  # y, then q_k once bit k is removed
     x, logy = 1.0 / q, np.log(q)
-    c = 2.0 * math.expm1(s * _LOG2) if target == "energy_form" else 0.0
-    acc = np.zeros_like(q)
+    cs = [2.0 * math.expm1(s * _LOG2) if t == "energy_form" else 0.0 for t, s in panels]
+    accs = [np.zeros_like(q) for _ in panels]
     for d in range(int(top.max())):
         w = 2.0 ** -d
         hit = q >= w
         hw = hit * w
         q -= hw
+        hq = hit * q
+        for (target, s), c, acc in zip(panels, cs, accs):
+            if target == "energy_form":
+                acc += 2.0 ** (-d * s) * (hw + c * hq)
+            elif target == "leja_offset":
+                acc += d * hw - 2.0 * hq
+            else:
+                acc += w * ((d + 2) * hw + 2 * d * hq)
+    values = []
+    for (target, s), acc in zip(panels, accs):
         if target == "energy_form":
-            acc += 2.0 ** (-d * s) * (hw + c * (hit * q))
+            values.append(x ** (s + 1.0) * acc)
         elif target == "leja_offset":
-            acc += d * hw - 2.0 * (hit * q)
+            values.append(logy + _LOG2 * x * acc)
         else:
-            acc += w * ((d + 2) * hw + 2 * d * (hit * q))
-    if target == "energy_form":
-        return x ** (s + 1.0) * acc
-    if target == "leja_offset":
-        return logy + _LOG2 * x * acc
-    return 2.0 * _LOG2 - logy - _LOG2 * x * x * acc
+            values.append(2.0 * _LOG2 - logy - _LOG2 * x * x * acc)
+    return values
 
 
 def _check_target(target: str, s: Optional[float]) -> Optional[float]:
-    """s, checked finite, for a known target; the energy form needs one."""
-    s = None if s is None else finite_s(s)
+    """s, checked finite, for a known target: the energy form needs one,
+    and the s-free targets take none."""
     if target not in SCAN_TARGETS:
         raise ValueError(f"target must be one of {SCAN_TARGETS}")
-    if target == "energy_form" and s is None:
+    if target != "energy_form":
+        if s is not None:
+            raise ValueError(f"{target} takes no s, got s = {s}")
+        return None
+    if s is None:
         raise ValueError("energy_form needs s")
-    return arith.energy_form_s(s) if target == "energy_form" else s
+    return arith.energy_form_s(s)
 
 
 def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
     """Evaluate one arithmetic function on binary_weights(n) for an array
-    of integers 1 <= n < 2^53, and the energy form for s < 1023 only.
+    of integers 1 <= n < 2^53, and the energy form for s < 1023 only; the
+    log-kernel and offset targets take no s (ValueError).  This is the
+    one-panel case of the block kernel :class:`GridScan` runs, with the
+    same values bit for bit.
 
     With n = 2^t y, y in [1, 2), x = 1/y and, for each exponent e_k of n,
     depth d_k = t - e_k and q_k = (n mod 2^{e_k}) 2^{-t} (so theta_k =
@@ -165,11 +184,11 @@ def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
     against the exact evaluators in :mod:`rieszgreedy.arith` stays below
     2e-15 max(1, |value|) for n < 2^53 and s in [-0.9, 7].
     """
-    s = _check_target(target, s)
+    panel = [(target, _check_target(target, s))]
     ns = int_array(ns, 1)
     if ns.size == 0:
         return np.empty(0)
-    return np.concatenate([_chunk_values(ns[i:i + _CHUNK], target, s)
+    return np.concatenate([_chunk_values(ns[i:i + _CHUNK], panel)[0]
                            for i in range(0, ns.size, _CHUNK)])
 
 
@@ -214,9 +233,9 @@ def _certified_bound(s: float, m: int) -> float:
 
 
 def _check_panel(m: int, target: str, s: Optional[float]) -> Optional[float]:
-    """Reject a (target, s) the order-m scan does not take (energy form: s > -1,
-    not 0 or 1, and the kernel's s < 1023); return its certified bound or None."""
-    s = _check_target(target, s)
+    """Reject a (target, s), its s checked by :func:`_check_target`, that the
+    order-m scan does not take (energy form: s > -1, not 0 or 1); return its
+    certified bound or None."""
     if target != "energy_form":
         return None
     if s in (0.0, 1.0):
@@ -233,9 +252,10 @@ class GridScan:
     The constructor checks m and every panel, so a caller can reject bad
     input before it opens anything.  :meth:`run` walks the odd N in
     (2^m, 2^{m+1}) in blocks of ``_CHUNK`` (x = 2^m / N decreasing),
-    evaluates every panel on each block with :func:`batch_eta_values`, and
-    reduces each panel's extremum block by block; memory is O(block)
-    beyond what the sink keeps.
+    evaluates all panels on each block with one call of the block kernel
+    ``_chunk_values``, which peels the block's bits once for every panel,
+    and reduces each panel's extremum block by block; memory is O(block)
+    per panel beyond what the sink keeps.
     """
 
     def __init__(self, m: int, panels):
@@ -243,12 +263,14 @@ class GridScan:
             raise ValueError("grid order m must be in [1, 24]")
         self.m = m
         self.panels = tuple(panels)
-        self._bounds = [_check_panel(m, t, s) for t, s in self.panels]
+        self._checked = [(t, _check_target(t, s)) for t, s in self.panels]
+        self._bounds = [_check_panel(m, t, s) for t, s in self._checked]
 
     def run(self, sink) -> list[ScanResult]:
-        """Call ``sink(xs, values)`` once per block, with the block's x
-        column and one value array per panel, and return one
-        :class:`ScanResult` per panel (``xs`` and ``values`` None).
+        """Evaluate every panel on each block in one kernel call, call
+        ``sink(xs, values)`` once per block, with the block's x column and
+        one value array per panel, and return one :class:`ScanResult` per
+        panel (``xs`` and ``values`` None).
 
         Each panel keeps its best value and index so far; a block's
         extremum replaces it unless strictly worse, and within a block the
@@ -261,7 +283,7 @@ class GridScan:
         for start in range(0, count, _CHUNK):
             ns = ((1 << m) + 1
                   + 2 * np.arange(start, min(start + _CHUNK, count), dtype=np.int64))
-            values = [batch_eta_values(ns, t, s) for t, s in self.panels]
+            values = _chunk_values(ns, self._checked)
             for k, v in enumerate(values):
                 top = float(v.min() if minimize[k] else v.max())
                 if (best[k] is None

@@ -141,6 +141,16 @@ class TestStreamedScans:
         manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
         assert manifest["summary"] == {"M": m, **cli._scan_summary(result)}
 
+    def test_figures_match_scan_per_panel(self, tmp_path):
+        d = tmp_path / "f"
+        assert main(["figures", "--M", "10", "--out", str(d)]) == 0
+        flags = {target: flag for flag, target in cli._SCAN_TARGETS.items()}
+        for name, target, s in cli._FIGURES:
+            out = tmp_path / f"scan_{name}"
+            argv = ["scan", "--M", "10", "--target", flags[target], "--out", str(out)]
+            assert main(argv + ([] if s is None else ["--s", repr(s)])) == 0
+            assert (d / name).read_bytes() == out.read_bytes(), name
+
     @pytest.mark.parametrize("m", ["0", "25"])
     def test_order_checked_before_any_file(self, tmp_path, m):
         d = tmp_path / "f"
@@ -414,6 +424,17 @@ class TestExitCodes:
         assert main(["scan", "--M", "4", "--target", "energy", "--s", "1",
                      "--out", out]) == 2
         assert main(["energy", "--s", "1", "--out", out]) == 2
+
+    @pytest.mark.parametrize("target,name", [("offset", "leja_offset"),
+                                             ("log-kernel", "log_kernel_form")])
+    def test_s_free_scan_rejects_an_s(self, tmp_path, capsys, target, name):
+        # no manifest may name an s the scan does not use
+        out = tmp_path / "t.csv"
+        assert main(["scan", "--M", "3", "--target", target, "--s", "0.5",
+                     "--out", str(out)]) == 2
+        assert f"{name} takes no s" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "t.csv.manifest.json").exists()
 
     @pytest.mark.parametrize("s", ["nan", "inf"])
     def test_scan_non_finite_s(self, tmp_path, s):

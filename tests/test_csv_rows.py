@@ -2,18 +2,20 @@
 for every double: over random bit patterns, at the edges of the fast path
 (its exponent range, powers of ten, exact rounding ties, whole numbers)
 and with the ``%`` fallback at any row of a chunk.  Whole rows are held to
-the % template writer of tests/oracles.py.  The int cells equal ``str(v)``
-for every int64 value."""
+the % template writer of tests/oracles.py, and the figures writer's shared
+row matrix to :func:`cli._csv_rows`.  The int cells equal ``str(v)`` for
+every int64 value."""
 
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -156,3 +158,44 @@ def test_int_columns_of_any_sign_match_str(values, dtype):
     # negative columns take the str route; int32 is widened
     values = [int(v) for v in np.array(values, np.int64).astype(dtype)]
     assert texts(cli._column_cells(np.array(values, dtype))) == [str(v) for v in values]
+
+
+PERCENT_CELLS = [0.0, -0.0, 1.0, -3.0, 100.0, 2.0 ** 60, np.nan, np.inf, -np.inf,
+                 1e300, -1e300, 5e-324, -5e-324]
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 600), block=st.integers(1, 40), chunk=st.integers(1, 300),
+       panels=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       spliced=st.lists(st.sampled_from(PERCENT_CELLS) | st.floats(), max_size=12))
+@example(size=256, block=1 << 15, chunk=100, panels=5, seed=1, spliced=PERCENT_CELLS)
+def test_panel_rows_share_one_buffer(size, block, chunk, panels, seed, spliced):
+    """The figures writer's shared row matrix writes each file as
+    ``_csv_rows`` writes its x and value columns, on drawn columns with %
+    fallback cells, over blocks and chunks of any size, the last chunk
+    shorter."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.integers(-12, 16, size)
+    columns = rng.standard_normal((panels + 1, size)) * scales
+    for v in spliced:
+        columns[rng.integers(panels + 1), rng.integers(size)] = v
+    xs, values = columns[0], columns[1:]
+
+    class Blocks:  # a scan that hands the drawn columns to the sink
+        def __init__(self, m, checked):
+            assert len(checked) == panels
+
+        def run(self, sink):
+            for start in range(0, size, block):
+                sink(xs[start:start + block], list(values[:, start:start + block]))
+            return []
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "GridScan", Blocks)
+        mp.setattr(cli, "_CSV_CHUNK", chunk)
+        paths = [Path(tmp) / f"p{k}.csv" for k in range(panels)]
+        cli._write_panels(paths, 9, [("leja_offset", None)] * panels)
+        x = cli._float_cells(xs)
+        for path, v in zip(paths, values):
+            want = b"x,value\n" + cli._csv_rows([x, cli._float_cells(v)], size)
+            assert path.read_bytes() == want

@@ -173,6 +173,65 @@ class TestBatchValues:
         with pytest.raises(ValueError):
             batch_eta_values(np.array([3, 1 << 53]), "leja_offset")
 
+    @pytest.mark.parametrize("target", ["leja_offset", "log_kernel_form"])
+    @pytest.mark.parametrize("s", [0.5, 0.0, -0.5])
+    def test_s_free_targets_reject_an_s(self, target, s):
+        # an s the target has no use for is an error, not silently dropped
+        for call in (lambda: batch_eta_values([5, 7], target, s),
+                     lambda: scan_extremum(4, target, s),
+                     lambda: GridScan(4, [("energy_form", 0.5), (target, s)])):
+            with pytest.raises(ValueError, match=f"{target} takes no s"):
+                call()
+
+
+class TestSharedKernel:
+    """One bit peel per block for every panel gives each panel the values
+    of the one-panel kernel, bit for bit, in any panel order."""
+
+    PANELS = ([("leja_offset", None), ("log_kernel_form", None)]
+              + [("energy_form", s)
+                 for s in (-0.9, -0.5, 1.0 / 3.0, 0.9, 2.5, 3.5, 1022.9)])
+
+    @staticmethod
+    def bits(values) -> np.ndarray:
+        return np.asarray(values, np.float64).view(np.uint64)
+
+    # every N of an order-m grid has m + 1 bits, so blocks of 1 or 3 only
+    # add calls; they stop at orders 11 and 13 to keep the test short
+    @pytest.mark.parametrize("chunk,top", [(1, 11), (3, 13), (1 << 15, 14)])
+    def test_grid_blocks(self, monkeypatch, chunk, top):
+        rng = random.Random(chunk)
+        grids = {m: (1 << m) + 1 + 2 * np.arange(1 << (m - 1), dtype=np.int64)
+                 for m in range(1, top + 1)}
+        want = {(m, panel): self.bits(batch_eta_values(ns, *panel))
+                for m, ns in grids.items() for panel in self.PANELS}
+        monkeypatch.setattr(limits, "_CHUNK", chunk)
+        for m in grids:
+            panels = rng.sample(self.PANELS, len(self.PANELS))
+            blocks = []
+            GridScan(m, panels).run(lambda xs, values: blocks.append(values))
+            assert len(blocks) == -(-grids[m].size // chunk)
+            for k, panel in enumerate(panels):
+                got = self.bits(np.concatenate([values[k] for values in blocks]))
+                assert np.array_equal(got, want[m, panel]), (m, panel)
+
+    @pytest.mark.parametrize("chunk", [37, 1 << 15])
+    def test_mixed_binades(self, monkeypatch, chunk):
+        # the blocks' bit depths differ: 1..13 bits, then 53
+        ns = np.concatenate([np.arange(1, 5001, dtype=np.int64),
+                             (1 << 52) + np.arange(64, dtype=np.int64)])
+        want = {panel: self.bits(batch_eta_values(ns, *panel)) for panel in self.PANELS}
+        monkeypatch.setattr(limits, "_CHUNK", chunk)
+        rng = random.Random(7)
+        for _ in range(3):
+            panels = rng.sample(self.PANELS, len(self.PANELS))
+            checked = [(t, limits._check_target(t, s)) for t, s in panels]
+            blocks = [limits._chunk_values(ns[i:i + chunk], checked)
+                      for i in range(0, ns.size, chunk)]
+            for k, panel in enumerate(panels):
+                got = self.bits(np.concatenate([values[k] for values in blocks]))
+                assert np.array_equal(got, want[panel]), panel
+
 
 class TestScanExtremum:
     def test_structure(self):
@@ -261,17 +320,20 @@ class TestGridScan:
     def test_ties_go_to_the_smallest_x(self, monkeypatch, chunk, m):
         calls = []
 
-        def stand_in(ns, target, s=None):
-            calls.append(len(ns))
-            return self.stand_in(ns, target, s)
+        def stand_in(ns, panels):
+            calls.append((ns.copy(), list(panels)))
+            return [self.stand_in(ns, target, s) for target, s in panels]
 
-        monkeypatch.setattr(limits, "batch_eta_values", stand_in)
+        monkeypatch.setattr(limits, "_chunk_values", stand_in)
         monkeypatch.setattr(limits, "_CHUNK", chunk)
         blocks = []
         results = GridScan(m, self.PANELS).run(
             lambda xs, values: blocks.append((xs, values)))
         ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1))
-        assert sum(calls) == len(self.PANELS) * ns.size  # one walk, per panel
+        # one kernel call per block, covering every panel
+        assert len(calls) == len(blocks) == -(-ns.size // chunk)
+        assert all(panels == self.PANELS for _, panels in calls)
+        assert np.array_equal(np.concatenate([block for block, _ in calls]), ns)
         assert np.array_equal(np.concatenate([b[0] for b in blocks]),
                               float(1 << m) / ns)
         for k, ((target, s), r) in enumerate(zip(self.PANELS, results)):
@@ -284,7 +346,7 @@ class TestGridScan:
             assert r.xs is None and r.values is None
 
     def test_checks_before_scanning(self, monkeypatch):
-        monkeypatch.setattr(limits, "batch_eta_values", None)
+        monkeypatch.setattr(limits, "_chunk_values", None)
         for m, panels in [(0, [("leja_offset", None)]),
                           (4, [("leja_offset", None), ("energy_form", 1.0)]),
                           (4, [("energy_form", None)]), (4, [("bogus", None)])]:
