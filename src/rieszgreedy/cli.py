@@ -29,6 +29,16 @@ and ``scan`` stream the order-M grid in O(block) memory
 ``scan``; ``oracle-verify --grid-bits`` goes up to
 :data:`rieszgreedy.energy.ORACLE_MAX_GRID_BITS`.
 
+Imports: start-up is most of a short command (``energy --range`` over
+1024 N near 2^24 runs for about 10 ms of a 0.23 s process), so this
+module imports no layer, and each runner imports what it calls when it
+runs.  ``eta`` loads ``binary``; ``energy`` and ``oracle-verify`` load
+``energy``, which brings ``special`` and ``binary``; ``scan``,
+``figures`` and ``identities`` load ``limits``, which adds ``arith``;
+``tseq``, ``fseq``, ``cesaro`` and ``expansion-check`` load every layer
+through ``asymptotics``.  The layer functions perfbench/layertrace.py
+patches here, which no runner calls, resolve through :data:`_TRACED`.
+
 Flag values may start with '-': ``--s -inf`` and ``--range -3:0`` are
 values, not options.
 """
@@ -36,6 +46,7 @@ values, not options.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import re
@@ -49,17 +60,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import (cesaro_means, cesaro_scales, expansion_energies,
-                          f_from_potentials, t_from_energies)
-from .binary import binary_weights, decompose
-from .energy import (EnergyParams, extremal_potentials, greedy_energies,
-                     greedy_oracle, prefix_energies)
-from .limits import GridScan, child_identities
-from .special import arclength_energy
-# unused here, but perfbench/layertrace.py patches these names on this module
-from .asymptotics import expansion_energy, t_sequence  # noqa: F401
-from .energy import greedy_energy  # noqa: F401
-from .limits import scan_extremum  # noqa: F401
 
 USAGE_ERROR = 64
 OUTPUT_ERROR = 74
@@ -68,6 +68,11 @@ VERIFY_ERROR = 3
 
 _SCAN_TARGETS = {"energy": "energy_form", "log-kernel": "log_kernel_form",
                  "offset": "leja_offset"}
+
+#: Layer functions no runner calls, served by name because
+#: perfbench/layertrace.py patches them on this module.
+_TRACED = {"scan_extremum": "limits", "greedy_energy": "energy",
+           "expansion_energy": "asymptotics", "t_sequence": "asymptotics"}
 
 _FIGURES = (
     ("fig1_offset.csv", "leja_offset", None),
@@ -88,6 +93,12 @@ _COMMA, _NEWLINE = (np.array([[ord(c)]], np.uint8) for c in ",\n")
 MAX_RANGE = 1 << 20
 #: Highest identities order: caps the 2^M - 1 rows held as arrays (6.9 MB CSV at 16).
 MAX_IDENTITY_ORDER = 16
+
+
+def __getattr__(name):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,6 +291,7 @@ def _write_panels(paths: list, m: int, panels) -> list:
     :func:`_csv_rows`.  Nothing is opened before the panels are checked,
     and every file is closed on every path.  Returns each panel's
     :class:`~rieszgreedy.limits.ScanResult` (without the grid arrays)."""
+    from .limits import GridScan
     scan = GridScan(m, panels)
     for path in paths:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -331,6 +343,7 @@ def _table(header: str):
 
 @_table("k,exponent,numerator,denominator,weight")
 def _run_eta(args):
+    from .binary import binary_weights, decompose
     n = args.N
     w = binary_weights(n)
     exps = decompose(n).exponents
@@ -341,6 +354,7 @@ def _run_eta(args):
 
 @_table("N,s,energy")
 def _run_energy(args):
+    from .energy import EnergyParams, greedy_energies
     if (args.N is None) == (args.n_range is None):
         raise ValueError("give exactly one of --N or --range")
     params = EnergyParams(args.s)
@@ -350,6 +364,8 @@ def _run_energy(args):
 
 @_table("N,s,energy,T")
 def _run_tseq(args):
+    from .asymptotics import t_from_energies
+    from .energy import EnergyParams, greedy_energies
     params = EnergyParams(args.s)
     ns = _range_ns(args, 2)
     energies = greedy_energies(ns, params)
@@ -361,6 +377,8 @@ def _run_tseq(args):
 
 @_table("N,s,potential,F")
 def _run_fseq(args):
+    from .asymptotics import f_from_potentials
+    from .energy import EnergyParams, extremal_potentials
     params = EnergyParams(args.s)
     ns = _range_ns(args, 1)
     potentials = extremal_potentials(ns, params)
@@ -398,6 +416,8 @@ _run_figures.header = _PANEL_HEADER + " (per file)"
 
 @_table("N,s,exact,predicted,residual")
 def _run_expansion_check(args):
+    from .asymptotics import expansion_energies
+    from .energy import EnergyParams, greedy_energies
     params = EnergyParams(args.s)
     ns = _range_ns(args, 2)
     exact = greedy_energies(ns, params)
@@ -410,6 +430,8 @@ def _run_expansion_check(args):
 
 @_table("N,s,mean,deviation,scaled_deviation")
 def _run_cesaro(args):
+    from .asymptotics import cesaro_means, cesaro_scales
+    from .special import arclength_energy
     ns = _range_ns(args, 1)
     means = cesaro_means(ns, args.s)
     target = arclength_energy(args.s) / 2.0
@@ -422,6 +444,8 @@ def _run_cesaro(args):
 
 @_table("N,s,oracle_energy,formula_energy,rel_gap")
 def _run_oracle_verify(args):
+    from .energy import (EnergyParams, greedy_energies, greedy_oracle,
+                         prefix_energies)
     params = EnergyParams(args.s)
     try:
         config, _ = greedy_oracle(args.N, params, grid_bits=args.grid_bits)
@@ -439,6 +463,7 @@ def _run_oracle_verify(args):
 
 @_table("M,n,s,lhs_odd,rhs_odd,lhs_even,rhs_even")
 def _run_identities(args):
+    from .limits import child_identities
     if not 1 <= args.M <= MAX_IDENTITY_ORDER:
         raise ValueError(f"order M = {args.M} is below 1 or exceeds "
                          f"{MAX_IDENTITY_ORDER}")

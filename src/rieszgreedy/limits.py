@@ -274,7 +274,9 @@ class GridScan:
 
         Each panel keeps its best value and index so far; a block's
         extremum replaces it unless strictly worse, and within a block the
-        last index attaining it wins, so ties go to the smallest x.
+        last index attaining it wins, so ties go to the smallest x.  A nan
+        value raises ValueError naming the panel and its first nan grid N,
+        before the block reaches the sink.
         """
         m = self.m
         count = 1 << (m - 1)
@@ -286,6 +288,10 @@ class GridScan:
             values = _chunk_values(ns, self._checked)
             for k, v in enumerate(values):
                 top = float(v.min() if minimize[k] else v.max())
+                if math.isnan(top):  # min and max propagate nan
+                    target, s = self.panels[k]
+                    raise ValueError(f"{target} at s = {s} is nan at grid "
+                                     f"N = {ns[np.isnan(v)][0]}")
                 if (best[k] is None
                         or (top <= best[k][0] if minimize[k] else top >= best[k][0])):
                     best[k] = (top, start + int(np.nonzero(v == top)[0][-1]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rieszgreedy import cli, limits
+from rieszgreedy import cli, energy, limits
 from rieszgreedy.arith import leja_offset
 from rieszgreedy.asymptotics import (cesaro_mean, expansion_energy, f_sequence,
                                      t_sequence)
@@ -318,15 +318,15 @@ class TestVerifiers:
     def test_a_nan_row_fails(self, tmp_path, monkeypatch):
         # one nan row among passing ones fails the check, not the reduction
         out = tmp_path / "v.csv"
-        identities, energies = cli.child_identities, cli.greedy_energies
+        identities, energies = limits.child_identities, energy.greedy_energies
 
         def nan_identities(m, s):
             sides = identities(m, s)
             sides[1][-1] = np.nan
             return sides
 
-        monkeypatch.setattr(cli, "child_identities", nan_identities)
-        monkeypatch.setattr(cli, "greedy_energies", lambda ns, params: np.where(
+        monkeypatch.setattr(limits, "child_identities", nan_identities)
+        monkeypatch.setattr(energy, "greedy_energies", lambda ns, params: np.where(
             ns == 5, np.nan, energies(ns, params)))
         assert main(["identities", "--M", "3", "--s", "0.5",
                      "--out", str(out)]) == 3

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rieszgreedy import cli
+from rieszgreedy import cli, limits
 
 EXPONENT_FIELD = np.uint64(0x7FF << 52)
 
@@ -191,7 +191,7 @@ def test_panel_rows_share_one_buffer(size, block, chunk, panels, seed, spliced):
             return []
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "GridScan", Blocks)
+        mp.setattr(limits, "GridScan", Blocks)
         mp.setattr(cli, "_CSV_CHUNK", chunk)
         paths = [Path(tmp) / f"p{k}.csv" for k in range(panels)]
         cli._write_panels(paths, 9, [("leja_offset", None)] * panels)

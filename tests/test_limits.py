@@ -11,6 +11,7 @@ from rieszgreedy import arith, limits
 from rieszgreedy.arith import (energy_form, leja_offset, log_kernel_form,
                               power_sum)
 from rieszgreedy.binary import binary_weights, expand_reciprocal, grid_point
+from rieszgreedy.cli import main
 from rieszgreedy.limits import (SCAN_TARGETS, GridScan, batch_eta_values,
                                 child_identities, energy_form_at,
                                 interval_estimate, leja_offset_at,
@@ -344,6 +345,38 @@ class TestGridScan:
             assert (r.extremum, r.arg_index) == (pick, idx)
             assert r.arg == Fraction(1 << m, int(ns[idx]))
             assert r.xs is None and r.values is None
+
+    @pytest.mark.parametrize("block", [0, 2])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_a_nan_value_raises(self, monkeypatch, tmp_path, capsys, block, k):
+        # panel k is nan from the second N of the block on: the scan names
+        # that N, and no block holding a nan reaches the sink
+        m, chunk = 5, 4
+        first = (1 << m) + 1 + 2 * (block * chunk + 1)
+
+        def stand_in(ns, panels):
+            values = [self.stand_in(ns, target, s) for target, s in panels]
+            values[k][ns >= first] = np.nan
+            return values
+
+        monkeypatch.setattr(limits, "_chunk_values", stand_in)
+        monkeypatch.setattr(limits, "_CHUNK", chunk)
+        blocks = []
+        target, s = self.PANELS[k]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{target} at s = {s} is nan at grid N = {first}")):
+            GridScan(m, self.PANELS).run(lambda xs, values: blocks.append(xs))
+        assert len(blocks) == block
+
+        monkeypatch.setattr(limits, "_chunk_values", lambda ns, panels: [
+            np.where(ns >= first, np.nan, 1.0 / ns) for _ in panels])
+        capsys.readouterr()
+        assert main(["scan", "--M", str(m), "--target", "offset",
+                     "--out", str(tmp_path / "scan.csv")]) == 2
+        assert main(["figures", "--M", str(m), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"scan: leja_offset at s = None is nan at grid N = {first}",
+                       f"figures: leja_offset at s = None is nan at grid N = {first}"]
 
     def test_checks_before_scanning(self, monkeypatch):
         monkeypatch.setattr(limits, "_chunk_values", None)
