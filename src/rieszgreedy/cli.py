@@ -82,7 +82,13 @@ _FIGURES = (
     ("fig5_log_kernel.csv", "log_kernel_form", None),
 )
 
-_CSV_CHUNK = 1 << 12  # rows per write: bounds the cells held, keeps them in cache
+#: Rows per write: bounds the cells held, keeps them in cache.  Chunks of
+#: 2^10, 2^11 and 2^12 rows gave ``panels`` wall_s medians of 1.28, 1.29
+#: and 1.28 s (perfbench, seeds 7101-7103), inside the runs' spread.  At
+#: 2^11 the temporaries of a figures chunk's fused call (12288 values,
+#: 96 KB) stay below glibc's 128 KB mmap threshold: ``figures --M 20``
+#: takes 13k minor page faults in :func:`_float_cells`, 31k at 2^12.
+_CSV_CHUNK = 1 << 11
 _PANEL_HEADER = "x,value"  # the CSV header of scan and of each figures file
 _LOW32, _LOW64 = (1 << 32) - 1, (1 << 64) - 1
 _STRIPPED = np.uint64(10_000)  # offset of the stripped digit groups
@@ -179,8 +185,10 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     k = -11..14.  From the bits v = m·2^q it forms the 17 digits
     D = round-half-even(m·5^(16-k)·2^(q+16-k)) exactly: a 128-bit product
     in 32-bit limbs, shifted right by 1..63 bits.  D is a lead digit and
-    four 4-digit groups, looked up as ASCII words; a group followed by
-    zeros only takes its stripped form, which drops %g's trailing zeros.
+    four 4-digit groups, looked up as ASCII words (``take``, which skips
+    the cast and check fancy indexing makes of each uint64 index); a group
+    followed by zeros only takes its stripped form, which drops %g's
+    trailing zeros.
     Per-k masks and shifts place the words, with NUL between the parts.
     Every other value, and every whole number (whose integer zeros the
     strip would drop), is formatted by ``%`` and spliced into its row.
@@ -209,9 +217,9 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     lo8 = d - lead * 10 ** 16 - hi8 * 10 ** 8
     g1, g3 = hi8 // 10 ** 4, lo8 // 10 ** 4
     g2, g4 = hi8 - g1 * 10 ** 4, lo8 - g3 * 10 ** 4
-    y = (groups[g1 + _STRIPPED * ((g2 | lo8) == 0)]  # digits 2..9
-         | groups[g2 + _STRIPPED * (lo8 == 0)] << 32)
-    z = groups[g3 + _STRIPPED * (g4 == 0)] | groups[g4 + _STRIPPED] << 32  # 10..17
+    y = (groups.take(g1 + _STRIPPED * ((g2 | lo8) == 0))  # digits 2..9
+         | groups.take(g2 + _STRIPPED * (lo8 == 0)) << 32)
+    z = groups.take(g3 + _STRIPPED * (g4 == 0)) | groups.take(g4 + _STRIPPED) << 32  # 10..17
     front0, front1, dot0, dot1, prefix, suffix = np.take(layout, k + 11, axis=1)
     back0, back1 = y & ~front0, z & ~front1  # the digits after the '.'
     frac = (back0 | back1) != 0
@@ -230,6 +238,12 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _float_columns(columns: list) -> list:
+    """The cell matrices of equal-length float columns, from one
+    :func:`_float_cells` call over all of them."""
+    return np.split(_float_cells(np.concatenate(columns)), len(columns))
+
+
 def _int_cells(values: np.ndarray) -> np.ndarray:
     """Each int64 value >= 0 as ``str(value)``, byte for byte, in a row of
     a uint8 matrix as wide as the largest, NUL in place of leading zeros."""
@@ -240,12 +254,11 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _column_cells(part) -> np.ndarray:
-    """One column's chunk as a NUL-padded uint8 cell matrix, one row per
-    value: float arrays through :func:`_float_cells`, int arrays without a
-    negative value through :func:`_int_cells`, every other value through
-    ``str``, floats among them as ``%.17g``."""
-    if isinstance(part, np.ndarray) and part.dtype.kind == "f":
-        return _float_cells(part)
+    """One column's chunk, other than a float array, as a NUL-padded uint8
+    cell matrix, one row per value: int arrays without a negative value
+    through :func:`_int_cells`, every other value through ``str``, floats
+    among them (in a list or a constant column) as ``%.17g``.  Float
+    arrays take :func:`_float_columns`, once per chunk for all of them."""
     if isinstance(part, np.ndarray) and part.dtype.kind == "i" and part.size:
         if part.min() >= 0:  # negative values take str
             return _int_cells(part.astype(np.int64, copy=False))
@@ -269,26 +282,34 @@ def _csv_rows(cells: list, rows: int) -> bytes:
 def _write_csv(path: Path, header: str, *columns) -> None:
     """Write the header line, then equal-length columns (sequences or numpy
     arrays, or a single int or float for a constant column) as CSV rows:
-    floats as ``%.17g``, every other value through ``str``."""
+    floats as ``%.17g``, every other value through ``str``.  Per chunk,
+    the float-array columns are formatted together, by
+    :func:`_float_columns`, and every other column by
+    :func:`_column_cells`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     sized = [c for c in columns if not isinstance(c, (int, float))]
     count = len(sized[0]) if sized else 0
+    fused = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, count, _CSV_CHUNK):
             rows = min(_CSV_CHUNK, count - start)
-            fh.write(_csv_rows([_column_cells([c] if isinstance(c, (int, float))
-                                              else c[start:start + rows])
-                                for c in columns], rows))
+            parts = [[c] if isinstance(c, (int, float)) else c[start:start + rows]
+                     for c in columns]
+            floats = iter(_float_columns([p for p, f in zip(parts, fused) if f])
+                          if any(fused) else ())
+            fh.write(_csv_rows([next(floats) if f else _column_cells(p)
+                                for p, f in zip(parts, fused)], rows))
 
 
 def _write_panels(paths: list, m: int, panels) -> list:
     """Scan the order-m grid once for every (target, s) panel and write
     panel k as :data:`_PANEL_HEADER` CSV to ``paths[k]``, block by block.
-    Each CSV chunk has one row matrix for all files: its x cells, ',' and
-    '\n' are laid once, and each file overwrites only the value cells
-    before its NUL padding is dropped, which gives the bytes of
-    :func:`_csv_rows`.  Nothing is opened before the panels are checked,
+    Each CSV chunk formats its x column and every panel's values in one
+    :func:`_float_columns` call and has one row matrix for all files: its x
+    cells, ',' and '\n' are laid once, and each file overwrites only the
+    value cells before its NUL padding is dropped, which gives the bytes
+    of :func:`_csv_rows`.  Nothing is opened before the panels are checked,
     and every file is closed on every path.  Returns each panel's
     :class:`~rieszgreedy.limits.ScanResult` (without the grid arrays)."""
     from .limits import GridScan
@@ -303,13 +324,13 @@ def _write_panels(paths: list, m: int, panels) -> list:
         def write_block(xs, values):
             for start in range(0, xs.size, _CSV_CHUNK):
                 part = slice(start, start + _CSV_CHUNK)
-                x = _float_cells(xs[part])
+                x, *cells = _float_columns([xs[part], *(v[part] for v in values)])
                 width = x.shape[1]  # every float cell matrix is as wide
                 row = np.empty((len(x), 2 * width + 2), np.uint8)
                 row[:, :width], row[:, -1:] = x, _NEWLINE
                 row[:, width:width + 1] = _COMMA
-                for fh, column in zip(files, values):
-                    row[:, width + 1:-1] = _float_cells(column[part])
+                for fh, cell in zip(files, cells):
+                    row[:, width + 1:-1] = cell
                     fh.write(row.tobytes().translate(None, b"\0"))
 
         return scan.run(write_block)

@@ -25,6 +25,9 @@
 - F, the translated and scaled extremal potential, for s < 1, summed bit
   by bit in mpmath from the potentials of the 2^e-th roots of unity at a
   midpoint, without any float energy.
+- The grid block kernel written one array expression per term, a fresh
+  array for every temporary: the reference, bit for bit, for the
+  work-buffer kernel :func:`rieszgreedy.limits._chunk_values`.
 - CSV rows by one ``%`` template per chunk, floats through Python's
   ``%.17g``: the reference for the byte-matrix row writer of
   :mod:`rieszgreedy.cli`.
@@ -356,6 +359,41 @@ def f_reference(n: int, s: float) -> float:
         total = mpmath.fsum(_midpoint_deviation(e, s)
                             for e in range(n.bit_length()) if n >> e & 1)
         return float(total if s < 0 else total / mpmath.power(n, s))
+
+
+def chunk_values(ns: np.ndarray, panels) -> list:
+    """One block's values for each checked (target, s) panel, as the block
+    kernel defines them: per bit depth d of n = 2^t y, the weight hw of a
+    set bit and the remainder hq below it, each panel's term added to its
+    own accumulator, every temporary a new array."""
+    log2 = math.log(2.0)
+    mant, top = np.frexp(ns.astype(float))
+    q = 2.0 * mant  # y, then q_k once bit k is removed
+    x, logy = 1.0 / q, np.log(q)
+    cs = [2.0 * math.expm1(s * log2) if t == "energy_form" else 0.0 for t, s in panels]
+    accs = [np.zeros_like(q) for _ in panels]
+    for d in range(int(top.max())):
+        w = 2.0 ** -d
+        hit = q >= w
+        hw = hit * w
+        q -= hw
+        hq = hit * q
+        for (target, s), c, acc in zip(panels, cs, accs):
+            if target == "energy_form":
+                acc += 2.0 ** (-d * s) * (hw + c * hq)
+            elif target == "leja_offset":
+                acc += d * hw - 2.0 * hq
+            else:
+                acc += w * ((d + 2) * hw + 2 * d * hq)
+    values = []
+    for (target, s), acc in zip(panels, accs):
+        if target == "energy_form":
+            values.append(x ** (s + 1.0) * acc)
+        elif target == "leja_offset":
+            values.append(logy + log2 * x * acc)
+        else:
+            values.append(2.0 * log2 - logy - log2 * x * x * acc)
+    return values
 
 
 def _template_cells(part) -> tuple[str, object]:

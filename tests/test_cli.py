@@ -242,6 +242,29 @@ class TestCsvWriter:
         cli._write_csv(out, ",".join(header))
         assert out.read_bytes() == b"i,big,py,np,npscalar,npint,special\n"
 
+    @pytest.mark.parametrize("chunk", [4, cli._CSV_CHUNK])
+    @pytest.mark.parametrize("fallback", [math.nan, math.inf, -math.inf, 3.0, -120.0,
+                                          5e-324, 0.0, -0.0])
+    def test_fallback_cells_in_one_float_column(self, tmp_path, monkeypatch, chunk,
+                                                fallback):
+        # the float arrays of a chunk are formatted together; the % cells of
+        # chunk j sit in float column j % 3 alone, over three chunks
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        count = 2 * chunk + 3
+        floats = [np.linspace(0.1, 0.9, count) + k / 3 for k in range(3)]
+        for row in range(1, count, 3):
+            floats[row // chunk % 3][row] = fallback
+        columns = [np.arange(count), floats[0], 0.5, floats[1], floats[2]]
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow("iakbc")
+            for row in zip(range(count), *(f.tolist() for f in floats)):
+                writer.writerow([_fmt(v) for v in (row[0], row[1], 0.5, *row[2:])])
+        out = tmp_path / "out.csv"
+        cli._write_csv(out, "i,a,k,b,c", *columns)
+        assert out.read_bytes() == ref.read_bytes()
+
 
 def _cesaro_row(n, s):
     mean = cesaro_mean(n, s)

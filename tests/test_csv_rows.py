@@ -3,8 +3,9 @@ for every double: over random bit patterns, at the edges of the fast path
 (its exponent range, powers of ten, exact rounding ties, whole numbers)
 and with the ``%`` fallback at any row of a chunk.  Whole rows are held to
 the % template writer of tests/oracles.py, and the figures writer's shared
-row matrix to :func:`cli._csv_rows`.  The int cells equal ``str(v)`` for
-every int64 value."""
+row matrix to :func:`cli._csv_rows`; both writers format each chunk's
+float columns in one call.  The int cells equal ``str(v)`` for every
+int64 value."""
 
 import os
 import subprocess
@@ -91,6 +92,32 @@ def test_ties_round_half_even_both_ways():
     assert directions == {True, False}
 
 
+#: Values whose digit groups are looked up at both ends of the plain and
+#: the stripped group tables: 0000 and 9999 at indices 0, 9999, 10000, 19999.
+GROUP_ENDS = [0.99999999999999989, 1.0000000000000002, 0.10000000000000001,
+              9999.9999999999982, 1.5, 1.9999]
+
+
+def group_indices(value: float) -> set:
+    """The group table indices of ``value``'s 17 digits, taken from its
+    ``%.16e`` text: digits 2..17 as four groups, each in its stripped form
+    (index + 10000) where only zeros follow it."""
+    digits = ("%.16e" % abs(value))[2:18]
+    groups = [int(digits[i:i + 4]) for i in range(0, 16, 4)]
+    return {g + 10_000 * (int(digits[4 * j + 4:] or 0) == 0)
+            for j, g in enumerate(groups)}
+
+
+@pytest.mark.parametrize("value", GROUP_ENDS + [-v for v in GROUP_ENDS], ids=repr)
+def test_group_table_ends(value):
+    assert_matches_percent([value])
+
+
+def test_group_table_ends_are_all_hit():
+    hit = set().union(*map(group_indices, GROUP_ENDS))
+    assert {0, 9999, 10_000, 19_999} <= hit
+
+
 @pytest.mark.parametrize("fallback", [0.0, -0.0, 100.0, -120.0, np.inf, np.nan,
                                       5e-324, 1e300, 1e-12, 1e15])
 def test_fallback_at_first_middle_and_last_row(fallback):
@@ -169,6 +196,12 @@ PERCENT_CELLS = [0.0, -0.0, 1.0, -3.0, 100.0, 2.0 ** 60, np.nan, np.inf, -np.inf
        panels=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
        spliced=st.lists(st.sampled_from(PERCENT_CELLS) | st.floats(), max_size=12))
 @example(size=256, block=1 << 15, chunk=100, panels=5, seed=1, spliced=PERCENT_CELLS)
+# no drawn value takes %, and both spliced ones land in one column of one
+# chunk: x (seed 653), panels 1, 3 and 5 (seeds 374, 359, 51)
+@example(size=12, block=12, chunk=5, panels=5, seed=653, spliced=[0.0, -3.0])
+@example(size=12, block=12, chunk=5, panels=5, seed=374, spliced=[np.nan, np.inf])
+@example(size=12, block=12, chunk=5, panels=5, seed=359, spliced=[-np.inf, 100.0])
+@example(size=12, block=12, chunk=5, panels=5, seed=51, spliced=[5e-324, -0.0])
 def test_panel_rows_share_one_buffer(size, block, chunk, panels, seed, spliced):
     """The figures writer's shared row matrix writes each file as
     ``_csv_rows`` writes its x and value columns, on drawn columns with %
@@ -199,3 +232,51 @@ def test_panel_rows_share_one_buffer(size, block, chunk, panels, seed, spliced):
         for path, v in zip(paths, values):
             want = b"x,value\n" + cli._csv_rows([x, cli._float_cells(v)], size)
             assert path.read_bytes() == want
+
+
+def spy_float_cells(monkeypatch) -> list:
+    """Record the values of every :func:`cli._float_cells` call."""
+    calls, real = [], cli._float_cells
+
+    def spy(values):
+        calls.append(np.array(values, np.float64))
+        return real(values)
+
+    monkeypatch.setattr(cli, "_float_cells", spy)
+    return calls
+
+
+def assert_same_bits(calls: list, want: list) -> None:
+    assert len(calls) == len(want)
+    for got, expected in zip(calls, want):
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_panels_format_each_chunk_in_one_call(tmp_path, monkeypatch):
+    # blocks of 50 and chunks of 16 rows over the 128 points of order 8
+    monkeypatch.setattr(limits, "_CHUNK", 50)
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 16)
+    panels = [(target, s) for _, target, s in cli._FIGURES]
+    blocks = []
+    limits.GridScan(8, panels).run(lambda xs, values: blocks.append([xs, *values]))
+    want = [np.concatenate([column[i:i + 16] for column in block])
+            for block in blocks for i in range(0, block[0].size, 16)]
+    calls = spy_float_cells(monkeypatch)
+    cli._write_panels([tmp_path / f"p{k}.csv" for k in range(len(panels))], 8, panels)
+    assert len(want) == 10
+    assert_same_bits(calls, want)
+
+
+def test_write_csv_formats_each_chunk_in_one_call(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 4)
+    count = 10
+    a = np.linspace(0.1, 0.9, count)
+    b = np.linspace(-3e5, 2e-7, count).astype(np.float32)
+    columns = (np.arange(count), a, 0.5, [0.25] * count, -a / 3, b)
+    calls = spy_float_cells(monkeypatch)
+    out = tmp_path / "out.csv"
+    cli._write_csv(out, "i,a,k,l,c,b", *columns)
+    assert_same_bits(calls, [np.concatenate([a[i:i + 4], -a[i:i + 4] / 3,
+                                             b[i:i + 4].astype(np.float64)])
+                             for i in range(0, count, 4)])
+    assert out.read_bytes() == ("i,a,k,l,c,b\n" + oracles.csv_rows(columns, count)).encode()

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from rieszgreedy import arith, limits
 from rieszgreedy.arith import (energy_form, leja_offset, log_kernel_form,
                               power_sum)
@@ -187,7 +188,9 @@ class TestBatchValues:
 
 class TestSharedKernel:
     """One bit peel per block for every panel gives each panel the values
-    of the one-panel kernel, bit for bit, in any panel order."""
+    of the one-panel kernel, bit for bit, in any panel order; and the
+    work-buffer kernel gives the values of the per-expression kernel of
+    tests/oracles.py, bit for bit."""
 
     PANELS = ([("leja_offset", None), ("log_kernel_form", None)]
               + [("energy_form", s)
@@ -215,6 +218,27 @@ class TestSharedKernel:
             for k, panel in enumerate(panels):
                 got = self.bits(np.concatenate([values[k] for values in blocks]))
                 assert np.array_equal(got, want[m, panel]), (m, panel)
+
+    def assert_matches_oracle(self, ns, rng):
+        panels = rng.sample(self.PANELS, len(self.PANELS))
+        checked = [(t, limits._check_target(t, s)) for t, s in panels]
+        got = limits._chunk_values(ns, checked)
+        want = oracles.chunk_values(ns, checked)
+        assert len(got) == len(want) == len(panels)
+        for g, w, panel in zip(got, want, panels):
+            assert np.array_equal(self.bits(g), self.bits(w)), panel
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_oracle_on_grid_blocks(self, m):
+        ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1), dtype=np.int64)
+        self.assert_matches_oracle(ns, random.Random(m))
+
+    def test_oracle_on_mixed_binades(self):
+        ns = np.concatenate([np.arange(1, 5001, dtype=np.int64),
+                             (1 << 52) + np.arange(64, dtype=np.int64)])
+        rng = random.Random(11)
+        for _ in range(3):
+            self.assert_matches_oracle(ns, rng)
 
     @pytest.mark.parametrize("chunk", [37, 1 << 15])
     def test_mixed_binades(self, monkeypatch, chunk):
