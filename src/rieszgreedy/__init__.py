@@ -18,13 +18,13 @@ __version__ = "0.1.0"
 
 #: Each public name and the module that defines it, in ``__all__`` order.
 _HOMES = {name: module for module, names in (
-    ("binary", "BinaryDecomposition WeightVector ReciprocalExpansion decompose "
-               "bit_count binary_weights expand_reciprocal grid_point grid_points"),
+    ("binary", "WeightVector ReciprocalExpansion decompose bit_count "
+               "binary_weights expand_reciprocal grid_point grid_points"),
     ("special", "zeta digamma arclength_energy SincPowerSeries sinc_power_series "
                 "sinc_coeff_derivative log_term_constant EULER_GAMMA"),
     ("arith", "energy_form log_kernel_form leja_offset power_sum log_moment"),
-    ("energy", "EnergyParams CircleConfig roots_energy greedy_energy "
-               "greedy_oracle extremal_potential prefix_energies"),
+    ("energy", "CircleConfig roots_energy greedy_energy greedy_oracle "
+               "extremal_potential prefix_energies"),
     ("asymptotics", "t_sequence f_sequence TPrediction predict_t expansion_energy "
                     "EnergyReport RemainderScan remainder_scan doubling_gap "
                     "cesaro_mean"),

@@ -36,9 +36,9 @@ import numpy as np
 from . import limits
 from .arith import energy_form, leja_offset, log_kernel_form
 from .binary import binary_weights
-from .energy import (EnergyParams, _roots_expanded, bit_sum, bit_sums,
+from .energy import (_greedy_s, _roots_expanded, bit_sum, bit_sums,
                      extremal_potential, greedy_energies, greedy_energy, int_array)
-from .special import (EULER_GAMMA, RootsExpansion, arclength_energy,
+from .special import (BRANCH_GUARD, EULER_GAMMA, RootsExpansion, arclength_energy,
                       finite_s, roots_expansion, zeta)
 # unused here, but perfbench/layertrace.py patches this name on this module
 from .special import sinc_power_series  # noqa: F401
@@ -62,16 +62,15 @@ __all__ = [
     "cesaro_scales",
 ]
 
-_BRANCH_GUARD = 1e-9
 _MAX_SCAN_N = 1 << 14
 
 
 def _check_branches(s: float, branches=(-1.0, 0.0, 1.0)) -> None:
     finite_s(s)
     for b in branches:
-        if s != b and abs(s - b) < _BRANCH_GUARD:
+        if s != b and abs(s - b) < BRANCH_GUARD:
             raise ValueError(
-                f"s = {s} is within {_BRANCH_GUARD} of the branch point {b}; "
+                f"s = {s} is within {BRANCH_GUARD} of the branch point {b}; "
                 "pass the branch value exactly or move away from it")
 
 
@@ -111,8 +110,7 @@ def _at_one(what: str, n: int, s: float, body) -> list[float]:
 
 def _check_sequence_s(s: float) -> None:
     _check_branches(s)
-    if s <= -2.0:
-        raise ValueError("s must exceed -2")
+    _greedy_s(s)
 
 
 def _t(n: np.ndarray, e: np.ndarray, s: float) -> np.ndarray:
@@ -141,7 +139,7 @@ def t_sequence(n: int, s: float) -> float:
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_sequence_s(s)
-    e = greedy_energy(n, EnergyParams(s))
+    e = greedy_energy(n, s)
     return _at_one("t_sequence", n, s, lambda n: [_t(n, _one(e), s)])[0]
 
 
@@ -172,7 +170,7 @@ def f_sequence(n: int, s: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_sequence_s(s)
-    u = extremal_potential(n, EnergyParams(s))
+    u = extremal_potential(n, s)
     return _at_one("f_sequence", n, s, lambda n: [_f(n, _one(u), s)])[0]
 
 
@@ -365,7 +363,7 @@ def remainder_scan(s: float, n_lo: int, n_hi: int,
     if level not in ("expansion", "leading"):
         raise ValueError(f"unknown level {level!r}")
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    energies = greedy_energies(ns, EnergyParams(s))
+    energies = greedy_energies(ns, s)
     if level == "leading" or s == 0.0:
         scaled = t_from_energies(ns, energies, s)
         pred, scale = t_predictions(ns, s)
@@ -425,16 +423,15 @@ def cesaro_mean(n: int, s: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_cesaro_s(s)
-    e_next = greedy_energy(n + 1, EnergyParams(s))
+    e_next = greedy_energy(n + 1, s)
     return _at_one("cesaro_mean", n, s, lambda n: [_cesaro(n, _one(e_next), s)])[0]
 
 
 def cesaro_means(ns, s: float) -> np.ndarray:
     """:func:`cesaro_mean` over n in ns (1 <= n < 2^53 - 1)."""
-    params = EnergyParams(s)
     ns = int_array(ns, 1, successor=True)  # E(n + 1) from the array form
     _check_cesaro_s(s)
-    return _cesaro(ns.astype(float), greedy_energies(ns + 1, params), s)
+    return _cesaro(ns.astype(float), greedy_energies(ns + 1, s), s)
 
 
 def cesaro_scales(ns, s: float) -> np.ndarray:

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Optional
 
 __all__ = [
-    "BinaryDecomposition",
     "WeightVector",
     "ReciprocalExpansion",
     "decompose",
@@ -38,40 +37,12 @@ _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class BinaryDecomposition:
-    """Exponents of the set bits of a positive integer, descending.
-
-    ``exponents`` is the unique tuple n_1 > n_2 > ... > n_p >= 0 with
-    n = 2^{n_1} + ... + 2^{n_p}.
-    """
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.exponents:
-            raise ValueError("decomposition must be nonempty")
-        for e in self.exponents:
-            if e < 0:
-                raise ValueError(f"negative exponent {e}")
-        if any(a <= b for a, b in zip(self.exponents, self.exponents[1:])):
-            raise ValueError("exponents must be strictly decreasing")
-
-    @property
-    def n(self) -> int:
-        """The integer this decomposition reconstructs."""
-        return sum(1 << e for e in self.exponents)
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-
-def decompose(n: int) -> BinaryDecomposition:
-    """Binary decomposition of a positive integer, largest bit first."""
+def decompose(n: int) -> tuple[int, ...]:
+    """The exponents n_1 > n_2 > ... > n_p >= 0 of the set bits of a
+    positive integer, n = 2^{n_1} + ... + 2^{n_p}."""
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
-    exps = [i for i in range(n.bit_length()) if (n >> i) & 1]
-    return BinaryDecomposition(tuple(reversed(exps)))
+    return tuple(i for i in reversed(range(n.bit_length())) if n >> i & 1)
 
 
 def bit_count(n: int) -> int:
@@ -165,8 +136,7 @@ def binary_weights(n: int) -> WeightVector:
 
     Satisfies binary_weights(2 n) == binary_weights(n).
     """
-    d = decompose(n)
-    return WeightVector(tuple(Fraction(1 << e, n) for e in d.exponents))
+    return WeightVector(tuple(Fraction(1 << e, n) for e in decompose(n)))
 
 
 @dataclass(frozen=True)

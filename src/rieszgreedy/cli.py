@@ -367,7 +367,7 @@ def _run_eta(args):
     from .binary import binary_weights, decompose
     n = args.N
     w = binary_weights(n)
-    exps = decompose(n).exponents
+    exps = decompose(n)
     rows = [(k + 1, e, t.numerator, t.denominator, float(t))
             for k, (e, t) in enumerate(zip(exps, w.components))]
     return zip(*rows), {"N": n, "bit_count": len(exps)}, True
@@ -375,21 +375,19 @@ def _run_eta(args):
 
 @_table("N,s,energy")
 def _run_energy(args):
-    from .energy import EnergyParams, greedy_energies
+    from .energy import greedy_energies
     if (args.N is None) == (args.n_range is None):
         raise ValueError("give exactly one of --N or --range")
-    params = EnergyParams(args.s)
     ns = _range_ns(args, 1)
-    return (ns, args.s, greedy_energies(ns, params)), {"count": ns.size}, True
+    return (ns, args.s, greedy_energies(ns, args.s)), {"count": ns.size}, True
 
 
 @_table("N,s,energy,T")
 def _run_tseq(args):
     from .asymptotics import t_from_energies
-    from .energy import EnergyParams, greedy_energies
-    params = EnergyParams(args.s)
+    from .energy import greedy_energies
     ns = _range_ns(args, 2)
-    energies = greedy_energies(ns, params)
+    energies = greedy_energies(ns, args.s)
     values = t_from_energies(ns, energies, args.s)
     return (ns, args.s, energies, values), {
         "count": ns.size, "min_T": float(values.min()),
@@ -399,10 +397,9 @@ def _run_tseq(args):
 @_table("N,s,potential,F")
 def _run_fseq(args):
     from .asymptotics import f_from_potentials
-    from .energy import EnergyParams, extremal_potentials
-    params = EnergyParams(args.s)
+    from .energy import extremal_potentials
     ns = _range_ns(args, 1)
-    potentials = extremal_potentials(ns, params)
+    potentials = extremal_potentials(ns, args.s)
     values = f_from_potentials(ns, potentials, args.s)
     return (ns, args.s, potentials, values), {
         "count": ns.size, "min_F": float(values.min()),
@@ -438,10 +435,9 @@ _run_figures.header = _PANEL_HEADER + " (per file)"
 @_table("N,s,exact,predicted,residual")
 def _run_expansion_check(args):
     from .asymptotics import expansion_energies
-    from .energy import EnergyParams, greedy_energies
-    params = EnergyParams(args.s)
+    from .energy import greedy_energies
     ns = _range_ns(args, 2)
-    exact = greedy_energies(ns, params)
+    exact = greedy_energies(ns, args.s)
     predicted = expansion_energies(ns, args.s)
     residual = exact - predicted
     worst = np.abs(residual) / np.maximum(1.0, np.abs(exact))
@@ -465,17 +461,15 @@ def _run_cesaro(args):
 
 @_table("N,s,oracle_energy,formula_energy,rel_gap")
 def _run_oracle_verify(args):
-    from .energy import (EnergyParams, greedy_energies, greedy_oracle,
-                         prefix_energies)
-    params = EnergyParams(args.s)
+    from .energy import greedy_energies, greedy_oracle, prefix_energies
     try:
-        config, _ = greedy_oracle(args.N, params, grid_bits=args.grid_bits)
+        config, _ = greedy_oracle(args.N, args.s, grid_bits=args.grid_bits)
     except RuntimeError as exc:  # no finite potential left on the grid
         raise ValueError(f"the brute-force oracle failed at s = {args.s}: "
                          f"{exc}") from exc
     ns = np.arange(2, args.N + 1)
-    oracle = np.array(prefix_energies(config, params)[1:])
-    formula = greedy_energies(ns, params)
+    oracle = np.array(prefix_energies(config, args.s)[1:])
+    formula = greedy_energies(ns, args.s)
     gaps = np.abs(oracle - formula) / np.maximum(1.0, np.abs(formula))
     worst = float(gaps.max())
     return ((ns, args.s, oracle, formula, gaps),

@@ -5,7 +5,8 @@ independent oracle.
 
 Distances are always the chord |e^{ia} - e^{ib}| = 2 |sin((a - b)/2)|,
 evaluated in that trigonometric form to avoid cancellation near
-coincident points.
+coincident points.  Every function takes the Riesz parameter s as a float;
+s = 0 is the kernel -log|z - w|.
 
 Greedy energies E and potentials U are sums over the set bits e of n of
 one per-exponent table: the roots-of-unity energy L(2^e), and D(2^e) =
@@ -44,7 +45,6 @@ from .special import RootsExpansion, finite_s, roots_expansion
 from .binary import decompose  # noqa: F401
 
 __all__ = [
-    "EnergyParams",
     "CircleConfig",
     "roots_energy",
     "greedy_energy",
@@ -90,22 +90,12 @@ _DIRECT_MAX = 1 << 24
 ORACLE_MAX_GRID_BITS = 22
 
 
-@dataclass(frozen=True)
-class EnergyParams:
-    """Riesz kernel parameter.  s = 0 switches to the -log|z - w| kernel.
-
-    The closed-form greedy machinery requires s > -2; below that greedy
-    sequences degenerate onto two antipodal points and are unsupported.
-    """
-
-    s: float
-
-    def __post_init__(self):
-        finite_s(self.s)
-
-    def require_greedy_range(self) -> None:
-        if self.s <= -2.0:
-            raise ValueError(f"s = {self.s} <= -2 is outside the greedy regime")
+def _greedy_s(s) -> float:
+    """s as a float, inside the greedy regime s > -2: below it greedy
+    sequences degenerate onto two antipodal points and are unsupported."""
+    if (s := finite_s(s)) <= -2.0:
+        raise ValueError(f"s = {s} <= -2 is outside the greedy regime")
+    return s
 
 
 @dataclass(frozen=True)
@@ -121,12 +111,6 @@ class CircleConfig:
 
     def __len__(self) -> int:
         return len(self.angles)
-
-    def write_csv(self, path) -> None:
-        """One angle per line, 17 significant digits."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for a in self.angles:
-                fh.write(f"{a:.17g}\n")
 
 
 def _kernel_np(chord: np.ndarray, s: float) -> np.ndarray:
@@ -223,7 +207,7 @@ def _roots_expanded(n: int, s: float, ex: RootsExpansion) -> float:
     return math.fsum(terms) * float(n) ** 2
 
 
-def roots_energy(n: int, params: EnergyParams) -> float:
+def roots_energy(n: int, s: float) -> float:
     """Riesz energy of the n-th roots of unity; 0 for n = 1 and
     -n log n for the logarithmic kernel.
 
@@ -249,12 +233,13 @@ def roots_energy(n: int, params: EnergyParams) -> float:
     float range are inf.  Outside -2 < s < 127 the direct sum serves
     n <= 2^24, and larger n raise ValueError.
     """
+    s = finite_s(s)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _roots_energy_cached(n, params.s)
+    return _roots_energy_cached(n, s)
 
 
-def greedy_energy(n: int, params: EnergyParams) -> float:
+def greedy_energy(n: int, s: float) -> float:
     """Energy of the first n points of a greedy sequence, from the binary
     decomposition of n: sum_e [L(2^e) + 2 S_e V(2^e)] over its set bits e,
     S_e = n mod 2^e, V(M) = (L(2M) - 2 L(M)) / (2M).  The terms L(2^e) and
@@ -263,10 +248,10 @@ def greedy_energy(n: int, params: EnergyParams) -> float:
     summed with math.fsum; none is negative where one can be inf (s > 0), so an
     energy beyond the float range is inf.  Costs up to 2p cached L, p set bits.
     """
-    params.require_greedy_range()
+    s = _greedy_s(s)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return bit_sum(n, params.s, _roots_energy_cached, False)
+    return bit_sum(n, s, _roots_energy_cached, False)
 
 
 def int_array(ns, smallest: int, successor: bool = False) -> np.ndarray:
@@ -395,51 +380,52 @@ def bit_sums(ns: np.ndarray, s: float, table, potential: bool) -> np.ndarray:
     return _sums(ns, *_tables(union, lows, s, table, potential), potential)
 
 
-def greedy_energies(ns, params: EnergyParams) -> np.ndarray:
+def greedy_energies(ns, s: float) -> np.ndarray:
     """:func:`greedy_energy` over an array of integers 1 <= n < 2^53,
     bit-identical to it."""
-    params.require_greedy_range()
-    return bit_sums(int_array(ns, 1), params.s, _roots_energy_cached, False)
+    s = _greedy_s(s)
+    return bit_sums(int_array(ns, 1), s, _roots_energy_cached, False)
 
 
-def extremal_potentials(ns, params: EnergyParams) -> np.ndarray:
+def extremal_potentials(ns, s: float) -> np.ndarray:
     """:func:`extremal_potential` over an array of integers 1 <= n < 2^53,
     bit-identical to it, with the same OverflowError."""
-    params.require_greedy_range()
+    s = _greedy_s(s)
     ns = int_array(ns, 1)
-    potentials = bit_sums(ns, params.s, _roots_energy_cached, True)
+    potentials = bit_sums(ns, s, _roots_energy_cached, True)
     beyond = np.isinf(potentials)
     if beyond.any():  # the scalar raises, naming the first such n
-        extremal_potential(int(ns[beyond.argmax()]), params)
+        extremal_potential(int(ns[beyond.argmax()]), s)
     return potentials
 
 
-def extremal_potential(n: int, params: EnergyParams) -> float:
+def extremal_potential(n: int, s: float) -> float:
     """The extremal potential value attained by the (n+1)-st greedy point,
     U_n = sum_e V(2^e) over the set bits e of n, V as in :func:`greedy_energy`,
     summed with math.fsum; no energies are differenced.  V(2^e) needs
     L(2^{e+1}): where that is beyond the float range (inf), OverflowError
     names n and s, where an inf or nan would come out.
     """
+    s = _greedy_s(s)
     if n < 1:
         raise ValueError("n must be >= 1")
-    params.require_greedy_range()
-    potential = bit_sum(n, params.s, _roots_energy_cached, True)
+    potential = bit_sum(n, s, _roots_energy_cached, True)
     if math.isinf(potential):
-        raise OverflowError(f"the extremal potential at n = {n}, s = {params.s} "
+        raise OverflowError(f"the extremal potential at n = {n}, s = {s} "
                             f"needs a roots-of-unity energy beyond the float range")
     return potential
 
 
-def prefix_energies(config: CircleConfig, params: EnergyParams) -> list[float]:
+def prefix_energies(config: CircleConfig, s: float) -> list[float]:
     """Energies of all prefixes: entry k is the energy of the first k+1
     points (so entry 0 is 0)."""
+    s = finite_s(s)
     ang = np.asarray(config.angles)
     out = [0.0]
     total = 0.0
     for i in range(1, len(ang)):
         chord = 2.0 * np.abs(np.sin(0.5 * (ang[i] - ang[:i])))
-        total += 2.0 * float(np.sum(_kernel_np(chord, params.s)))
+        total += 2.0 * float(np.sum(_kernel_np(chord, s)))
         out.append(total)
     return out
 
@@ -504,7 +490,7 @@ def _refine_extremum(angles: list[float], s: float, lo: float, hi: float,
     return z
 
 
-def greedy_oracle(n: int, params: EnergyParams, grid_bits: int = 20,
+def greedy_oracle(n: int, s: float, grid_bits: int = 20,
                   refine_tol: float = 1e-12) -> tuple[CircleConfig, float]:
     """Construct the first n greedy points by brute force and return them
     with their directly computed pairwise energy.
@@ -518,7 +504,7 @@ def greedy_oracle(n: int, params: EnergyParams, grid_bits: int = 20,
     Raises RuntimeError when no grid angle has a finite potential (the
     kernel overflows, e.g. s = 1000 at n = 40).
     """
-    params.require_greedy_range()
+    s = _greedy_s(s)
     if not 2 <= n <= 4096:
         raise ValueError("oracle supports 2 <= n <= 4096")
     if grid_bits < math.ceil(math.log2(n)) + 4:
@@ -527,24 +513,24 @@ def greedy_oracle(n: int, params: EnergyParams, grid_bits: int = 20,
         raise ValueError(f"grid_bits = {grid_bits} exceeds {ORACLE_MAX_GRID_BITS}")
     size = 1 << grid_bits
     grid = _TWO_PI * np.arange(size) / size
-    minimize = params.s >= 0.0
+    minimize = s >= 0.0
 
     angles = [0.0]
-    potential = _kernel_np(2.0 * np.abs(np.sin(0.5 * grid)), params.s)
+    potential = _kernel_np(2.0 * np.abs(np.sin(0.5 * grid)), s)
     cell = _TWO_PI / size
     for _ in range(1, n):
         idx = int(np.argmin(potential) if minimize else np.argmax(potential))
         if not math.isfinite(potential[idx]):
             raise RuntimeError("no usable extremum: all candidates coincide "
                                "with existing points")
-        best = _refine_extremum(angles, params.s, grid[idx] - cell,
+        best = _refine_extremum(angles, s, grid[idx] - cell,
                                 grid[idx] + cell, minimize, refine_tol)
         best %= _TWO_PI
         chord_min = min(2.0 * abs(math.sin(0.5 * (best - a))) for a in angles)
         if chord_min == 0.0:
             raise RuntimeError("refined extremum coincides with an existing point")
         angles.append(best)
-        potential += _kernel_np(2.0 * np.abs(np.sin(0.5 * (grid - best))), params.s)
+        potential += _kernel_np(2.0 * np.abs(np.sin(0.5 * (grid - best))), s)
 
     config = CircleConfig(tuple(angles))
-    return config, prefix_energies(config, params)[-1]
+    return config, prefix_energies(config, s)[-1]

@@ -51,14 +51,13 @@ from rieszgreedy.arith import energy_form, leja_offset, log_kernel_form
 from rieszgreedy.asymptotics import TPrediction, _expansion_coefficients
 from rieszgreedy.binary import (ReciprocalExpansion, WeightVector,
                                 binary_weights, expand_reciprocal, grid_point)
-from rieszgreedy.energy import (EnergyParams, extremal_potential, greedy_energy,
-                                roots_energy)
+from rieszgreedy.energy import extremal_potential, greedy_energy, roots_energy
 from rieszgreedy.limits import energy_form_at
 from rieszgreedy.special import EULER_GAMMA, arclength_energy, zeta
 
 
 def t_sequence(n: int, s: float) -> float:
-    e = greedy_energy(n, EnergyParams(s))
+    e = greedy_energy(n, s)
     if s == 0.0:
         return (e + n * math.log(n)) / n
     if s == 1.0:
@@ -74,7 +73,7 @@ def t_sequence(n: int, s: float) -> float:
 
 
 def f_sequence(n: int, s: float) -> float:
-    u = extremal_potential(n, EnergyParams(s))
+    u = extremal_potential(n, s)
     if s == 0.0:
         return -u / math.log(n + 1.0)
     if s == 1.0:
@@ -133,7 +132,7 @@ def expansion_energy(n: int, s: float) -> float:
 
 def cesaro_mean(n: int, s: float) -> float:
     cont = arclength_energy(s)
-    e_next = greedy_energy(n + 1, EnergyParams(s))
+    e_next = greedy_energy(n + 1, s)
     return (0.5 * e_next - 0.5 * n * (n + 1) * cont) / n
 
 
@@ -310,7 +309,7 @@ def greedy_energy_columns(n: int, s: float) -> float:
     bits e of n, S_e = n mod 2^e, L the roots-of-unity energy; a zero
     weight takes no L.  Terms holding +inf and -inf give inf: a -inf term
     has bit e of n set, so E(n) >= L(2^e) is beyond the float range too."""
-    params = EnergyParams(s)
+    params = s
     terms = []
     for e in range(n.bit_length()):
         if n >> e & 1:

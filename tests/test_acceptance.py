@@ -21,8 +21,7 @@ from rieszgreedy.arith import (energy_form, leja_offset, log_kernel_form,
 from rieszgreedy.asymptotics import (cesaro_mean, expansion_energy,
                                      predict_t, t_sequence)
 from rieszgreedy.binary import binary_weights, grid_point
-from rieszgreedy.energy import (EnergyParams, greedy_energy, greedy_oracle,
-                                prefix_energies)
+from rieszgreedy.energy import greedy_energy, greedy_oracle, prefix_energies
 from rieszgreedy.limits import batch_eta_values, scan_extremum
 from rieszgreedy.special import arclength_energy
 
@@ -72,7 +71,7 @@ def test_criterion_03_log_interval_endpoint():
 
 def test_criterion_04_even_case_exactness():
     with criterion("4: inverse-square expansion is exact"):
-        params = EnergyParams(2.0)
+        params = 2.0
         for n in range(2, (1 << 10) + 1):
             exact = greedy_energy(n, params)
             assert abs(expansion_energy(n, 2.0) - exact) <= 1e-11 * abs(exact)
@@ -86,7 +85,7 @@ def test_criterion_05_oracle_equivalence():
     with criterion("5: brute-force greedy matches the closed form"):
         t0 = time.perf_counter()
         for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5):
-            params = EnergyParams(s)
+            params = s
             config, _ = greedy_oracle(64, params, grid_bits=20,
                                       refine_tol=1e-12)
             energies = prefix_energies(config, params)

@@ -13,9 +13,8 @@ from rieszgreedy.asymptotics import (cesaro_mean, cesaro_means, cesaro_scales,
                                      t_from_energies, t_predictions,
                                      t_sequence)
 from rieszgreedy.binary import binary_weights
-from rieszgreedy.energy import (EnergyParams, extremal_potential,
-                                extremal_potentials, greedy_energies,
-                                greedy_energy, roots_energy)
+from rieszgreedy.energy import (extremal_potential, extremal_potentials,
+                                greedy_energies, greedy_energy, roots_energy)
 from rieszgreedy.special import EULER_GAMMA, arclength_energy
 
 
@@ -67,7 +66,7 @@ class TestTSequence:
     @pytest.mark.parametrize("s", BRANCH_S)
     def test_array_form_bit_identical(self, s):
         ns = np.arange(2, 1500)
-        energies = greedy_energies(ns, EnergyParams(s))
+        energies = greedy_energies(ns, s)
         want = [t_sequence(int(n), s) for n in ns]
         assert bits(t_from_energies(ns, energies, s)) == bits(want)
 
@@ -84,7 +83,7 @@ class TestFSequence:
     @pytest.mark.parametrize("s", BRANCH_S)
     def test_array_form_bit_identical(self, s):
         ns = np.arange(1, 1500)
-        potentials = extremal_potentials(ns, EnergyParams(s))
+        potentials = extremal_potentials(ns, s)
         want = [f_sequence(int(n), s) for n in ns]
         assert bits(f_from_potentials(ns, potentials, s)) == bits(want)
 
@@ -166,14 +165,14 @@ class TestPredictT:
 
 class TestExpansionEnergy:
     def test_even_case_exact(self):
-        params = EnergyParams(2.0)
+        params = 2.0
         for n in range(2, 1025):
             exact = greedy_energy(n, params)
             assert expansion_energy(n, 2.0) == pytest.approx(exact, rel=1e-11)
 
     def test_minus_one_remainder_bounded(self):
         # E - (4/pi) n^2 + (pi/3) H(.;-1) stays bounded on the desk range
-        params = EnergyParams(-1.0)
+        params = -1.0
         worst = 0.0
         for n in range(2, 4097):
             rho = greedy_energy(n, params) - expansion_energy(n, -1.0)
@@ -221,7 +220,7 @@ class TestExpansionEnergy:
         # n^{1+s-2j} as n^{s-2j} n no rounded exponent s + 1 costs ulps
         for k in (12, 13, 14):
             n = 1 << k
-            want = roots_energy(n, EnergyParams(s))
+            want = roots_energy(n, s)
             assert abs(expansion_energy(n, s) - want) <= 8 * math.ulp(want), k
             got = expansion_energies([n], s)[0]
             assert abs(got - want) <= 8 * math.ulp(want), k
@@ -252,7 +251,7 @@ class TestExpansionEnergy:
         # n^126 * n overflowed here, though E(n) is about 3e242; the even s
         # makes the expansion exact
         for n in range(267, 280):
-            want = greedy_energy(n, EnergyParams(126.0))
+            want = greedy_energy(n, 126.0)
             assert expansion_energy(n, 126.0) == pytest.approx(want, rel=1e-13)
 
 
@@ -272,6 +271,15 @@ class TestBranchGuards:
         message = f"s = {s} is within 1e-09 of the branch point {branch}"
         for call in (lambda: expansion_energy(100, s),
                      lambda: expansion_energies([100], s)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("s", [-2.0, -2.5])
+    def test_sequences_outside_the_greedy_regime(self, s):
+        message = f"s = {s} <= -2 is outside the greedy regime"
+        for call in (lambda: t_sequence(16, s), lambda: f_sequence(16, s),
+                     lambda: t_from_energies([16], np.zeros(1), s),
+                     lambda: f_from_potentials([16], np.zeros(1), s)):
             with pytest.raises(ValueError, match=message):
                 call()
 
@@ -332,7 +340,7 @@ class TestCesaroMean:
     def test_identity_against_direct_sum(self):
         # the closed form equals the literal average of potential deviations
         for s in (-0.5, -1.5):
-            params = EnergyParams(s)
+            params = s
             cont = arclength_energy(s)
             for n in (1, 2, 17, 50):
                 direct = sum(extremal_potential(k, params) - k * cont

@@ -7,19 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from rieszgreedy.binary import (BinaryDecomposition, ReciprocalExpansion,
-                                WeightVector, binary_weights, bit_count,
-                                decompose, expand_reciprocal, grid_point,
-                                grid_points)
+from rieszgreedy.binary import (ReciprocalExpansion, WeightVector,
+                                binary_weights, bit_count, decompose,
+                                expand_reciprocal, grid_point, grid_points)
 
 
 class TestDecompose:
     def test_examples(self):
-        assert decompose(5).exponents == (2, 0)
+        assert decompose(5) == (2, 0)
         for k in range(12):
-            assert decompose(1 << k).exponents == (k,)
+            assert decompose(1 << k) == (k,)
         # (4^3 - 1)/3 = 21
-        assert decompose(21).exponents == (4, 2, 0)
+        assert decompose(21) == (4, 2, 0)
 
     @pytest.mark.parametrize("bad", [0, -1, -17])
     def test_rejects_nonpositive(self, bad):
@@ -29,16 +28,8 @@ class TestDecompose:
     @given(st.integers(min_value=1, max_value=1 << 40))
     def test_roundtrip(self, n):
         d = decompose(n)
-        assert d.n == n
-        assert all(a > b for a, b in zip(d.exponents, d.exponents[1:]))
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            BinaryDecomposition(())
-        with pytest.raises(ValueError):
-            BinaryDecomposition((2, 2))
-        with pytest.raises(ValueError):
-            BinaryDecomposition((1, -1))
+        assert type(d) is tuple and sum(1 << e for e in d) == n
+        assert all(a > b for a, b in zip(d, d[1:])) and d[-1] >= 0
 
 
 class TestBitCount:
@@ -66,7 +57,7 @@ class TestBinaryWeights:
     def test_invariants_exhaustive_integer_arithmetic(self):
         # all checks as exact integer comparisons, no rationals involved
         for n in range(1, 1 << 16):
-            exps = decompose(n).exponents
+            exps = decompose(n)
             assert sum(1 << e for e in exps) == n
             assert 2 * (1 << exps[0]) > n >= (1 << exps[0])
             suffix = n

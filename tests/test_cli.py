@@ -14,7 +14,7 @@ from rieszgreedy.asymptotics import (cesaro_mean, expansion_energy, f_sequence,
                                      t_sequence)
 from rieszgreedy.binary import binary_weights
 from rieszgreedy.cli import main
-from rieszgreedy.energy import EnergyParams, extremal_potential, greedy_energy
+from rieszgreedy.energy import extremal_potential, greedy_energy
 from rieszgreedy.limits import scan_extremum
 from rieszgreedy.special import arclength_energy
 
@@ -279,16 +279,16 @@ def _cesaro_row(n, s):
 
 
 def _expansion_row(n, s):
-    exact = greedy_energy(n, EnergyParams(s))
+    exact = greedy_energy(n, s)
     predicted = expansion_energy(n, s)
     return exact, predicted, exact - predicted
 
 
 # each range command against rows built from the scalar per-n functions
 SCALAR_ROWS = {
-    "energy": lambda n, s: (greedy_energy(n, EnergyParams(s)),),
-    "tseq": lambda n, s: (greedy_energy(n, EnergyParams(s)), t_sequence(n, s)),
-    "fseq": lambda n, s: (extremal_potential(n, EnergyParams(s)),
+    "energy": lambda n, s: (greedy_energy(n, s),),
+    "tseq": lambda n, s: (greedy_energy(n, s), t_sequence(n, s)),
+    "fseq": lambda n, s: (extremal_potential(n, s),
                           f_sequence(n, s)),
     "cesaro": _cesaro_row,
     "expansion-check": _expansion_row,

@@ -16,7 +16,7 @@ from rieszgreedy.asymptotics import (cesaro_mean, doubling_gap, f_sequence,
                                      predict_t, t_sequence)
 from rieszgreedy.binary import (WeightVector, binary_weights, bit_count,
                                expand_reciprocal)
-from rieszgreedy.energy import EnergyParams, extremal_potential
+from rieszgreedy.energy import extremal_potential
 from rieszgreedy.special import log_term_constant, sinc_coeff_derivative
 
 
@@ -25,7 +25,7 @@ from rieszgreedy.special import log_term_constant, sinc_coeff_derivative
     (lambda: predict_t(1, 0.5), "n must be >= 2"),
     (lambda: doubling_gap(1, 0.5), "n must be >= 2"),
     (lambda: cesaro_mean(0, -0.5), "n must be >= 1"),
-    (lambda: extremal_potential(0, EnergyParams(0.5)), "n must be >= 1"),
+    (lambda: extremal_potential(0, 0.5), "n must be >= 1"),
     (lambda: bit_count(0), "need a positive integer, got 0"),
     (lambda: sinc_coeff_derivative(-1), "m must be non-negative"),
     (lambda: log_term_constant(-1), "m must be non-negative"),

@@ -22,10 +22,10 @@ from rieszgreedy.arith import leja_offset
 from rieszgreedy.asymptotics import f_from_potentials
 from rieszgreedy.binary import binary_weights
 from rieszgreedy import energy
-from rieszgreedy.energy import (CircleConfig, EnergyParams,
-                                extremal_potential, extremal_potentials,
-                                greedy_energies, greedy_energy,
-                                greedy_oracle, prefix_energies, roots_energy)
+from rieszgreedy.energy import (CircleConfig, extremal_potential,
+                                extremal_potentials, greedy_energies,
+                                greedy_energy, greedy_oracle, prefix_energies,
+                                roots_energy)
 from rieszgreedy.special import roots_expansion
 
 
@@ -48,26 +48,26 @@ def pairwise_energy_reference(angles: np.ndarray, s: float) -> float:
 class TestRootsEnergy:
     def test_single_point(self):
         for s in (-1.0, 0.0, 0.5, 2.0):
-            assert roots_energy(1, EnergyParams(s)) == 0.0
+            assert roots_energy(1, s) == 0.0
 
     @pytest.mark.parametrize("s", [-1.5, -0.5, 0.5, 2.0, 3.5])
     def test_antipodal_pair(self, s):
-        assert roots_energy(2, EnergyParams(s)) == pytest.approx(
+        assert roots_energy(2, s) == pytest.approx(
             2.0 * 2.0 ** (-s), rel=1e-15)
 
     def test_log_case(self):
         for n in (2, 3, 10, 1000):
-            assert roots_energy(n, EnergyParams(0.0)) == -n * math.log(n)
+            assert roots_energy(n, 0.0) == -n * math.log(n)
 
     def test_inverse_square_closed_form(self):
         # the two-term zeta expansion collapses to (N^3 - N)/12 exactly
         for n in range(2, 51):
-            assert roots_energy(n, EnergyParams(2.0)) == pytest.approx(
+            assert roots_energy(n, 2.0) == pytest.approx(
                 (n ** 3 - n) / 12.0, rel=1e-12)
 
     @pytest.mark.parametrize("s", [-0.5, 0.5, 2.0])
     def test_direct_pairwise_all_n(self, s):
-        params = EnergyParams(s)
+        params = s
         for n in range(2, 513):
             angles = 2.0 * np.pi * np.arange(n) / n
             ref = pairwise_energy_reference(angles, s)
@@ -75,7 +75,7 @@ class TestRootsEnergy:
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            roots_energy(0, EnergyParams(1.0))
+            roots_energy(0, 1.0)
 
     @staticmethod
     def mp_roots_error(n, s):
@@ -86,7 +86,7 @@ class TestRootsEnergy:
             want = 2 * n * mpmath.fsum(
                 (2 * mpmath.sin(mpmath.pi * k / n)) ** -mpmath.mpf(s)
                 for k in range(1, 65))
-            got = mpmath.mpf(roots_energy(n, EnergyParams(s)))
+            got = mpmath.mpf(roots_energy(n, s))
             return float(abs(got / want - 1))
 
     @pytest.mark.parametrize("s", [20.0, 40.0, 80.0])
@@ -164,12 +164,12 @@ class TestRootsExpansionRoute:
         # 4.1e-15 and 3.9e-15 at the three points, with room
         assert k * s > 1024  # n^s = 2^{ks} is beyond the float range
         assert self.gap(1 << k, s) <= energy.ROOTS_RTOL + 2 * s * 4e-17
-        assert math.isfinite(roots_energy(1 << 40, EnergyParams(26.0)))
+        assert math.isfinite(roots_energy(1 << 40, 26.0))
 
     def test_beyond_float_range_is_inf(self):
         for n, s in ((1 << 2000, 0.5), (1 << 600, 1.01), (1 << 600, 3.0),
                      (1 << 40, 100.0), (3 ** 700, -1.5)):
-            assert roots_energy(n, EnergyParams(s)) == math.inf
+            assert roots_energy(n, s) == math.inf
 
     @staticmethod
     def unscaled(n, s):
@@ -204,9 +204,9 @@ class TestRootsExpansionRoute:
         # outside -2 < s < 127 only the direct sum applies, up to 2^24
         for s in (-2.5, 130.0):
             with pytest.raises(ValueError, match="2\\^24"):
-                roots_energy((1 << 24) + 2, EnergyParams(s))
+                roots_energy((1 << 24) + 2, s)
         want = energy._roots_direct(1 << 16, -2.5)
-        assert roots_energy(1 << 16, EnergyParams(-2.5)) == want
+        assert roots_energy(1 << 16, -2.5) == want
 
 
 def test_bounded_memory_at_large_n(tmp_path):
@@ -216,12 +216,11 @@ def test_bounded_memory_at_large_n(tmp_path):
         import math, resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
         from rieszgreedy.cli import main
-        from rieszgreedy.energy import (EnergyParams, extremal_potential,
-                                        greedy_energy)
+        from rieszgreedy.energy import extremal_potential, greedy_energy
         n = (1 << 40) + 12345
         for s in (-1.5, 0.37, 0.99, 1.0, 3.421):
-            assert math.isfinite(greedy_energy(n, EnergyParams(s)))
-            assert math.isfinite(extremal_potential(n, EnergyParams(s)))
+            assert math.isfinite(greedy_energy(n, s))
+            assert math.isfinite(extremal_potential(n, s))
         sys.exit(main(sys.argv[1:]))
     """)
     src = str(Path(rieszgreedy.__file__).resolve().parents[1])
@@ -246,30 +245,30 @@ def test_bounded_memory_at_large_n(tmp_path):
 class TestGreedyEnergy:
     @pytest.mark.parametrize("s", [-1.0, -0.5, 0.0, 0.5, 2.0, 3.5])
     def test_powers_of_two_collapse(self, s):
-        params = EnergyParams(s)
+        params = s
         for k in range(11):
             assert greedy_energy(1 << k, params) == roots_energy(1 << k, params)
 
     @pytest.mark.parametrize("s", [-0.5, 0.5, 1.0, 3.5])
     def test_three_points(self, s):
-        params = EnergyParams(s)
+        params = s
         assert greedy_energy(3, params) == pytest.approx(
             0.5 * roots_energy(4, params), rel=1e-14)
 
     def test_three_points_inverse_square(self):
         # explicit configuration {1, -1, i}: pairs at distance 2, sqrt2, sqrt2
-        assert greedy_energy(3, EnergyParams(2.0)) == pytest.approx(
+        assert greedy_energy(3, 2.0) == pytest.approx(
             2 * (1 / 4 + 1 / 2 + 1 / 2), rel=1e-15)
 
     def test_log_energy_offset_identity(self):
         for n in range(3, 65):
             want = -n * math.log(n) + n * leja_offset(binary_weights(n))
-            assert greedy_energy(n, EnergyParams(0.0)) == pytest.approx(
+            assert greedy_energy(n, 0.0) == pytest.approx(
                 want, abs=1e-11)
 
     @pytest.mark.parametrize("s", [0.5, 2.0])
     def test_monotone_growth(self, s):
-        params = EnergyParams(s)
+        params = s
         prev = greedy_energy(2, params)
         for n in range(3, 1025):
             cur = greedy_energy(n, params)
@@ -279,7 +278,7 @@ class TestGreedyEnergy:
     def test_log_kernel_beyond_the_float_range(self):
         # L(N) = -N log N at s = 0 is -inf from N = 2^1024 on, as at 2^1023
         for n in (1 << 1023, 1 << 1030, (1 << 1030) + 12345):
-            assert greedy_energy(n, EnergyParams(0.0)) == -math.inf
+            assert greedy_energy(n, 0.0) == -math.inf
 
     @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 2.5])
     def test_bits_far_apart_beyond_the_float_range(self, s):
@@ -287,19 +286,47 @@ class TestGreedyEnergy:
         # the term is dropped, not taken as a nan
         want = -math.inf if s == 0.0 else math.inf
         for n in ((1 << 1100) + 1, (1 << 1100) + (1 << 30)):
-            assert greedy_energy(n, EnergyParams(s)) == want, n
+            assert greedy_energy(n, s) == want, n
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            greedy_energy(8, EnergyParams(-2.0))
+            greedy_energy(8, -2.0)
         with pytest.raises(ValueError):
-            greedy_energy(0, EnergyParams(1.0))
-        assert greedy_energy(1, EnergyParams(1.0)) == 0.0
+            greedy_energy(0, 1.0)
+        assert greedy_energy(1, 1.0) == 0.0
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_s_rejected(self, s):
         with pytest.raises(ValueError, match="not finite"):
-            EnergyParams(s)
+            greedy_energy(8, s)
+
+
+#: Each public function of ``energy`` at one s; the first five are greedy.
+S_CALLS = {
+    "greedy_energy": lambda s: greedy_energy(5, s),
+    "greedy_energies": lambda s: greedy_energies([3, 5], s),
+    "extremal_potential": lambda s: extremal_potential(5, s),
+    "extremal_potentials": lambda s: extremal_potentials([3, 5], s),
+    "greedy_oracle": lambda s: greedy_oracle(4, s, grid_bits=8)[1],
+    "roots_energy": lambda s: roots_energy(5, s),
+    "prefix_energies": lambda s: prefix_energies(CircleConfig((0.0, 1.0, 2.5)), s),
+}
+
+
+@pytest.mark.parametrize("name", S_CALLS)
+def test_s_is_a_plain_float(name):
+    call = S_CALLS[name]
+    assert np.all(np.isfinite(call(0.5)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            call(bad)
+    for s in (-2.0, -2.5):
+        if name in list(S_CALLS)[:5]:
+            with pytest.raises(ValueError,
+                               match=f"s = {s} <= -2 is outside the greedy regime"):
+                call(s)
+        else:
+            assert np.all(np.isfinite(call(s)))
 
 
 class TestGreedyEnergies:
@@ -307,13 +334,13 @@ class TestGreedyEnergies:
 
     @pytest.mark.parametrize("s", [-1.5, -1.0, -0.5, 0.0, 1.0 / 3.0, 1.0, 2.0, 3.5])
     def test_bit_identical_to_scalar(self, s):
-        params = EnergyParams(s)
+        params = s
         want = [greedy_energy(n, params) for n in self.NS]
         assert bits(greedy_energies(np.array(self.NS), params)) == bits(want)
 
     @pytest.mark.parametrize("s", [-0.5, 0.0, 2.0])
     def test_potentials_bit_identical_to_scalar(self, s):
-        params = EnergyParams(s)
+        params = s
         ns = list(range(1, 600)) + [(1 << 16) - 3, (1 << 16) - 1]
         want = [extremal_potential(n, params) for n in ns]
         assert bits(extremal_potentials(np.array(ns), params)) == bits(want)
@@ -324,7 +351,7 @@ class TestGreedyEnergies:
         # both routes must ask for the same L(2^k), no more (each miss is
         # 2^{k-1} sines) and no fewer
         ns = np.arange(top - 255, top + 1)
-        params = EnergyParams(0.37)
+        params = 0.37
         cache = energy._roots_energy_cached
 
         def misses(route_a, route_b):
@@ -351,7 +378,7 @@ class TestGreedyEnergies:
         ns = (list(range(top - 300, top + 301))
               + list(range(2 * top - 100, 2 * top + 101))
               + [(1 << 40) + 12345, (1 << 52) + 7, (1 << 53) - 1])
-        params = EnergyParams(s)
+        params = s
         want = [greedy_energy(n, params) for n in ns]
         assert bits(greedy_energies(np.array(ns), params)) == bits(want)
 
@@ -362,7 +389,7 @@ class TestGreedyEnergies:
         # is zero, and E(65535), whose terms hold both +inf and -inf
         ns = (list(range(32700, 32900)) + list(range(65500, 65600))
               + list(range(98250, 98350)))
-        params = EnergyParams(s)
+        params = s
         want = [greedy_energy(n, params) for n in ns]
         got = greedy_energies(np.array(ns), params)
         assert bits(got) == bits(want)
@@ -370,13 +397,13 @@ class TestGreedyEnergies:
         assert (got[np.array(ns) > 1 << 15] == math.inf).all()
 
     def test_domain(self):
-        assert greedy_energies([], EnergyParams(1.0)).shape == (0,)
-        assert bits(greedy_energies([1], EnergyParams(1.0))) == bits([0.0])
+        assert greedy_energies([], 1.0).shape == (0,)
+        assert bits(greedy_energies([1], 1.0)) == bits([0.0])
         for bad in ([0, 3], [3, 1 << 53]):
             with pytest.raises(ValueError):
-                greedy_energies(bad, EnergyParams(1.0))
+                greedy_energies(bad, 1.0)
         with pytest.raises(ValueError):
-            greedy_energies([8], EnergyParams(-2.0))
+            greedy_energies([8], -2.0)
 
 
 class TestAgainstTheTwoColumnFormula:
@@ -391,8 +418,8 @@ class TestAgainstTheTwoColumnFormula:
                                    0.97, 1.0, 2.0, 2.5, 3.0, 3.5, 80.0])
     def test_within_4_ulp_inf_alike_never_nan(self, s):
         want = np.array([oracles.greedy_energy_columns(n, s) for n in self.NS])
-        got = np.array([greedy_energy(n, EnergyParams(s)) for n in self.NS])
-        assert bits(greedy_energies(self.NS, EnergyParams(s))) == bits(got)
+        got = np.array([greedy_energy(n, s) for n in self.NS])
+        assert bits(greedy_energies(self.NS, s)) == bits(got)
         assert not np.isnan(got).any()
         assert (np.isinf(got) == np.isinf(want)).all()
         finite = np.isfinite(want)
@@ -424,7 +451,7 @@ class TestRequestOrder:
     # outside the pole band, where the anchor 2^12 is requested early
     @pytest.mark.parametrize("s", [-0.5, 0.5, 2.5])
     def test_largest_first(self, monkeypatch, s):
-        params = EnergyParams(s)
+        params = s
         ns = np.array(self.WINDOW)
         routes = [lambda: greedy_energies(ns, params),
                   lambda: extremal_potentials(ns, params)]
@@ -600,13 +627,13 @@ class TestCertifiedSums:
         monkeypatch.setattr(energy, "_BLOCK", 4)
         ns = np.arange((1 << 15) - 9, (1 << 15) + 3)
         with pytest.raises(OverflowError, match=re.escape(f"n = {1 << 15}, s = 80.0")):
-            extremal_potentials(ns, EnergyParams(80.0))
+            extremal_potentials(ns, 80.0)
 
 
 class TestGreedyOracle:
     @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 2.0])
     def test_matches_closed_form_small(self, s):
-        params = EnergyParams(s)
+        params = s
         config, energy = greedy_oracle(16, params, grid_bits=14)
         pe = prefix_energies(config, params)
         assert energy == pytest.approx(pe[-1], rel=1e-12)
@@ -616,45 +643,45 @@ class TestGreedyOracle:
 
     def test_second_point_is_antipodal(self):
         for s in (-1.0, 0.5, 2.0):
-            config, energy = greedy_oracle(2, EnergyParams(s), grid_bits=14)
+            config, energy = greedy_oracle(2, s, grid_bits=14)
             assert config.angles[0] == 0.0
             assert config.angles[1] == pytest.approx(math.pi, abs=1e-10)
             assert energy == pytest.approx(2.0 * 2.0 ** (-s), rel=1e-12)
-        config, energy = greedy_oracle(2, EnergyParams(0.0), grid_bits=14)
+        config, energy = greedy_oracle(2, 0.0, grid_bits=14)
         assert energy == pytest.approx(-2.0 * math.log(2.0), rel=1e-12)
 
     def test_first_four_points_equally_spaced(self):
-        config, energy = greedy_oracle(4, EnergyParams(1.0), grid_bits=16)
+        config, energy = greedy_oracle(4, 1.0, grid_bits=16)
         got = np.sort(np.asarray(config.angles))
         want = np.array([0.0, 0.5, 1.0, 1.5]) * math.pi
         assert np.max(np.abs(got - want)) < 1e-9
-        assert energy == pytest.approx(roots_energy(4, EnergyParams(1.0)),
+        assert energy == pytest.approx(roots_energy(4, 1.0),
                                        rel=1e-10)
 
     def test_validations(self):
         with pytest.raises(ValueError):
-            greedy_oracle(1, EnergyParams(1.0))
+            greedy_oracle(1, 1.0)
         with pytest.raises(ValueError):
-            greedy_oracle(100, EnergyParams(1.0), grid_bits=8)
+            greedy_oracle(100, 1.0, grid_bits=8)
         with pytest.raises(ValueError):
-            greedy_oracle(8, EnergyParams(-2.5))
+            greedy_oracle(8, -2.5)
 
 
 class TestExtremalPotential:
     @pytest.mark.parametrize("s", [-1.5, -0.5, 0.5, 2.0])
     def test_first_value(self, s):
-        assert extremal_potential(1, EnergyParams(s)) == pytest.approx(
+        assert extremal_potential(1, s) == pytest.approx(
             2.0 ** (-s), rel=1e-14)
 
     @pytest.mark.parametrize("s", [-0.5, 0.5, 2.0])
     def test_second_value(self, s):
-        params = EnergyParams(s)
+        params = s
         want = 0.5 * (0.5 * roots_energy(4, params) - roots_energy(2, params))
         assert extremal_potential(2, params) == pytest.approx(want, rel=1e-13)
 
     def test_log_band(self):
         # -U/log(N+1) stays inside a fixed band over the whole desk range
-        params = EnergyParams(0.0)
+        params = 0.0
         for n in range(1, 4097):
             f = -extremal_potential(n, params) / math.log(n + 1.0)
             assert 0.0 <= f <= 1.01
@@ -663,7 +690,7 @@ class TestExtremalPotential:
     def test_undetermined_beyond_the_float_range(self, s, last):
         # E(last + 1) is the first energy beyond the float range (inf), so
         # U_last = (E(last + 1) - E(last)) / 2 is not known: OverflowError
-        params = EnergyParams(s)
+        params = s
         assert math.isfinite(greedy_energy(last, params))
         assert greedy_energy(last + 1, params) == math.inf
         ns = list(range(max(1, last - 3), last))
@@ -681,7 +708,7 @@ class TestExtremalPotential:
         # U_n needs L(2^1031) = -inf: the documented error, naming n and s
         n = 1 << 1030
         with pytest.raises(OverflowError, match=re.escape(f"n = {n}, s = 0.0")):
-            extremal_potential(n, EnergyParams(0.0))
+            extremal_potential(n, 0.0)
 
 
 class TestPotentialAccuracy:
@@ -693,14 +720,14 @@ class TestPotentialAccuracy:
         rng = random.Random(7)
         for n in [rng.randrange(1, 1 << 200) for _ in range(300)]:
             want = -n.bit_count() * math.log(2.0)
-            got = extremal_potential(n, EnergyParams(0.0))
+            got = extremal_potential(n, 0.0)
             assert abs(got - want) <= 1e-14 * abs(want), n
 
     def test_f_at_minus_half_in_the_2_to_20_octave(self):
         # the difference of two energies was 4.1e-4 off here
         rng = random.Random(20)
         ns = [rng.randrange(1 << 20, 1 << 21) for _ in range(16)]
-        got = f_from_potentials(ns, extremal_potentials(ns, EnergyParams(-0.5)), -0.5)
+        got = f_from_potentials(ns, extremal_potentials(ns, -0.5), -0.5)
         for n, f in zip(ns, got):
             assert abs(f - oracles.f_reference(n, -0.5)) <= 1e-8, n
 
@@ -710,17 +737,10 @@ class TestCircleConfig:
         with pytest.raises(ValueError):
             CircleConfig((0.0, 1.0, 0.0))
 
-    def test_csv_export(self, tmp_path):
-        config = CircleConfig((0.0, math.pi / 3.0, 1.25))
-        path = tmp_path / "angles.csv"
-        config.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines == [f"{a:.17g}" for a in config.angles]
-
     def test_config_energy_against_reference(self):
         rng = np.random.default_rng(5)
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=40))
         config = CircleConfig(tuple(angles))
         for s in (-0.5, 0.0, 0.5, 2.0):
-            assert prefix_energies(config, EnergyParams(s))[-1] == pytest.approx(
+            assert prefix_energies(config, s)[-1] == pytest.approx(
                 pairwise_energy_reference(angles, s), rel=1e-12)

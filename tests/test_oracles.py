@@ -15,8 +15,7 @@ import pytest
 
 import oracles
 from rieszgreedy import asymptotics, limits
-from rieszgreedy.energy import (EnergyParams, extremal_potentials,
-                                greedy_energies)
+from rieszgreedy.energy import extremal_potentials, greedy_energies
 from rieszgreedy.limits import batch_eta_values
 
 S = [-1.5, -1.0, -0.413, 0.0, 1.0 / 3.0, 1.0, 2.0, 3.0, 3.5, 5.0]
@@ -68,7 +67,7 @@ def with_batch_forms(monkeypatch, ns) -> None:
 def test_t(s):
     want = bits([oracles.t_sequence(n, s) for n in NS + HUGE])
     assert bits([asymptotics.t_sequence(n, s) for n in NS + HUGE]) == want
-    energies = greedy_energies(NS, EnergyParams(s))
+    energies = greedy_energies(NS, s)
     assert bits(asymptotics.t_from_energies(NS, energies, s)) == want[:len(NS)]
 
 
@@ -77,7 +76,7 @@ def test_f(s):
     ns = [1] + NS
     want = bits([oracles.f_sequence(n, s) for n in ns + HUGE])
     assert bits([asymptotics.f_sequence(n, s) for n in ns + HUGE]) == want
-    potentials = extremal_potentials(ns, EnergyParams(s))
+    potentials = extremal_potentials(ns, s)
     assert (bits(asymptotics.f_from_potentials(ns, potentials, s))
             == want[:len(ns)])
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -94,6 +95,22 @@ class TestArclengthEnergy:
             assert arclength_energy(s) > 0.0
         for s in (1.2, 1.7):
             assert arclength_energy(s) < 0.0
+
+    def test_large_negative_s_against_mpmath(self):
+        # 2^-s Gamma((1-s)/2) overflows below s = -268.25 and Gamma((1-s)/2)
+        # alone below -341.25; the value is finite down to about -1029.3
+        rng = random.Random(12)
+        for s in [-268.4, -300.0, -341.6, -400.0, -1000.0, -1023.0, -1029.3,
+                  *(rng.uniform(-1029.3, -268.4) for _ in range(40))]:
+            x = mpmath.mpf(s)
+            want = (mpmath.power(2, -x) * mpmath.gamma((1 - x) / 2)
+                    / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - x / 2)))
+            assert abs(arclength_energy(s) - want) <= 5e-15 * want, s
+
+    @pytest.mark.parametrize("s", [-1029.4, -1030.0, -1e6])
+    def test_beyond_the_float_range(self, s):
+        with pytest.raises(OverflowError, match=f"at s = {s} is beyond"):
+            arclength_energy(s)
 
 
 class TestSincPowerSeries:
