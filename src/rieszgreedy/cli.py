@@ -179,7 +179,8 @@ def _float_tables() -> tuple:
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """Each value as ``'%.17g' % value``, byte for byte, in a row of a
-    NUL-padded (n, 32) uint8 matrix.
+    NUL-padded uint8 matrix: a column view of the (n, 32) cells, which
+    keeps only the byte columns some value can fill.
 
     The fast path takes finite |v| in [1e-11, 1e15), decimal exponents
     k = -11..14.  From the bits v = m·2^q it forms the 17 digits
@@ -192,6 +193,14 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     Per-k masks and shifts place the words, with NUL between the parts.
     Every other value, and every whole number (whose integer zeros the
     strip would drop), is formatted by ``%`` and spliced into its row.
+
+    Byte 0 holds a '-', 1..5 the "0.000" prefix (k = -4..-1), 6 the lead
+    digit, 24 the last digit after a '.' (k >= 0 or k < -4) and 25..28
+    the "e-XX" suffix (k < -4).  So the view starts at column 0 if a value
+    is negative, else at 1 if some k may lie in -4..-1, else at 6, and
+    ends before 29 if some k < -4, else before 25 if some k >= 0, else
+    before 24; a call with a ``%`` cell keeps all 32.  The figures panels
+    (x in (1/2, 1), values near 1) keep 24 columns in 254 of 256 chunks.
     """
     groups, kbase, thresh, layout, pow5 = _float_tables()
     values = np.ascontiguousarray(values, np.float64)
@@ -235,13 +244,17 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         cells[slow] = 0
         cells[slow, :24] = np.array(["%.17g" % v for v in values[slow].tolist()],
                                     "S24").view(np.uint8).reshape(-1, 24)
-    return cells
+        return cells
+    low, high = (int(k.min()), int(k.max())) if k.size else (0, 0)
+    first = 0 if (bits >> 63).any() else 1 if low < 0 and high >= -4 else 6
+    return cells[:, first:29 if low < -4 else 25 if high >= 0 else 24]
 
 
 def _float_columns(columns: list) -> list:
-    """The cell matrices of equal-length float columns, from one
-    :func:`_float_cells` call over all of them."""
-    return np.split(_float_cells(np.concatenate(columns)), len(columns))
+    """The cell matrices of equal-length float columns, as row slices of
+    one :func:`_float_cells` call over all of them, so all are as wide."""
+    cells, n = _float_cells(np.concatenate(columns)), len(columns[0])
+    return [cells[i * n:(i + 1) * n] for i in range(len(columns))]
 
 
 def _int_cells(values: np.ndarray) -> np.ndarray:
@@ -306,10 +319,12 @@ def _write_panels(paths: list, m: int, panels) -> list:
     """Scan the order-m grid once for every (target, s) panel and write
     panel k as :data:`_PANEL_HEADER` CSV to ``paths[k]``, block by block.
     Each CSV chunk formats its x column and every panel's values in one
-    :func:`_float_columns` call and has one row matrix for all files: its x
-    cells, ',' and '\n' are laid once, and each file overwrites only the
-    value cells before its NUL padding is dropped, which gives the bytes
-    of :func:`_csv_rows`.  Nothing is opened before the panels are checked,
+    :func:`_float_columns` call, whose cell matrices share one width (24
+    columns in most chunks of ``figures --M 20``, a 50-byte row before the
+    NUL strip), and has one row matrix for all files: its x cells, ',' and
+    '\n' are laid once, and each file overwrites only the value cells
+    before its NUL padding is dropped, which gives the bytes of
+    :func:`_csv_rows`.  Nothing is opened before the panels are checked,
     and every file is closed on every path.  Returns each panel's
     :class:`~rieszgreedy.limits.ScanResult` (without the grid arrays)."""
     from .limits import GridScan
@@ -325,7 +340,7 @@ def _write_panels(paths: list, m: int, panels) -> list:
             for start in range(0, xs.size, _CSV_CHUNK):
                 part = slice(start, start + _CSV_CHUNK)
                 x, *cells = _float_columns([xs[part], *(v[part] for v in values)])
-                width = x.shape[1]  # every float cell matrix is as wide
+                width = x.shape[1]  # the cells of one call share a width
                 row = np.empty((len(x), 2 * width + 2), np.uint8)
                 row[:, :width], row[:, -1:] = x, _NEWLINE
                 row[:, width:width + 1] = _COMMA

@@ -148,15 +148,17 @@ def _roots_direct(n: int, s: float) -> float:
     result: for large s the sines' powers overflow (L(2^15) at s = 80 is
     1.6e302, its sin(pi/n)^-s term 2.2e326).  Then each term is taken as
     (2 sin)^-s, which overflows only where L(n) itself is beyond the float
-    range (inf)."""
+    range (inf).  So is it above s = 1022, where 2^-s is no normal float
+    (L(3) at s = 1200 is 9.6e-181, 2^-s 0.0)."""
     sines = np.sin(np.pi * np.arange(1, (n + 1) // 2) / n)
     with np.errstate(over="ignore"):
-        total = 2.0 * float(np.sum(sines ** (-s)))
-        if n % 2 == 0:
-            total += 1.0  # middle term, sin(pi/2)^-s
-        energy = 2.0 ** (-s) * n * total
-        if math.isfinite(energy):
-            return energy
+        if s <= 1022.0:
+            total = 2.0 * float(np.sum(sines ** (-s)))
+            if n % 2 == 0:
+                total += 1.0  # middle term, sin(pi/2)^-s
+            energy = 2.0 ** (-s) * n * total
+            if math.isfinite(energy):
+                return energy
         total = 2.0 * float(np.sum((2.0 * sines) ** (-s)))
     if n % 2 == 0:
         total += 2.0 ** (-s)

@@ -122,26 +122,42 @@ def _chunk_values(ns: np.ndarray, panels) -> list:
     same order, as a one-panel pass.
 
     Each depth works in place, in block-sized buffers made once per call
-    (``hit``, ``hw``, ``hq`` and the terms ``t``, ``u``), through ``out=``
+    (``hit``, ``bw``, ``bq`` and the terms ``t``, ``u``), through ``out=``
     ufuncs and in-place operators, so no array is made per depth.  A block
     of 2^15 floats is 256 KB, past glibc's 128 KB mmap threshold, and a
     new array per operation and depth was mapped, faulted in and unmapped
     again: the kernel took 30.5k of the 35.5k minor page faults of a
     ``figures --M 20`` process, and takes 8.0k with the buffers.
+
+    Every n of the block lies between its least and greatest, so it has
+    their bits above the highest bit where those two differ, when they
+    have the same top bit (a grid block of 2^15 N at order 20 shares its
+    top 5 bits).  At such a depth no mask is formed: a bit every n has
+    takes hw = w and hq = q, the same values by the same operations, and a
+    bit none has is skipped, its every term being 0.0 (nor is its 2^{-ds}
+    formed, which overflows, as an OverflowError, for s below about -19).
     """
-    mant, top = np.frexp(ns.astype(float))
-    q = 2.0 * mant  # y, then q_k once bit k is removed
+    low, high = int(ns.min()), int(ns.max())
+    depths = high.bit_length()
+    shared = depths - (low ^ high).bit_length()  # below it, every n has the bit
+    q = 2.0 * np.frexp(ns.astype(float))[0]  # y, then q_k once bit k is removed
     x, logy = 1.0 / q, np.log(q)
     cs = [2.0 * math.expm1(s * _LOG2) if t == "energy_form" else 0.0 for t, s in panels]
     accs = [np.zeros_like(q) for _ in panels]
     hit = np.empty(q.shape, bool)
-    hw, hq, t, u = (np.empty_like(q) for _ in range(4))
-    for d in range(int(top.max())):
+    bw, bq, t, u = (np.empty_like(q) for _ in range(4))
+    for d in range(depths):
         w = 2.0 ** -d
-        np.greater_equal(q, w, out=hit)
-        np.multiply(hit, w, out=hw)
-        q -= hw
-        np.multiply(hit, q, out=hq)
+        if d >= shared:
+            np.greater_equal(q, w, out=hit)
+            hw = np.multiply(hit, w, out=bw)
+            q -= hw
+            hq = np.multiply(hit, q, out=bq)
+        elif high >> (depths - 1 - d) & 1:
+            q -= w
+            hw, hq = w, q
+        else:
+            continue
         for (target, s), c, acc in zip(panels, cs, accs):
             if target == "energy_form":  # 2^{-ds} (hw + c hq)
                 np.multiply(hq, c, out=t)
@@ -278,7 +294,9 @@ class GridScan:
     evaluates all panels on each block with one call of the block kernel
     ``_chunk_values``, which peels the block's bits once for every panel
     in a few block-sized work buffers (a new array per depth would be
-    mapped and unmapped again, past the mmap threshold), and reduces each
+    mapped and unmapped again, past the mmap threshold) and forms no mask
+    at the depths whose bit the whole block shares (at order 20, the top
+    5 bits of each block of 2^15 N), and reduces each
     panel's extremum block by block; memory is O(block) per panel beyond
     what the sink keeps.
     """

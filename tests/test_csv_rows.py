@@ -1,7 +1,8 @@
 """The float cells of the CSV writers equal ``'%.17g' % v`` byte for byte
 for every double: over random bit patterns, at the edges of the fast path
-(its exponent range, powers of ten, exact rounding ties, whole numbers)
-and with the ``%`` fallback at any row of a chunk.  Whole rows are held to
+(its exponent range, powers of ten, exact rounding ties, whole numbers,
+the byte columns each layout fills) and with the ``%`` fallback at any
+row of a chunk.  Whole rows are held to
 the % template writer of tests/oracles.py, and the figures writer's shared
 row matrix to :func:`cli._csv_rows`; both writers format each chunk's
 float columns in one call.  The int cells equal ``str(v)`` for every
@@ -77,6 +78,32 @@ EDGES = [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
 @pytest.mark.parametrize("value", EDGES + [-v for v in EDGES], ids=repr)
 def test_edge_values(value):
     assert_matches_percent([value])
+
+
+#: Values at both ends of each of the fast path's layouts, as decimal
+#: exponents k: -11 and -5 ("d.ddde-XX"), -4 and -1 ("0.000ddd"), 0 and
+#: 14 ("ddd.ddd"); none a whole number, which would take %.
+SPAN_EDGES = [1.2345678901234567e-11, 9.8765432109876543e-11, 1.5e-05, 9.9e-05,
+              0.00015, 0.00099, 0.15, 0.99, 1.5, 9.5,
+              123456789012345.67, 987654321098765.4]
+
+
+def test_span_edges_alone_and_mixed():
+    # a call's cells keep only the columns its values can fill, from its
+    # least and greatest k and its signs, so every pair is one call
+    values = SPAN_EDGES + [-v for v in SPAN_EDGES]
+    for a in values:
+        for b in values:
+            assert_matches_percent([a, b])
+    assert_matches_percent(values)
+
+
+@pytest.mark.parametrize("values,width", [
+    ([0.75], 23), ([0.75, 1.5], 24), ([1.5], 19), ([-0.75], 24),
+    ([1e-07], 23), ([1e-07, 0.75], 28), ([-1e-07, 1.5], 29), ([0.75, 100.0], 32)])
+def test_cells_keep_the_columns_values_can_fill(values, width):
+    assert cli._float_cells(np.array(values)).shape[1] == width
+    assert_matches_percent(values)
 
 
 def test_ties_round_half_even_both_ways():

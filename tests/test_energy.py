@@ -96,6 +96,18 @@ class TestRootsEnergy:
         for k in (10, 12, 14):
             assert self.mp_roots_error(1 << k, s) <= energy.ROOTS_RTOL + s * 1.5e-16
 
+    @pytest.mark.parametrize("s", [1060.5, 1200.0])
+    def test_direct_sum_where_two_to_the_minus_s_is_not_normal(self, s):
+        # 2^-s is subnormal above s = 1022 and 0.0 above 1074, so each term
+        # is taken as (2 sin)^-s; the bound is that of the direct sum above
+        for n in (3, 4, 5, 8):
+            with mpmath.workdps(40):
+                want = n * mpmath.fsum(
+                    (2 * mpmath.sin(mpmath.pi * k / n)) ** -mpmath.mpf(s)
+                    for k in range(1, n))
+                error = float(abs(mpmath.mpf(roots_energy(n, s)) / want - 1))
+            assert error <= energy.ROOTS_RTOL + s * 1.5e-16, n
+
     @pytest.mark.parametrize("s", [20.0, 40.0])
     def test_expansion_at_large_s(self, s):
         # the expansion takes no sines, only the rounding of pi

@@ -228,10 +228,50 @@ class TestSharedKernel:
         for g, w, panel in zip(got, want, panels):
             assert np.array_equal(self.bits(g), self.bits(w)), panel
 
-    @pytest.mark.parametrize("m", range(1, 15))
+    @pytest.mark.parametrize("m", range(1, 17))
     def test_oracle_on_grid_blocks(self, m):
+        # every block GridScan makes at orders 1..16 (two blocks at 16)
         ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1), dtype=np.int64)
-        self.assert_matches_oracle(ns, random.Random(m))
+        rng = random.Random(m)
+        for i in range(0, ns.size, limits._CHUNK):
+            self.assert_matches_oracle(ns[i:i + limits._CHUNK], rng)
+
+    @pytest.mark.parametrize("m", [20, 24])
+    def test_oracle_on_sampled_grid_blocks(self, m):
+        # first, last and random blocks: their top 5 or 9 bits are shared,
+        # set in some blocks and unset in others
+        rng = random.Random(m)
+        count = (1 << (m - 1)) // limits._CHUNK
+        for block in [0, count - 1, *rng.sample(range(1, count - 1), 3)]:
+            start = (1 << m) + 1 + 2 * block * limits._CHUNK
+            self.assert_matches_oracle(
+                start + 2 * np.arange(limits._CHUNK, dtype=np.int64), rng)
+
+    @pytest.mark.parametrize("e", [2, 7, 16, 31, 52])
+    def test_oracle_across_a_power_of_two(self, e):
+        # the least n has one bit fewer than the greatest: no depth is shared
+        rng = random.Random(e)
+        for width in (1, 3, 1000):
+            ns = np.arange(max(1, (1 << e) - width), (1 << e) + width, dtype=np.int64)
+            self.assert_matches_oracle(ns, rng)
+            self.assert_matches_oracle(ns[::-1].copy(), rng)
+
+    def test_oracle_on_random_ns(self):
+        gen = np.random.default_rng(5)
+        rng = random.Random(5)
+        for top in (3, 20, 40, 53):
+            self.assert_matches_oracle(gen.integers(1, 1 << top, 3000), rng)
+            # one binade, below a random shared head of top - spread bits
+            for spread in (2, top - 2):
+                head = int(gen.integers(0, 1 << (top - 1 - spread))) << spread
+                self.assert_matches_oracle(
+                    (1 << (top - 1)) + head + gen.integers(0, 1 << spread, 500), rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 1 << 20, (1 << 20) + 1,
+                                   (1 << 52) + 12345, (1 << 53) - 1])
+    def test_oracle_on_one_element_blocks(self, n):
+        # every depth is shared: each is skipped or taken without a mask
+        self.assert_matches_oracle(np.array([n], np.int64), random.Random(n))
 
     def test_oracle_on_mixed_binades(self):
         ns = np.concatenate([np.arange(1, 5001, dtype=np.int64),

@@ -107,6 +107,33 @@ class TestArclengthEnergy:
                     / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - x / 2)))
             assert abs(arclength_energy(s) - want) <= 5e-15 * want, s
 
+    def test_large_positive_s_against_mpmath(self):
+        # above s = 171 both Gammas head for underflow (the product
+        # 2^-s Gamma((1-s)/2) is 0.0 at s = 300.5, both Gammas near 400);
+        # the value is subnormal from about s = 1018 and 0.0 beyond 1075,
+        # unless s is close to an odd integer
+        rng = random.Random(13)
+        for s in [171.3, 299.5, 300.5, 301.0000001, 400.2, 1021.00000000001,
+                  1023.5, 1060.5, 1074.3, 100000.5,
+                  *(rng.uniform(171.0, 1100.0) for _ in range(40)),
+                  *(rng.uniform(1100.0, 1e5) for _ in range(10))]:
+            x = mpmath.mpf(s)
+            want = (mpmath.power(2, -x) * mpmath.gamma((1 - x) / 2)
+                    / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - x / 2)))
+            got = arclength_energy(s)
+            assert abs(got - want) <= 5e-15 * abs(want) + 2.0 ** -1074, s
+            assert math.copysign(1.0, got) == mpmath.sign(want), s
+
+    def test_large_positive_s_values(self):
+        for s, want in ((400.2, 4.37164201541216e-123), (300.5, 1.59906248842105e-92),
+                        (1023.5, -1.96246380993785e-310)):  # subnormal
+            assert arclength_energy(s) == pytest.approx(want, rel=1e-13), s
+        assert arclength_energy(299.5) < 0.0
+        # the value underflows: 0.0, with the sign of tan(pi s/2)
+        assert math.copysign(1.0, arclength_energy(100000.5)) == 1.0
+        assert math.copysign(1.0, arclength_energy(100001.5)) == -1.0
+        assert arclength_energy(100000.5) == 0.0
+
     @pytest.mark.parametrize("s", [-1029.4, -1030.0, -1e6])
     def test_beyond_the_float_range(self, s):
         with pytest.raises(OverflowError, match=f"at s = {s} is beyond"):
