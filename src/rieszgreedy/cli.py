@@ -33,10 +33,11 @@ Imports: start-up is most of a short command (``energy --range`` over
 1024 N near 2^24 runs for about 10 ms of a 0.23 s process), so this
 module imports no layer, and each runner imports what it calls when it
 runs.  ``eta`` loads ``binary``; ``energy`` and ``oracle-verify`` load
-``energy``, which brings ``special`` and ``binary``; ``scan``,
-``figures`` and ``identities`` load ``limits``, which adds ``arith``;
-``tseq``, ``fseq``, ``cesaro`` and ``expansion-check`` load every layer
-through ``asymptotics``.  The layer functions perfbench/layertrace.py
+``energy``, which brings ``special`` and ``binary``; ``scan`` and
+``figures`` load ``limits``, which brings ``arith``, ``binary`` and
+``special``; ``identities`` loads ``limits`` and ``energy``; ``tseq``,
+``fseq``, ``cesaro`` and ``expansion-check`` load every layer through
+``asymptotics``.  The layer functions perfbench/layertrace.py
 patches here, which no runner calls, resolve through :data:`_TRACED`.
 
 Flag values may start with '-': ``--s -inf`` and ``--range -3:0`` are
@@ -56,6 +57,7 @@ from contextlib import ExitStack
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -82,12 +84,14 @@ _FIGURES = (
     ("fig5_log_kernel.csv", "log_kernel_form", None),
 )
 
-#: Rows per write: bounds the cells held, keeps them in cache.  Chunks of
-#: 2^10, 2^11 and 2^12 rows gave ``panels`` wall_s medians of 1.28, 1.29
-#: and 1.28 s (perfbench, seeds 7101-7103), inside the runs' spread.  At
-#: 2^11 the temporaries of a figures chunk's fused call (12288 values,
-#: 96 KB) stay below glibc's 128 KB mmap threshold: ``figures --M 20``
-#: takes 13k minor page faults in :func:`_float_cells`, 31k at 2^12.
+#: Rows per write: bounds the cells held, keeps them in cache.  Each
+#: writer makes the work arrays of :func:`_float_cells` once per call
+#: (12288 values a figures chunk), so a chunk makes one new array, its
+#: cells: ``figures --M 20`` takes about 2k minor page faults in
+#: :func:`_float_cells`, 13.9k with temporaries made per chunk.  With the
+#: work reused, a ``figures --M 20`` process ran 1% faster at 2^12 rows
+#: (17.1k faults in all, 12.8k at 2^11) and 3.5% slower at 2^13, medians
+#: of 12 pairs on one CPU.
 _CSV_CHUNK = 1 << 11
 _PANEL_HEADER = "x,value"  # the CSV header of scan and of each figures file
 _LOW32, _LOW64 = (1 << 32) - 1, (1 << 64) - 1
@@ -177,8 +181,17 @@ def _float_tables() -> tuple:
             np.uint64(5) ** np.arange(28, dtype=np.uint64))
 
 
-def _float_cells(values: np.ndarray) -> np.ndarray:
-    """Each value as ``'%.17g' % value``, byte for byte, in a row of a
+def _cell_work(size: int) -> tuple:
+    """The work arrays of :func:`_float_columns` and :func:`_float_cells`
+    for up to ``size`` values: a float row for the joined columns, then
+    the kernel's 12 uint64 rows, its 6 layout words per value and 3 bool
+    rows."""
+    return (np.empty(size), np.empty((12, size), np.uint64),
+            np.empty(6 * size, np.uint64), np.empty((3, size), bool))
+
+
+def _float_cells(values: np.ndarray, work: Optional[tuple] = None) -> np.ndarray:
+    """Each value as ``'%.17g' % value``, byte for byte, in a row of a new
     NUL-padded uint8 matrix: a column view of the (n, 32) cells, which
     keeps only the byte columns some value can fill.
 
@@ -186,13 +199,18 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     k = -11..14.  From the bits v = m·2^q it forms the 17 digits
     D = round-half-even(m·5^(16-k)·2^(q+16-k)) exactly: a 128-bit product
     in 32-bit limbs, shifted right by 1..63 bits.  D is a lead digit and
-    four 4-digit groups, looked up as ASCII words (``take``, which skips
-    the cast and check fancy indexing makes of each uint64 index); a group
-    followed by zeros only takes its stripped form, which drops %g's
-    trailing zeros.
+    four 4-digit groups, looked up as ASCII words (``take``, on int64
+    indices, which it neither casts nor, in ``clip`` mode, copies its
+    output for; every index is in range); a group followed by zeros only
+    takes its stripped form, which drops %g's trailing zeros.
     Per-k masks and shifts place the words, with NUL between the parts.
     Every other value, and every whole number (whose integer zeros the
     strip would drop), is formatted by ``%`` and spliced into its row.
+
+    Every step but the cells writes through ``out=`` into the leading n
+    elements of ``work`` (:func:`_cell_work`, made here if not given), so
+    a writer that passes one ``work`` to every chunk makes one array per
+    chunk, the cells.
 
     Byte 0 holds a '-', 1..5 the "0.000" prefix (k = -4..-1), 6 the lead
     digit, 24 the last digit after a '.' (k >= 0 or k < -4) and 25..28
@@ -204,56 +222,116 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     """
     groups, kbase, thresh, layout, pow5 = _float_tables()
     values = np.ascontiguousarray(values, np.float64)
+    n = values.size
+    _, rows, layout_words, flags = work or _cell_work(n)
+    ef, m, k, shift, f, mh, fh, lead, sign, t, u, v = rows[:, :n]
+    fast, frac, flag = flags[:, :n]
     bits = values.view(np.uint64)
-    ef = (bits >> 52 & 0x7FF).view(np.int64)
-    m = bits & (1 << 52) - 1 | 1 << 52
-    k = kbase[ef] - (m < thresh[ef])
-    shift = 1059 + k - ef  # -(q + 16 - k)
-    fast = (k >= -11) & (k <= 14) & (shift >= 1) & (shift <= 63)
-    k = np.where(fast, k, 0)
+    ef, k = ef.view(np.int64), k.view(np.int64)
+    np.right_shift(bits, 52, out=ef)
+    ef &= 0x7FF
+    np.bitwise_and(bits, (1 << 52) - 1, out=m)
+    m |= 1 << 52
+    kbase.take(ef, out=k, mode="clip")
+    k -= np.less(m, thresh.take(ef, out=t, mode="clip"), out=flag)
+    shift = np.subtract(k, ef, out=shift.view(np.int64))
+    shift += 1059  # -(q + 16 - k)
+    np.greater_equal(k, -11, out=fast)
+    fast &= np.less_equal(k, 14, out=flag)
+    fast &= np.greater_equal(shift, 1, out=flag)
+    fast &= np.less_equal(shift, 63, out=flag)
+    k *= fast  # 0 off the fast path
     shift = shift.view(np.uint64)
-    f = pow5[16 - k]
-    ml, mh, fl, fh = m & _LOW32, m >> 32, f & _LOW32, f >> 32
-    ll, lh, hl = ml * fl, ml * fh, mh * fl
-    mid = (ll >> 32) + (lh & _LOW32) + (hl & _LOW32)
-    lo = ll & _LOW32 | mid << 32
-    hi = mh * fh + (lh >> 32) + (hl >> 32) + (mid >> 32)
-    d = hi << 64 - shift | lo >> shift
-    below = (np.uint64(1) << shift) - 1  # the bits shifted out
-    d += ((lo & below) + (below >> 1) + (d & 1)) >> shift  # half to even
-    lead = d // 10 ** 16
-    hi8 = (d - lead * 10 ** 16) // 10 ** 8
-    lo8 = d - lead * 10 ** 16 - hi8 * 10 ** 8
-    g1, g3 = hi8 // 10 ** 4, lo8 // 10 ** 4
-    g2, g4 = hi8 - g1 * 10 ** 4, lo8 - g3 * 10 ** 4
-    y = (groups.take(g1 + _STRIPPED * ((g2 | lo8) == 0))  # digits 2..9
-         | groups.take(g2 + _STRIPPED * (lo8 == 0)) << 32)
-    z = groups.take(g3 + _STRIPPED * (g4 == 0)) | groups.take(g4 + _STRIPPED) << 32  # 10..17
-    front0, front1, dot0, dot1, prefix, suffix = np.take(layout, k + 11, axis=1)
-    back0, back1 = y & ~front0, z & ~front1  # the digits after the '.'
-    frac = (back0 | back1) != 0
-    fast &= (k < 0) | frac
-    words = np.empty((values.size, 4), "<u8")
-    words[:, 0] = (bits >> 63) * ord("-") | prefix | (lead + ord("0")) << 48
-    words[:, 1] = y & front0 | dot0 * frac | back0 << 8
-    words[:, 2] = z & front1 | dot1 * frac | back1 << 8 | back0 >> 56
-    words[:, 3] = back1 >> 56 | suffix
+    pow5.take(np.subtract(16, k, out=ef), out=f, mode="clip")
+    # m·f = hi·2^64 + lo from the limbs ll = ml·fl, lh = ml·fh, hl = mh·fl, mh·fh
+    np.right_shift(m, 32, out=mh)
+    m &= _LOW32
+    np.right_shift(f, 32, out=fh)
+    f &= _LOW32
+    lh, hl = np.multiply(m, fh, out=t), np.multiply(mh, f, out=u)
+    lo = np.multiply(m, f, out=m)  # ll
+    mid = np.right_shift(lo, 32, out=f)
+    mid += np.bitwise_and(lh, _LOW32, out=v)
+    mid += np.bitwise_and(hl, _LOW32, out=v)
+    lo &= _LOW32
+    lo |= np.left_shift(mid, 32, out=v)
+    hi = mh
+    hi *= fh
+    hi += np.right_shift(lh, 32, out=v)
+    hi += np.right_shift(hl, 32, out=v)
+    hi += np.right_shift(mid, 32, out=v)
+    # d = hi << 64 - shift | lo >> shift, rounded half to even
+    hi <<= np.subtract(64, shift, out=t)
+    d = np.right_shift(lo, shift, out=fh)
+    d |= hi
+    below = np.left_shift(np.uint64(1), shift, out=t)
+    below -= 1  # the bits shifted out
+    lo &= below
+    lo += np.right_shift(below, 1, out=u)
+    lo += np.bitwise_and(d, 1, out=u)
+    lo >>= shift
+    d += lo
+    np.floor_divide(d, 10 ** 16, out=lead)
+    d -= np.multiply(lead, 10 ** 16, out=t)
+    hi8 = np.floor_divide(d, 10 ** 8, out=mh)
+    lo8 = d
+    lo8 -= np.multiply(hi8, 10 ** 8, out=t)
+    g1, g3 = np.floor_divide(hi8, 10 ** 4, out=m), np.floor_divide(lo8, 10 ** 4, out=f)
+    g2 = hi8
+    g2 -= np.multiply(g1, 10 ** 4, out=t)
+    g4 = np.subtract(lo8, np.multiply(g3, 10 ** 4, out=t), out=shift)
+
+    def word(group, stripped, out):
+        """The ASCII word of each 4-digit group, stripped where ``stripped``."""
+        index = np.multiply(stripped, _STRIPPED, out=v)
+        index += group
+        return groups.take(index.view(np.int64), out=out, mode="clip")
+
+    y = word(g1, np.equal(np.bitwise_or(g2, lo8, out=t), 0, out=flag), u)  # digits 2..9
+    y |= np.left_shift(word(g2, np.equal(lo8, 0, out=flag), t), 32, out=t)
+    z = word(g3, np.equal(g4, 0, out=flag), ef.view(np.uint64))  # digits 10..17
+    g4 += _STRIPPED
+    z |= np.left_shift(groups.take(g4.view(np.int64), out=t, mode="clip"), 32, out=t)
+    front0, front1, dot0, dot1, prefix, suffix = layout.take(
+        np.add(k, 11, out=shift.view(np.int64)), axis=1,
+        out=layout_words[:6 * n].reshape(6, n), mode="clip")
+    back0 = np.bitwise_and(y, np.invert(front0, out=t), out=m)  # the digits after the '.'
+    back1 = np.bitwise_and(z, np.invert(front1, out=t), out=f)
+    np.not_equal(np.bitwise_or(back0, back1, out=t), 0, out=frac)
+    fast &= np.logical_or(np.less(k, 0, out=flag), frac, out=flag)
+    words = np.empty((n, 4), "<u8")
+    np.right_shift(bits, 63, out=sign)
+    np.multiply(sign, ord("-"), out=t)
+    t |= prefix
+    lead += ord("0")
+    np.bitwise_or(t, np.left_shift(lead, 48, out=lead), out=words[:, 0])
+    np.bitwise_and(y, front0, out=t)
+    t |= np.multiply(dot0, frac, out=v)
+    np.bitwise_or(t, np.left_shift(back0, 8, out=v), out=words[:, 1])
+    np.bitwise_and(z, front1, out=t)
+    t |= np.multiply(dot1, frac, out=v)
+    t |= np.left_shift(back1, 8, out=v)
+    np.bitwise_or(t, np.right_shift(back0, 56, out=v), out=words[:, 2])
+    np.bitwise_or(np.right_shift(back1, 56, out=v), suffix, out=words[:, 3])
     cells = words.view(np.uint8)
-    slow = np.flatnonzero(~fast)
+    slow = np.flatnonzero(np.logical_not(fast, out=flag))
     if slow.size:
         cells[slow] = 0
-        cells[slow, :24] = np.array(["%.17g" % v for v in values[slow].tolist()],
+        cells[slow, :24] = np.array(["%.17g" % x for x in values[slow].tolist()],
                                     "S24").view(np.uint8).reshape(-1, 24)
         return cells
-    low, high = (int(k.min()), int(k.max())) if k.size else (0, 0)
-    first = 0 if (bits >> 63).any() else 1 if low < 0 and high >= -4 else 6
+    low, high = (int(k.min()), int(k.max())) if n else (0, 0)
+    first = 0 if sign.any() else 1 if low < 0 and high >= -4 else 6
     return cells[:, first:29 if low < -4 else 25 if high >= 0 else 24]
 
 
-def _float_columns(columns: list) -> list:
+def _float_columns(columns: list, work: tuple) -> list:
     """The cell matrices of equal-length float columns, as row slices of
-    one :func:`_float_cells` call over all of them, so all are as wide."""
-    cells, n = _float_cells(np.concatenate(columns)), len(columns[0])
+    one :func:`_float_cells` call over all of them, so all are as wide;
+    the columns are joined in the first row of ``work`` (:func:`_cell_work`)."""
+    n = len(columns[0])
+    joined = np.concatenate(columns, out=work[0][:n * len(columns)])
+    cells = _float_cells(joined, work)
     return [cells[i * n:(i + 1) * n] for i in range(len(columns))]
 
 
@@ -303,13 +381,14 @@ def _write_csv(path: Path, header: str, *columns) -> None:
     sized = [c for c in columns if not isinstance(c, (int, float))]
     count = len(sized[0]) if sized else 0
     fused = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    work = _cell_work(min(count, _CSV_CHUNK) * sum(fused))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, count, _CSV_CHUNK):
             rows = min(_CSV_CHUNK, count - start)
             parts = [[c] if isinstance(c, (int, float)) else c[start:start + rows]
                      for c in columns]
-            floats = iter(_float_columns([p for p, f in zip(parts, fused) if f])
+            floats = iter(_float_columns([p for p, f in zip(parts, fused) if f], work)
                           if any(fused) else ())
             fh.write(_csv_rows([next(floats) if f else _column_cells(p)
                                 for p, f in zip(parts, fused)], rows))
@@ -329,6 +408,7 @@ def _write_panels(paths: list, m: int, panels) -> list:
     :class:`~rieszgreedy.limits.ScanResult` (without the grid arrays)."""
     from .limits import GridScan
     scan = GridScan(m, panels)
+    work = _cell_work(_CSV_CHUNK * (1 + len(paths)))
     for path in paths:
         path.parent.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
@@ -339,7 +419,7 @@ def _write_panels(paths: list, m: int, panels) -> list:
         def write_block(xs, values):
             for start in range(0, xs.size, _CSV_CHUNK):
                 part = slice(start, start + _CSV_CHUNK)
-                x, *cells = _float_columns([xs[part], *(v[part] for v in values)])
+                x, *cells = _float_columns([xs[part], *(v[part] for v in values)], work)
                 width = x.shape[1]  # the cells of one call share a width
                 row = np.empty((len(x), 2 * width + 2), np.uint8)
                 row[:, :width], row[:, -1:] = x, _NEWLINE

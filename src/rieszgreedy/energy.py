@@ -148,20 +148,22 @@ def _roots_direct(n: int, s: float) -> float:
     result: for large s the sines' powers overflow (L(2^15) at s = 80 is
     1.6e302, its sin(pi/n)^-s term 2.2e326).  Then each term is taken as
     (2 sin)^-s, which overflows only where L(n) itself is beyond the float
-    range (inf).  So is it above s = 1022, where 2^-s is no normal float
-    (L(3) at s = 1200 is 9.6e-181, 2^-s 0.0)."""
+    range (inf).  So is it where 2^-s is no normal float: above s = 1022
+    (L(3) at s = 1200 is 9.6e-181, 2^-s 0.0), and from s = -1024 down,
+    where 2^-s overflows (L(5) at s = -1100 is 1.4e308, L(4) inf)."""
     sines = np.sin(np.pi * np.arange(1, (n + 1) // 2) / n)
+    scale = 2.0 ** (-s) if s > -1024.0 else math.inf  # 2^-s, inf on overflow
     with np.errstate(over="ignore"):
-        if s <= 1022.0:
+        if -1024.0 < s <= 1022.0:
             total = 2.0 * float(np.sum(sines ** (-s)))
             if n % 2 == 0:
                 total += 1.0  # middle term, sin(pi/2)^-s
-            energy = 2.0 ** (-s) * n * total
+            energy = scale * n * total
             if math.isfinite(energy):
                 return energy
         total = 2.0 * float(np.sum((2.0 * sines) ** (-s)))
     if n % 2 == 0:
-        total += 2.0 ** (-s)
+        total += scale  # middle term, (2 sin(pi/2))^-s
     return n * total
 
 

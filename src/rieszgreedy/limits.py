@@ -23,7 +23,6 @@ import numpy as np
 
 from . import arith
 from .binary import ReciprocalExpansion, expand_reciprocal, grid_point
-from .energy import int_array
 from .special import finite_s
 
 __all__ = [
@@ -115,37 +114,53 @@ def log_moment_at(x, tol: float = 1e-12) -> float:
     return _at(arith.log_moment, x, 1.0, tol)
 
 
-def _chunk_values(ns: np.ndarray, panels) -> list:
-    """One block's values for each checked (target, s) panel: the bits of
-    every n are peeled once, depth by depth, and each depth's terms go
-    into each panel's own accumulator, by the same float operations, in the
-    same order, as a one-panel pass.
+def _kernel_work(size: int) -> tuple:
+    """The work arrays of :func:`_chunk_values` for blocks of up to
+    ``size`` n: q (the float copy of n, then y, then q_k), x, log y, bw,
+    bq, t and u, ``hit`` and the exponents of ``frexp``."""
+    return (*(np.empty(size) for _ in range(7)), np.empty(size, bool),
+            np.empty(size, np.intc))
 
-    Each depth works in place, in block-sized buffers made once per call
-    (``hit``, ``bw``, ``bq`` and the terms ``t``, ``u``), through ``out=``
-    ufuncs and in-place operators, so no array is made per depth.  A block
-    of 2^15 floats is 256 KB, past glibc's 128 KB mmap threshold, and a
-    new array per operation and depth was mapped, faulted in and unmapped
-    again: the kernel took 30.5k of the 35.5k minor page faults of a
-    ``figures --M 20`` process, and takes 8.0k with the buffers.
+
+def _chunk_values(ns: np.ndarray, panels, work: Optional[tuple] = None) -> list:
+    """One block's values for each checked (target, s) panel, as new
+    arrays: the bits of every n are peeled once, depth by depth, and each
+    depth's terms go into each panel's own accumulator, by the same float
+    operations, in the same order, as a one-panel pass.
+
+    Every step but the accumulators' zeros runs in place, through ``out=``
+    ufuncs and in-place operators, in the leading ``ns.size`` elements of
+    ``work`` (:func:`_kernel_work`, made here if not given), so a caller
+    that passes one ``work`` to every block makes no temporary per block.
+    Block-sized arrays made and freed per call were faulted in again each
+    time the allocator handed their pages back: a ``figures --M 20``
+    process took 30.5k minor page faults in the kernel with an array per
+    operation and depth, 8.0k with buffers made once per call, and takes
+    4.6k with buffers made once per scan, nearly all on the new pages of
+    the values it returns (5 panels of 256 KB per block).
 
     Every n of the block lies between its least and greatest, so it has
     their bits above the highest bit where those two differ, when they
     have the same top bit (a grid block of 2^15 N at order 20 shares its
     top 5 bits).  At such a depth no mask is formed: a bit every n has
     takes hw = w and hq = q, the same values by the same operations, and a
-    bit none has is skipped, its every term being 0.0 (nor is its 2^{-ds}
-    formed, which overflows, as an OverflowError, for s below about -19).
+    bit none has is skipped, its every term being 0.0.  The energy form's
+    2^{-ds} is finite at every depth d < 53, as s > -1024/52
+    (:func:`_check_target`).
     """
     low, high = int(ns.min()), int(ns.max())
     depths = high.bit_length()
     shared = depths - (low ^ high).bit_length()  # below it, every n has the bit
-    q = 2.0 * np.frexp(ns.astype(float))[0]  # y, then q_k once bit k is removed
-    x, logy = 1.0 / q, np.log(q)
-    cs = [2.0 * math.expm1(s * _LOG2) if t == "energy_form" else 0.0 for t, s in panels]
-    accs = [np.zeros_like(q) for _ in panels]
-    hit = np.empty(q.shape, bool)
-    bw, bq, t, u = (np.empty_like(q) for _ in range(4))
+    q, x, logy, bw, bq, t, u, hit, exponents = (
+        a[:ns.size] for a in (work or _kernel_work(ns.size)))
+    np.copyto(q, ns)
+    np.frexp(q, out=(q, exponents))
+    q *= 2.0  # y, then q_k once bit k is removed
+    np.divide(1.0, q, out=x)
+    np.log(q, out=logy)
+    cs = [2.0 * math.expm1(s * _LOG2) if target == "energy_form" else 0.0
+          for target, s in panels]
+    accs = [np.zeros(ns.size) for _ in panels]
     for d in range(depths):
         w = 2.0 ** -d
         if d >= shared:
@@ -175,7 +190,7 @@ def _chunk_values(ns: np.ndarray, panels) -> list:
             acc += t
     for (target, s), acc in zip(panels, accs):
         if target == "energy_form":  # x^{s+1} acc
-            acc *= x ** (s + 1.0)
+            acc *= np.power(x, s + 1.0, out=t)
         else:
             np.multiply(x, _LOG2, out=t)
             if target == "leja_offset":  # log y + x log 2 acc
@@ -184,12 +199,14 @@ def _chunk_values(ns: np.ndarray, panels) -> list:
             else:  # 2 log 2 - log y - x^2 log 2 acc
                 t *= x
                 acc *= t
-                np.subtract(2.0 * _LOG2 - logy, acc, out=acc)
+                np.subtract(2.0 * _LOG2, logy, out=u)
+                np.subtract(u, acc, out=acc)
     return accs
 
 
 def _check_target(target: str, s: Optional[float]) -> Optional[float]:
-    """s, checked finite, for a known target: the energy form needs one,
+    """s, checked finite, for a known target: the energy form needs one in
+    (-1024/52, 1023), where 2^{-52 s} and 2 (2^s - 1) are finite floats,
     and the s-free targets take none."""
     if target not in SCAN_TARGETS:
         raise ValueError(f"target must be one of {SCAN_TARGETS}")
@@ -199,12 +216,16 @@ def _check_target(target: str, s: Optional[float]) -> Optional[float]:
         return None
     if s is None:
         raise ValueError("energy_form needs s")
-    return arith.energy_form_s(s)
+    if -52.0 * arith.energy_form_s(s) >= 1024.0:  # 2^{-ds} at depth 52 overflows
+        raise ValueError(f"energy form needs s > -1024/52 (about -19.69) for n "
+                         f"up to 2^53, got s = {s}")
+    return s
 
 
 def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
     """Evaluate one arithmetic function on binary_weights(n) for an array
-    of integers 1 <= n < 2^53, and the energy form for s < 1023 only; the
+    of integers 1 <= n < 2^53, and the energy form for -1024/52 < s < 1023
+    only (-1024/52 is about -19.69; ValueError naming s otherwise); the
     log-kernel and offset targets take no s (ValueError).  This is the
     one-panel case of the block kernel :class:`GridScan` runs, with the
     same values bit for bit.
@@ -223,11 +244,13 @@ def batch_eta_values(ns, target: str, s: Optional[float] = None) -> np.ndarray:
     against the exact evaluators in :mod:`rieszgreedy.arith` stays below
     2e-15 max(1, |value|) for n < 2^53 and s in [-0.9, 7].
     """
+    from .energy import int_array  # the scans never load the energy layer
     panel = [(target, _check_target(target, s))]
     ns = int_array(ns, 1)
     if ns.size == 0:
         return np.empty(0)
-    return np.concatenate([_chunk_values(ns[i:i + _CHUNK], panel)[0]
+    work = _kernel_work(min(ns.size, _CHUNK))
+    return np.concatenate([_chunk_values(ns[i:i + _CHUNK], panel, work)[0]
                            for i in range(0, ns.size, _CHUNK)])
 
 
@@ -293,11 +316,13 @@ class GridScan:
     (2^m, 2^{m+1}) in blocks of ``_CHUNK`` (x = 2^m / N decreasing),
     evaluates all panels on each block with one call of the block kernel
     ``_chunk_values``, which peels the block's bits once for every panel
-    in a few block-sized work buffers (a new array per depth would be
-    mapped and unmapped again, past the mmap threshold) and forms no mask
-    at the depths whose bit the whole block shares (at order 20, the top
-    5 bits of each block of 2^15 N), and reduces each
-    panel's extremum block by block; memory is O(block) per panel beyond
+    and forms no mask at the depths whose bit the whole block shares (at
+    order 20, the top 5 bits of each block of 2^15 N), and reduces each
+    panel's extremum block by block.  The kernel's work arrays and the
+    block of N are made once per run and reused by every block, so only
+    the values and the x column handed to the sink are new per block
+    (``figures --M 20`` takes 4.6k minor page faults in the kernel, 8.0k
+    with work arrays made per block); memory is O(block) per panel beyond
     what the sink keeps.
     """
 
@@ -325,10 +350,13 @@ class GridScan:
         count = 1 << (m - 1)
         minimize = [t == "energy_form" and 0.0 < s < 1.0 for t, s in self.panels]
         best: list = [None] * len(self.panels)  # (extremum, index) so far
+        size = min(count, _CHUNK)
+        work, steps = _kernel_work(size), 2 * np.arange(size, dtype=np.int64)
+        block = np.empty(size, np.int64)
         for start in range(0, count, _CHUNK):
-            ns = ((1 << m) + 1
-                  + 2 * np.arange(start, min(start + _CHUNK, count), dtype=np.int64))
-            values = _chunk_values(ns, self._checked)
+            rows = min(_CHUNK, count - start)
+            ns = np.add(steps[:rows], (1 << m) + 1 + 2 * start, out=block[:rows])
+            values = _chunk_values(ns, self._checked, work)
             for k, v in enumerate(values):
                 top = float(v.min() if minimize[k] else v.max())
                 if math.isnan(top):  # min and max propagate nan
@@ -338,7 +366,7 @@ class GridScan:
                 if (best[k] is None
                         or (top <= best[k][0] if minimize[k] else top >= best[k][0])):
                     best[k] = (top, start + int(np.nonzero(v == top)[0][-1]))
-            sink(float(1 << m) / ns.astype(float), values)
+            sink(float(1 << m) / ns, values)
         return [ScanResult(m, target, s, None, None, top, grid_point(m, i), i,
                            "min" if low else "max", bound)
                 for (target, s), (top, i), low, bound

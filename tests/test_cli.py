@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -213,6 +214,34 @@ class TestPanelsMatchTemplateWriter:
 
 def _fmt(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+class TestPinnedBytes:
+    """The sha1 of what figures and scan write at M = 12: any byte the
+    cell or the grid kernel moves fails here."""
+
+    FIGURES = {
+        "fig1_offset.csv": "2ebcec4a29fc09039e21201a5ba2091817ee350e",
+        "fig2_energy_minus_half.csv": "8a02caf8c6268139b955133dbfc2908ae45eb59a",
+        "fig3_energy_one_third.csv": "b85777e2f819a6d1252a221ddc1f099c359cfca8",
+        "fig4_energy_seven_halves.csv": "de2264aa31bf8264c42afc412ec6ce74ca8c8917",
+        "fig5_log_kernel.csv": "4e07a9881ce308303189dc68b98baf632b7d45ad",
+    }
+    SCANS = [("energy", "0.3", "390d260f537430d5ce6edd30cc2f8c0dd3557344"),
+             ("log-kernel", None, FIGURES["fig5_log_kernel.csv"]),
+             ("offset", None, FIGURES["fig1_offset.csv"])]
+
+    def test_figures(self, tmp_path):
+        assert main(["figures", "--M", "12", "--out", str(tmp_path)]) == 0
+        assert {name: hashlib.sha1((tmp_path / name).read_bytes()).hexdigest()
+                for name in self.FIGURES} == self.FIGURES
+
+    @pytest.mark.parametrize("target,s,sha1", SCANS)
+    def test_scan(self, tmp_path, target, s, sha1):
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--M", "12", "--target", target, "--out", str(out)]
+        assert main(argv + ([] if s is None else ["--s", s])) == 0
+        assert hashlib.sha1(out.read_bytes()).hexdigest() == sha1
 
 
 class TestCsvWriter:

@@ -166,6 +166,31 @@ def test_write_csv_chunks_match_template_writer(tmp_path):
     assert out.read_bytes() == ("a,b,c,d\n" + oracles.csv_rows(columns, size)).encode()
 
 
+def test_cells_of_calls_on_one_work_stay_apart():
+    # each call's cells are a new matrix: calls of other sizes on the same
+    # work arrays, before and after, leave them as they were
+    work = cli._cell_work(3000)
+    columns = [np.linspace(-3.0, 7e-6, 3000), 0.5 + np.arange(17) / 7e5,
+               np.array([1e-9, -2.5, np.nan]), np.geomspace(1e-11, 1e14, 2000)]
+    kept = [cli._float_cells(c, work) for c in columns]
+    for values, cells in zip(columns, kept):
+        assert texts(cells) == ["%.17g" % v for v in values.tolist()]
+        assert not any(np.shares_memory(cells, a) for a in work)
+
+
+def test_write_csv_last_short_chunk_on_reused_work(tmp_path, monkeypatch):
+    # full chunks of wide cells (negative, "e-XX"), then a last chunk of
+    # 2 rows of narrow ones: the writer's one work set leaves no bytes over
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+    size = 3 * 7 + 2
+    wide = -np.geomspace(1e-11, 3e-5, size)
+    wide[-2:] = [0.75, 0.5]
+    columns = (np.arange(size, dtype=np.int64), wide, np.abs(wide[::-1]) + 1.0)
+    out = tmp_path / "out.csv"
+    cli._write_csv(out, "i,a,b", *columns)
+    assert out.read_bytes() == ("i,a,b\n" + oracles.csv_rows(columns, size)).encode()
+
+
 def test_decimal_exponent_table_is_exact():
     _, kbase, thresh, _, _ = cli._float_tables()
     for e2 in range(-40, 51):
@@ -262,12 +287,15 @@ def test_panel_rows_share_one_buffer(size, block, chunk, panels, seed, spliced):
 
 
 def spy_float_cells(monkeypatch) -> list:
-    """Record the values of every :func:`cli._float_cells` call."""
-    calls, real = [], cli._float_cells
+    """Record the values of every :func:`cli._float_cells` call, each of
+    which a writer passes its one set of work arrays."""
+    calls, real, works = [], cli._float_cells, []
 
-    def spy(values):
+    def spy(values, work):
         calls.append(np.array(values, np.float64))
-        return real(values)
+        works.append(work)
+        assert all(w is works[0] for w in works)
+        return real(values, work)
 
     monkeypatch.setattr(cli, "_float_cells", spy)
     return calls

@@ -108,6 +108,23 @@ class TestRootsEnergy:
                 error = float(abs(mpmath.mpf(roots_energy(n, s)) / want - 1))
             assert error <= energy.ROOTS_RTOL + s * 1.5e-16, n
 
+    @pytest.mark.parametrize("s", [-1023.5, -1100.0])
+    def test_direct_sum_where_two_to_the_minus_s_overflows(self, s):
+        # 2^-s is inf from s = -1024 down, so each term is taken as
+        # (2 sin)^-s; an energy beyond the float range is inf (every even
+        # n, whose middle term n 2^-s alone exceeds it, and 7 at s = -1100)
+        for n in (2, 3, 4, 5, 7, 8):
+            with mpmath.workdps(40):
+                want = n * mpmath.fsum(
+                    (2 * mpmath.sin(mpmath.pi * k / n)) ** -mpmath.mpf(s)
+                    for k in range(1, n))
+                got = roots_energy(n, s)
+                if want > sys.float_info.max:
+                    assert got == math.inf, n
+                    continue
+                error = float(abs(mpmath.mpf(got) / want - 1))
+            assert error <= energy.ROOTS_RTOL - s * 1.5e-16, n
+
     @pytest.mark.parametrize("s", [20.0, 40.0])
     def test_expansion_at_large_s(self, s):
         # the expansion takes no sines, only the rounding of pi

@@ -28,9 +28,13 @@ LOADED = [
      {"rieszgreedy", "rieszgreedy.binary", "rieszgreedy.energy",
       "rieszgreedy.special"}),
     (["eta", "--N", "21"], {"rieszgreedy", "rieszgreedy.binary"}),
+    # the scans need no energy layer: limits loads it in batch_eta_values only
     (["figures", "--M", "3"],
      {"rieszgreedy", "rieszgreedy.arith", "rieszgreedy.binary",
-      "rieszgreedy.energy", "rieszgreedy.limits", "rieszgreedy.special"}),
+      "rieszgreedy.limits", "rieszgreedy.special"}),
+    (["scan", "--M", "3", "--target", "energy", "--s", "0.5"],
+     {"rieszgreedy", "rieszgreedy.arith", "rieszgreedy.binary",
+      "rieszgreedy.limits", "rieszgreedy.special"}),
 ]
 
 # with no argv, a bare `import rieszgreedy`

@@ -280,6 +280,22 @@ class TestSharedKernel:
         for _ in range(3):
             self.assert_matches_oracle(ns, rng)
 
+    def test_one_work_serves_blocks_of_any_length(self):
+        # the work arrays hold no result: every block's values, all kept,
+        # are the oracle's, longer blocks after shorter ones and back
+        blocks = [np.arange(1, 5001, dtype=np.int64),
+                  (1 << 52) + np.arange(64, dtype=np.int64),
+                  np.array([7], np.int64), np.arange(1000, 4000, dtype=np.int64),
+                  (1 << 20) + 1 + 2 * np.arange(5000, dtype=np.int64)]
+        checked = [(t, limits._check_target(t, s)) for t, s in self.PANELS]
+        work = limits._kernel_work(5000)
+        kept = [limits._chunk_values(ns, checked, work) for ns in blocks]
+        for ns, got in zip(blocks, kept):
+            for g, w, panel in zip(got, oracles.chunk_values(ns, checked), self.PANELS):
+                assert np.array_equal(self.bits(g), self.bits(w)), panel
+                assert not any(np.shares_memory(g, a) for a in work)
+        assert len({id(g) for got in kept for g in got}) == len(blocks) * len(checked)
+
     @pytest.mark.parametrize("chunk", [37, 1 << 15])
     def test_mixed_binades(self, monkeypatch, chunk):
         # the blocks' bit depths differ: 1..13 bits, then 53
@@ -350,6 +366,25 @@ class TestScanExtremum:
         with pytest.raises(ValueError, match="1023"):
             call()
 
+    @pytest.mark.parametrize("s", [-120.0, -1024.0 / 52, -19.7])
+    def test_form_kernels_reject_s_to_minus_1024_over_52(self, s):
+        # 2^{-52 s} overflows there: the error names s, where the power's
+        # own OverflowError (34, 'Numerical result out of range') would not
+        for call in (lambda: batch_eta_values([1025, 3], "energy_form", s),
+                     lambda: batch_eta_values([1024], "energy_form", s),
+                     lambda: GridScan(8, [("energy_form", s)])):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"energy form needs s > -1024/52 (about -19.69) for n up to "
+                    f"2^53, got s = {s}")):
+                call()
+
+    def test_lowest_s_stays_finite(self):
+        s = math.nextafter(-1024.0 / 52, 0.0)  # -52 s rounds below 1024
+        ns = np.array([(1 << 53) - 1, (1 << 52) + 1, 1025, 3, 1], np.int64)
+        values = batch_eta_values(ns, "energy_form", s)
+        assert np.isfinite(values).all() and values[-1] == 1.0
+        assert np.array_equal(values, oracles.chunk_values(ns, [("energy_form", s)])[0])
+
     def test_s_where_the_kernel_overflows_rejected(self):
         # 2 (2^s - 1) is finite below s = 1023: the values stay finite
         r = scan_extremum(8, "energy_form", 1022.9)
@@ -357,6 +392,18 @@ class TestScanExtremum:
         for s in (1023.0, 1023.5, 2000.0):
             with pytest.raises(ValueError, match="1023"):
                 scan_extremum(8, "energy_form", s)
+
+    @pytest.mark.parametrize("target,s", [("energy_form", 0.3), ("leja_offset", None)])
+    def test_kept_grid_over_blocks_matches_batch(self, monkeypatch, target, s):
+        # blocks of 100 N, the last one shorter, share one set of work
+        # arrays: the kept grid is still the batch kernel's, bit for bit
+        m = 10
+        ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1), dtype=np.int64)
+        want = batch_eta_values(ns, target, s)
+        monkeypatch.setattr(limits, "_CHUNK", 100)
+        r = scan_extremum(m, target, s)
+        assert np.array_equal(r.values.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(r.xs, float(1 << m) / ns)
 
     def test_values_match_point_evaluators(self):
         r = scan_extremum(6, "energy_form", 0.4)
@@ -385,8 +432,8 @@ class TestGridScan:
     def test_ties_go_to_the_smallest_x(self, monkeypatch, chunk, m):
         calls = []
 
-        def stand_in(ns, panels):
-            calls.append((ns.copy(), list(panels)))
+        def stand_in(ns, panels, work):
+            calls.append((ns.copy(), list(panels), work))
             return [self.stand_in(ns, target, s) for target, s in panels]
 
         monkeypatch.setattr(limits, "_chunk_values", stand_in)
@@ -397,8 +444,11 @@ class TestGridScan:
         ns = (1 << m) + 1 + 2 * np.arange(1 << (m - 1))
         # one kernel call per block, covering every panel
         assert len(calls) == len(blocks) == -(-ns.size // chunk)
-        assert all(panels == self.PANELS for _, panels in calls)
-        assert np.array_equal(np.concatenate([block for block, _ in calls]), ns)
+        assert all(panels == self.PANELS for _, panels, _ in calls)
+        # one set of work arrays, made for the largest block, serves them all
+        assert all(work is calls[0][2] for _, _, work in calls)
+        assert all(a.size == min(chunk, ns.size) for a in calls[0][2])
+        assert np.array_equal(np.concatenate([block for block, _, _ in calls]), ns)
         assert np.array_equal(np.concatenate([b[0] for b in blocks]),
                               float(1 << m) / ns)
         for k, ((target, s), r) in enumerate(zip(self.PANELS, results)):
@@ -418,7 +468,7 @@ class TestGridScan:
         m, chunk = 5, 4
         first = (1 << m) + 1 + 2 * (block * chunk + 1)
 
-        def stand_in(ns, panels):
+        def stand_in(ns, panels, work):
             values = [self.stand_in(ns, target, s) for target, s in panels]
             values[k][ns >= first] = np.nan
             return values
@@ -432,7 +482,7 @@ class TestGridScan:
             GridScan(m, self.PANELS).run(lambda xs, values: blocks.append(xs))
         assert len(blocks) == block
 
-        monkeypatch.setattr(limits, "_chunk_values", lambda ns, panels: [
+        monkeypatch.setattr(limits, "_chunk_values", lambda ns, panels, work: [
             np.where(ns >= first, np.nan, 1.0 / ns) for _ in panels])
         capsys.readouterr()
         assert main(["scan", "--M", str(m), "--target", "offset",
