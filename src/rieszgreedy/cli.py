@@ -20,11 +20,11 @@ beyond tolerance), 64 usage error, 74 unwritable output.
 Ranges: ``--range A:B`` (and ``energy --N``) is clamped below to the
 command's smallest N (1 for energy, fseq and cesaro, 2 for tseq and
 expansion-check); a range left with no N, reaching 2^53, or holding more
-than :data:`MAX_RANGE` N is a domain error.  Every command computes as
-arrays, one pass per command, and a verifier fails on a nan row.
-Energies over any N < 2^53 run in O(bit-width) memory, and ``figures``
-and ``scan`` stream the order-M grid in O(block) memory
-(:class:`rieszgreedy.limits.GridScan`).  ``identities`` takes
+than :data:`MAX_RANGE` N is a domain error.  Each CSV goes, in blocks of
+:data:`_RANGE_BLOCK` N or of the order-M grid
+(:class:`rieszgreedy.limits.GridScan`), through one row writer
+(:func:`_csv_files`), so memory is O(block), and appears only when
+complete.  A verifier fails on a nan row.  ``identities`` takes
 1 <= M <= :data:`MAX_IDENTITY_ORDER` and the s of an energy-form
 ``scan``; ``oracle-verify --grid-bits`` goes up to
 :data:`rieszgreedy.energy.ORACLE_MAX_GRID_BITS`.
@@ -53,7 +53,7 @@ import math
 import re
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -96,11 +96,11 @@ _CSV_CHUNK = 1 << 11
 _PANEL_HEADER = "x,value"  # the CSV header of scan and of each figures file
 _LOW32, _LOW64 = (1 << 32) - 1, (1 << 64) - 1
 _STRIPPED = np.uint64(10_000)  # offset of the stripped digit groups
-_COMMA, _NEWLINE = (np.array([[ord(c)]], np.uint8) for c in ",\n")
 
-#: Most N one range command takes.  expansion-check, which holds the most
-#: arrays over N, peaks at 177 MB over 2^20 N (610 MB over 2^22).
+#: Most N one range command takes: bounds its run time (about 1-3 s over
+#: 2^20 N), as its memory is that of one block of :data:`_RANGE_BLOCK` N.
 MAX_RANGE = 1 << 20
+_RANGE_BLOCK = 1 << 15
 #: Highest identities order: caps the 2^M - 1 rows held as arrays (6.9 MB CSV at 16).
 MAX_IDENTITY_ORDER = 16
 
@@ -127,10 +127,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _range_ns(args, smallest: int) -> np.ndarray:
-    """The integers of ``--range A:B`` (``energy --N A`` is the range A:A)
-    from max(A, smallest) to B, as int64."""
+def _range_ns(args, smallest: int):
+    """The integers of ``--range A:B`` or, for ``energy``, of ``--N A`` (not
+    both) from max(A, smallest) to B: checked here, yielded in int64 blocks."""
     n = getattr(args, "N", None)
+    if (n is None) == (args.n_range is None):
+        raise ValueError("give exactly one of --N or --range")
     text = args.n_range if n is None else f"{n}:{n}"
     try:
         lo, hi = map(int, text.split(":"))
@@ -143,7 +145,8 @@ def _range_ns(args, smallest: int) -> np.ndarray:
     if hi - max(lo, smallest) >= MAX_RANGE:
         raise ValueError(f"range {lo}:{hi} holds more than {MAX_RANGE} N; "
                          f"split it into several runs")
-    return np.arange(max(lo, smallest), hi + 1, dtype=np.int64)
+    return (np.arange(a, min(a + _RANGE_BLOCK, hi + 1), dtype=np.int64)
+            for a in range(max(lo, smallest), hi + 1, _RANGE_BLOCK))
 
 
 @cache
@@ -360,75 +363,82 @@ def _column_cells(part) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _csv_rows(cells: list, rows: int) -> bytes:
-    """``rows`` CSV rows from each column's cell matrix (a one-row matrix
-    is a constant column): cells, ',' between them and '\\n' after the
-    last, with the NUL padding dropped."""
-    seps = [_COMMA] * (len(cells) - 1) + [_NEWLINE]
-    return np.hstack([np.broadcast_to(a, (rows, a.shape[1]))
-                      for cell, sep in zip(cells, seps) for a in (cell, sep)]
-                     ).tobytes().translate(None, b"\0")
+def _csv_rows(cells: list, rows: int) -> np.ndarray:
+    """The uint8 matrix of ``rows`` CSV rows from each column's cell matrix
+    (a one-row matrix is a constant column): cells, ',' between them and
+    '\\n' after the last, the NUL padding still in."""
+    row = np.empty((rows, sum(cell.shape[1] + 1 for cell in cells)), np.uint8)
+    end = 0
+    for cell in cells:  # slice assignment broadcasts a constant column
+        row[:, end:end + cell.shape[1]] = cell
+        end += cell.shape[1] + 1
+        row[:, end - 1] = ord(",")
+    row[:, -1] = ord("\n")
+    return row
 
 
-def _write_csv(path: Path, header: str, *columns) -> None:
-    """Write the header line, then equal-length columns (sequences or numpy
-    arrays, or a single int or float for a constant column) as CSV rows:
-    floats as ``%.17g``, every other value through ``str``.  Per chunk,
-    the float-array columns are formatted together, by
-    :func:`_float_columns`, and every other column by
-    :func:`_column_cells`."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    sized = [c for c in columns if not isinstance(c, (int, float))]
-    count = len(sized[0]) if sized else 0
-    fused = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    work = _cell_work(min(count, _CSV_CHUNK) * sum(fused))
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
+@contextmanager
+def _csv_files(paths: list, header: str):
+    """Open each path as ``<path>.part`` with the header line and yield
+    ``write(columns)``: a block of equal-length columns (sequences, arrays,
+    or an int or float for a constant column), the last len(paths) one per
+    file.  Per :data:`_CSV_CHUNK` rows, the float arrays take one
+    :func:`_float_columns` call, the row matrix is laid once, and each
+    file overwrites only its own value cells in it.  Parts are renamed
+    onto their paths at the end; on any error every file made is removed."""
+    def write(columns):
+        count = next((len(c) for c in columns if not isinstance(c, (int, float))), 0)
+        fused = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+        shared = len(columns) - len(files)
         for start in range(0, count, _CSV_CHUNK):
             rows = min(_CSV_CHUNK, count - start)
             parts = [[c] if isinstance(c, (int, float)) else c[start:start + rows]
                      for c in columns]
             floats = iter(_float_columns([p for p, f in zip(parts, fused) if f], work)
                           if any(fused) else ())
-            fh.write(_csv_rows([next(floats) if f else _column_cells(p)
-                                for p, f in zip(parts, fused)], rows))
+            cells = [next(floats) if f else _column_cells(p)
+                     for p, f in zip(parts, fused)]
+            row = _csv_rows(cells[:shared + 1], rows)
+            for fh, cell in zip(files, cells[shared:]):
+                row[:, -1 - cell.shape[1]:-1] = cell
+                fh.write(row.tobytes().translate(None, b"\0"))
+
+    made, files = [], []
+    try:
+        with ExitStack() as stack:
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                part = path.with_name(path.name + ".part")
+                files.append(stack.enter_context(open(part, "wb")))
+                made.append(part)
+                files[-1].write(header.encode() + b"\n")
+            work = _cell_work(_CSV_CHUNK * (header.count(",") + len(paths)))
+            yield write
+        for i, path in enumerate(paths):
+            made[i] = made[i].replace(path)
+    except BaseException:
+        for path in made:
+            path.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: str, blocks) -> None:
+    """Write the header, then each block of columns, by :func:`_csv_files`."""
+    with _csv_files([path], header) as write:
+        for columns in blocks:
+            write(columns)
 
 
 def _write_panels(paths: list, m: int, panels) -> list:
     """Scan the order-m grid once for every (target, s) panel and write
-    panel k as :data:`_PANEL_HEADER` CSV to ``paths[k]``, block by block.
-    Each CSV chunk formats its x column and every panel's values in one
-    :func:`_float_columns` call, whose cell matrices share one width (24
-    columns in most chunks of ``figures --M 20``, a 50-byte row before the
-    NUL strip), and has one row matrix for all files: its x cells, ',' and
-    '\n' are laid once, and each file overwrites only the value cells
-    before its NUL padding is dropped, which gives the bytes of
-    :func:`_csv_rows`.  Nothing is opened before the panels are checked,
-    and every file is closed on every path.  Returns each panel's
+    panel k as :data:`_PANEL_HEADER` CSV to ``paths[k]``: each grid block
+    is a block of :func:`_csv_files`, x and then one value column per file.
+    Nothing is opened before the panels are checked.  Returns each panel's
     :class:`~rieszgreedy.limits.ScanResult` (without the grid arrays)."""
     from .limits import GridScan
     scan = GridScan(m, panels)
-    work = _cell_work(_CSV_CHUNK * (1 + len(paths)))
-    for path in paths:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(p, "wb")) for p in paths]
-        for fh in files:
-            fh.write(_PANEL_HEADER.encode() + b"\n")
-
-        def write_block(xs, values):
-            for start in range(0, xs.size, _CSV_CHUNK):
-                part = slice(start, start + _CSV_CHUNK)
-                x, *cells = _float_columns([xs[part], *(v[part] for v in values)], work)
-                width = x.shape[1]  # the cells of one call share a width
-                row = np.empty((len(x), 2 * width + 2), np.uint8)
-                row[:, :width], row[:, -1:] = x, _NEWLINE
-                row[:, width:width + 1] = _COMMA
-                for fh, cell in zip(files, cells):
-                    row[:, width + 1:-1] = cell
-                    fh.write(row.tobytes().translate(None, b"\0"))
-
-        return scan.run(write_block)
+    with _csv_files(paths, _PANEL_HEADER) as write:
+        return scan.run(lambda xs, values: write([xs, *values]))
 
 
 def _write_manifest(path: Path, command: str, params: dict, outputs: list,
@@ -443,15 +453,31 @@ def _write_manifest(path: Path, command: str, params: dict, outputs: list,
         fh.write("\n")
 
 
-def _table(header: str):
+def _table(header: str, smallest: Optional[int] = None):
     """Make a runner of a command body that returns (columns, summary,
     passed): the runner writes the columns to its output path as CSV
-    headed by ``header``, which its ``--help`` also lists."""
+    headed by ``header``, which its ``--help`` also lists.  A range body
+    (``smallest`` given) gets ``(args, ns)`` per block of :func:`_range_ns`
+    and returns (columns, summary), whose min_/max_ entries are folded."""
     def wrap(body):
         def runner(args, out: Path):
-            columns, summary, passed = body(args)
-            _write_csv(out, header, *columns)
-            return [out], summary, passed
+            if smallest is None:
+                columns, summary, passed = body(args)
+                _write_csv(out, header, [columns])
+                return [out], summary, passed
+            blocks, summary = _range_ns(args, smallest), {"count": 0}
+
+            def rows():
+                for ns in blocks:
+                    columns, block = body(args, ns)
+                    summary["count"] += ns.size
+                    for key, value in block.items():
+                        fold = {"min_": np.minimum, "max_": np.maximum}.get(key[:4])
+                        summary[key] = (float(fold(summary.get(key, value), value))
+                                        if fold else value)
+                    yield (ns, args.s, *columns)
+            _write_csv(out, header, rows())
+            return [out], summary, True
         runner.header = header
         return runner
     return wrap
@@ -465,40 +491,33 @@ def _run_eta(args):
     exps = decompose(n)
     rows = [(k + 1, e, t.numerator, t.denominator, float(t))
             for k, (e, t) in enumerate(zip(exps, w.components))]
-    return zip(*rows), {"N": n, "bit_count": len(exps)}, True
+    return tuple(zip(*rows)), {"N": n, "bit_count": len(exps)}, True
 
 
-@_table("N,s,energy")
-def _run_energy(args):
+@_table("N,s,energy", 1)
+def _run_energy(args, ns):
     from .energy import greedy_energies
-    if (args.N is None) == (args.n_range is None):
-        raise ValueError("give exactly one of --N or --range")
-    ns = _range_ns(args, 1)
-    return (ns, args.s, greedy_energies(ns, args.s)), {"count": ns.size}, True
+    return (greedy_energies(ns, args.s),), {}
 
 
-@_table("N,s,energy,T")
-def _run_tseq(args):
+@_table("N,s,energy,T", 2)
+def _run_tseq(args, ns):
     from .asymptotics import t_from_energies
     from .energy import greedy_energies
-    ns = _range_ns(args, 2)
     energies = greedy_energies(ns, args.s)
     values = t_from_energies(ns, energies, args.s)
-    return (ns, args.s, energies, values), {
-        "count": ns.size, "min_T": float(values.min()),
-        "max_T": float(values.max())}, True
+    return (energies, values), {"min_T": float(values.min()),
+                                "max_T": float(values.max())}
 
 
-@_table("N,s,potential,F")
-def _run_fseq(args):
+@_table("N,s,potential,F", 1)
+def _run_fseq(args, ns):
     from .asymptotics import f_from_potentials
     from .energy import extremal_potentials
-    ns = _range_ns(args, 1)
     potentials = extremal_potentials(ns, args.s)
     values = f_from_potentials(ns, potentials, args.s)
-    return (ns, args.s, potentials, values), {
-        "count": ns.size, "min_F": float(values.min()),
-        "max_F": float(values.max())}, True
+    return (potentials, values), {"min_F": float(values.min()),
+                                  "max_F": float(values.max())}
 
 
 def _scan_summary(result) -> dict:
@@ -527,31 +546,27 @@ _run_scan.header = _PANEL_HEADER
 _run_figures.header = _PANEL_HEADER + " (per file)"
 
 
-@_table("N,s,exact,predicted,residual")
-def _run_expansion_check(args):
+@_table("N,s,exact,predicted,residual", 2)
+def _run_expansion_check(args, ns):
     from .asymptotics import expansion_energies
     from .energy import greedy_energies
-    ns = _range_ns(args, 2)
     exact = greedy_energies(ns, args.s)
     predicted = expansion_energies(ns, args.s)
     residual = exact - predicted
     worst = np.abs(residual) / np.maximum(1.0, np.abs(exact))
-    return (ns, args.s, exact, predicted, residual), {
-        "count": ns.size, "max_rel_residual": float(worst.max())}, True
+    return (exact, predicted, residual), {"max_rel_residual": float(worst.max())}
 
 
-@_table("N,s,mean,deviation,scaled_deviation")
-def _run_cesaro(args):
+@_table("N,s,mean,deviation,scaled_deviation", 1)
+def _run_cesaro(args, ns):
     from .asymptotics import cesaro_means, cesaro_scales
     from .special import arclength_energy
-    ns = _range_ns(args, 1)
     means = cesaro_means(ns, args.s)
     target = arclength_energy(args.s) / 2.0
     deviations = means - target
     scaled = deviations * cesaro_scales(ns, args.s)
-    return (ns, args.s, means, deviations, scaled), {
-        "count": ns.size, "limit": target,
-        "max_abs_scaled_deviation": float(np.abs(scaled).max())}, True
+    return (means, deviations, scaled), {
+        "limit": target, "max_abs_scaled_deviation": float(np.abs(scaled).max())}
 
 
 @_table("N,s,oracle_energy,formula_energy,rel_gap")

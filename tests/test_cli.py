@@ -167,6 +167,7 @@ class TestStreamedScans:
         (d / "fig3_energy_one_third.csv").mkdir(parents=True)
         assert main(["figures", "--M", "6", "--out", str(d)]) == 74
         assert not (d / "manifest.json").exists()
+        assert [p.name for p in d.iterdir()] == ["fig3_energy_one_third.csv"]
 
 
 class TestPanelsMatchTemplateWriter:
@@ -266,9 +267,9 @@ class TestCsvWriter:
             for row in zip(*columns):
                 writer.writerow([_fmt(v) for v in row])
         out = tmp_path / "out.csv"
-        cli._write_csv(out, ",".join(header), *columns)
+        cli._write_csv(out, ",".join(header), [columns])
         assert out.read_bytes() == ref.read_bytes()
-        cli._write_csv(out, ",".join(header))
+        cli._write_csv(out, ",".join(header), [])
         assert out.read_bytes() == b"i,big,py,np,npscalar,npint,special\n"
 
     @pytest.mark.parametrize("chunk", [4, cli._CSV_CHUNK])
@@ -291,7 +292,7 @@ class TestCsvWriter:
             for row in zip(range(count), *(f.tolist() for f in floats)):
                 writer.writerow([_fmt(v) for v in (row[0], row[1], 0.5, *row[2:])])
         out = tmp_path / "out.csv"
-        cli._write_csv(out, "i,a,k,b,c", *columns)
+        cli._write_csv(out, "i,a,k,b,c", [columns])
         assert out.read_bytes() == ref.read_bytes()
 
 

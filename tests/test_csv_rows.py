@@ -36,7 +36,7 @@ def assert_matches_percent(values) -> None:
     assert cell_texts(values) == ["%.17g" % v for v in values.tolist()]
     other = values[::-1].copy()
     rows = cli._csv_rows([cli._float_cells(values), cli._float_cells(other)],
-                         values.size)
+                         values.size).tobytes().translate(None, b"\0")
     assert rows == oracles.csv_rows([values, other], values.size).encode()
 
 
@@ -162,7 +162,7 @@ def test_write_csv_chunks_match_template_writer(tmp_path):
     values[[0, cli._CSV_CHUNK, size - 1]] = [np.nan, 100.0, -np.inf]
     columns = (np.arange(size, dtype=np.int64) - 7, 0.25, values, values * 1e9)
     out = tmp_path / "out.csv"
-    cli._write_csv(out, "a,b,c,d", *columns)
+    cli._write_csv(out, "a,b,c,d", [columns])
     assert out.read_bytes() == ("a,b,c,d\n" + oracles.csv_rows(columns, size)).encode()
 
 
@@ -187,7 +187,7 @@ def test_write_csv_last_short_chunk_on_reused_work(tmp_path, monkeypatch):
     wide[-2:] = [0.75, 0.5]
     columns = (np.arange(size, dtype=np.int64), wide, np.abs(wide[::-1]) + 1.0)
     out = tmp_path / "out.csv"
-    cli._write_csv(out, "i,a,b", *columns)
+    cli._write_csv(out, "i,a,b", [columns])
     assert out.read_bytes() == ("i,a,b\n" + oracles.csv_rows(columns, size)).encode()
 
 
@@ -282,7 +282,8 @@ def test_panel_rows_share_one_buffer(size, block, chunk, panels, seed, spliced):
         cli._write_panels(paths, 9, [("leja_offset", None)] * panels)
         x = cli._float_cells(xs)
         for path, v in zip(paths, values):
-            want = b"x,value\n" + cli._csv_rows([x, cli._float_cells(v)], size)
+            rows = cli._csv_rows([x, cli._float_cells(v)], size)
+            want = b"x,value\n" + rows.tobytes().translate(None, b"\0")
             assert path.read_bytes() == want
 
 
@@ -330,7 +331,7 @@ def test_write_csv_formats_each_chunk_in_one_call(tmp_path, monkeypatch):
     columns = (np.arange(count), a, 0.5, [0.25] * count, -a / 3, b)
     calls = spy_float_cells(monkeypatch)
     out = tmp_path / "out.csv"
-    cli._write_csv(out, "i,a,k,l,c,b", *columns)
+    cli._write_csv(out, "i,a,k,l,c,b", [columns])
     assert_same_bits(calls, [np.concatenate([a[i:i + 4], -a[i:i + 4] / 3,
                                              b[i:i + 4].astype(np.float64)])
                              for i in range(0, count, 4)])
