@@ -244,6 +244,25 @@ class TestPinnedBytes:
         assert main(argv + ([] if s is None else ["--s", s])) == 0
         assert hashlib.sha1(out.read_bytes()).hexdigest() == sha1
 
+    #: Range commands whose cells lie mostly outside [1e-11, 1e15) or are
+    #: whole: energies beyond 1e15, and N near 2^24 (70% of the float
+    #: cells of the first).
+    RANGES = [
+        (["expansion-check", "--s", "4.9", "--range", "2:4096"],
+         "468a9c2ab50ffcbd3c334ca6d90f1270ca2884c4"),
+        (["expansion-check", "--s", "3.712", "--range", "2:16384"],
+         "d96947a32578233797f0f97c53634b1b11d30c8a"),
+        (["energy", "--s", "3.29", "--range", "16776200:16777215"],
+         "e2cc531d994effca40ef254ea1334283c1f7afe0"),
+    ]
+
+    @pytest.mark.parametrize("argv,sha1", RANGES, ids=lambda a: " ".join(a[:3])
+                             if isinstance(a, list) else None)
+    def test_range(self, tmp_path, argv, sha1):
+        out = tmp_path / "range.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha1(out.read_bytes()).hexdigest() == sha1
+
 
 class TestCsvWriter:
     @pytest.mark.parametrize("chunk", [4, cli._CSV_CHUNK])
