@@ -22,10 +22,19 @@ its forms from two kernels, as they serve different n:
 140-200 us, :func:`t_predictions` over 2..16383 about 0.3 us per n) and
 the exact :mod:`rieszgreedy.arith` (any n, 23-35 us; 2-core Xeon).  The
 expansion is the greedy energy's walk over another table (:func:`expansion_energy`).
+
+Imports: the module loads ``energy`` and ``special`` only.  The
+prediction's kernels are imported where they are called,
+:mod:`~rieszgreedy.limits` in :func:`t_predictions` and ``arith`` and
+``binary`` in :func:`predict_t`, so ``tseq``, ``fseq``, ``cesaro`` and
+``expansion-check`` load neither they nor ``fractions``.  The names
+perfbench/layertrace.py patches here that no function calls by them
+resolve through :data:`_TRACED`.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -33,15 +42,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import limits
-from .arith import energy_form, leja_offset, log_kernel_form
-from .binary import binary_weights
 from .energy import (_greedy_s, _roots_expanded, bit_sum, bit_sums,
                      extremal_potential, greedy_energies, greedy_energy, int_array)
 from .special import (BRANCH_GUARD, EULER_GAMMA, RootsExpansion, arclength_energy,
                       finite_s, roots_expansion, zeta)
-# unused here, but perfbench/layertrace.py patches this name on this module
-from .special import sinc_power_series  # noqa: F401
 
 __all__ = [
     "t_sequence",
@@ -63,6 +67,18 @@ __all__ = [
 ]
 
 _MAX_SCAN_N = 1 << 14
+
+#: Layer functions perfbench/layertrace.py patches on this module, served
+#: by name from their modules (no function here calls them by it).
+_TRACED = {"binary_weights": "binary", "energy_form": "arith",
+           "leja_offset": "arith", "log_kernel_form": "arith",
+           "sinc_power_series": "special"}
+
+
+def __getattr__(name):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
 
 
 def _check_branches(s: float, branches=(-1.0, 0.0, 1.0)) -> None:
@@ -227,6 +243,8 @@ def predict_t(n: int, s: float) -> TPrediction:
     n^2 / log n (s = 3), and log n (s = -1).  Below s = -1 no leading form
     is available here.
     """
+    from .arith import energy_form, leja_offset, log_kernel_form
+    from .binary import binary_weights
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_prediction_s(s)
@@ -242,6 +260,7 @@ def predict_t(n: int, s: float) -> TPrediction:
 def t_predictions(ns, s: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`predict_t` over n in ns (2 <= n < 2^53): the arrays of
     predictions and of remainder scales."""
+    from . import limits
     ns = int_array(ns, 2)
     _check_prediction_s(s)
     forms = partial(limits.batch_eta_values, ns)

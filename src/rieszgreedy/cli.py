@@ -1,8 +1,9 @@
 """Command-line front end: every computation in the library, emitted as
 CSV (UTF-8, header row) plus a JSON run manifest.  One row writer writes
-every CSV: each float as ``'%.17g' % v``, byte for byte, by a numpy kernel
-(:func:`_float_cells`, with ``%`` as its per-cell fallback), every other
-value through ``str``.
+every CSV: each float as ``'%.17g' % v``, byte for byte, by numpy kernels
+(:func:`_float_cells`, whose fast path takes most values and whose second
+pass, :func:`_wide_cells`, every other finite one; ``%`` formats only nan,
+inf and -inf), every other value through ``str``.
 
 Each command is one :data:`_COMMANDS` entry, its help text and its
 runner.  A runner takes the parsed flags and the ``--out`` path and
@@ -31,14 +32,16 @@ complete.  A verifier fails on a nan row.  ``identities`` takes
 
 Imports: start-up is most of a short command (``energy --range`` over
 1024 N near 2^24 runs for about 10 ms of a 0.23 s process), so this
-module imports no layer, and each runner imports what it calls when it
-runs.  ``eta`` loads ``binary``; ``energy`` and ``oracle-verify`` load
-``energy``, which brings ``special`` and ``binary``; ``scan`` and
+module imports no layer and no ``fractions``, and each runner imports
+what it calls when it runs.  ``eta`` loads ``binary``; ``energy`` and
+``oracle-verify`` load ``energy``, which brings ``special``; ``scan`` and
 ``figures`` load ``limits``, which brings ``arith``, ``binary`` and
 ``special``; ``identities`` loads ``limits`` and ``energy``; ``tseq``,
-``fseq``, ``cesaro`` and ``expansion-check`` load every layer through
-``asymptotics``.  The layer functions perfbench/layertrace.py
-patches here, which no runner calls, resolve through :data:`_TRACED`.
+``fseq``, ``cesaro`` and ``expansion-check`` load ``asymptotics``, which
+brings ``energy`` and ``special``.  Only ``eta``, ``scan``, ``figures``
+and ``identities`` load ``fractions`` (with ``decimal``), through
+``binary``.  The layer functions perfbench/layertrace.py patches here,
+which no runner calls, resolve through :data:`_TRACED`.
 
 Flag values may start with '-': ``--s -inf`` and ``--range -3:0`` are
 values, not options.
@@ -54,7 +57,6 @@ import re
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Optional
@@ -94,7 +96,7 @@ _FIGURES = (
 #: of 12 pairs on one CPU.
 _CSV_CHUNK = 1 << 11
 _PANEL_HEADER = "x,value"  # the CSV header of scan and of each figures file
-_LOW32, _LOW64 = (1 << 32) - 1, (1 << 64) - 1
+_LOW27, _LOW32, _LOW64 = (1 << 27) - 1, (1 << 32) - 1, (1 << 64) - 1
 _STRIPPED = np.uint64(10_000)  # offset of the stripped digit groups
 
 #: Most N one range command takes: bounds its run time (about 1-3 s over
@@ -149,15 +151,29 @@ def _range_ns(args, smallest: int):
             for a in range(max(lo, smallest), hi + 1, _RANGE_BLOCK))
 
 
+def _layout(k: int) -> list:
+    """The words that lay ``'%.17g'``'s text out around the 17 digits of a
+    value of decimal exponent k: the masks of the digits before the '.'
+    and the '.' (each 128 bits as two words), the "0.000" prefix and the
+    "e-XX" suffix.  Fixed point d.ddd for 0 <= k <= 16, 0.000ddd for
+    -4 <= k < 0, else d.ddde±XX."""
+    fixed0, fixed = -4 <= k < 0, 0 <= k <= 16
+    front = (1 << 8 * k) - 1 if fixed else (1 << 128) - 1 if fixed0 else 0
+    dot = 0 if fixed0 or k == 16 else ord(".") << 8 * k if fixed else ord(".")
+    prefix = b"\0" + b"0." + b"0" * (-k - 1) if fixed0 else b""
+    suffix = b"" if fixed or fixed0 else b"\0e%+03d" % k
+    return [front & _LOW64, front >> 64, dot & _LOW64, dot >> 64,
+            *(int.from_bytes(b, "little") for b in (prefix, suffix))]
+
+
 @cache
 def _float_tables() -> tuple:
     """The tables of :func:`_float_cells`, built on first use: the 4-digit
     groups 0000..9999 as little-endian ASCII words, plain and with trailing
     '0' as NUL; per biased binary exponent, kbase and thresh, whence the
     decimal exponent of mantissa m is kbase - (m < thresh) (99 outside the
-    binades around [1e-11, 1e15)); per k = -11..14, the layout words (masks
-    of the digits before the '.', the '.', the "0.000" prefix, the "e-XX"
-    suffix); and 5^0..5^27."""
+    binades around [1e-11, 1e15)); per k = -11..14, the :func:`_layout`
+    words; and 5^0..5^27."""
     i = np.arange(10_000, dtype=np.uint64)
     plain = stripped = np.zeros_like(i)
     for j in range(4):
@@ -168,29 +184,245 @@ def _float_tables() -> tuple:
     thresh = np.zeros(2048, np.uint64)
     for e2 in range(-40, 51):  # binade [2^e2, 2^(e2+1)), mantissa m = v·2^(52-e2)
         j = math.floor(e2 * math.log10(2)) + 1  # 10^(j-1) <= 2^e2 < 10^j
-        t = math.ceil(Fraction(10) ** j * 2 ** (52 - e2))  # least m with v >= 10^j
+        # least m with v >= 10^j: the ceiling of 10^j·2^(52-e2) = num / den
+        num = 10 ** max(j, 0) << max(52 - e2, 0)
+        den = 10 ** max(-j, 0) << max(e2 - 52, 0)
+        t = -(-num // den)
         kbase[e2 + 1023], thresh[e2 + 1023] = (j, t) if t < 1 << 53 else (j - 1, 0)
-    layout = []
-    for k in range(-11, 15):  # d.ddd (k >= 0), 0.000ddd (k >= -4), d.ddde-XX
-        fixed0 = -4 <= k < 0
-        front = (1 << 8 * k) - 1 if k >= 0 else (1 << 128) - 1 if fixed0 else 0
-        dot = 0 if fixed0 else ord(".") << 8 * max(k, 0)
-        prefix = b"\0" + b"0." + b"0" * (-k - 1) if fixed0 else b""
-        suffix = b"\0e-" + b"%02d" % -k if k < -4 else b""
-        layout.append([front & _LOW64, front >> 64, dot & _LOW64, dot >> 64,
-                       *(int.from_bytes(b, "little") for b in (prefix, suffix))])
+    layout = [_layout(k) for k in range(-11, 15)]
     return (np.concatenate([plain, stripped]), kbase, thresh,
             np.array(layout, np.uint64).T.copy(),
             np.uint64(5) ** np.arange(28, dtype=np.uint64))
 
 
+#: The table columns of :func:`_wide_cells` are indexed by v + (m <
+#: thresh): v is twice the biased exponent of a normal value, and twice
+#: (_SCALED + biased exponent) for a subnormal scaled by 2^54.
+_SCALED = 2048
+
+
+@cache
+def _wide_tables() -> tuple:
+    """The tables of :func:`_wide_cells`, built on first use.
+
+    Each power 5^i, i = -324..340, is held as F·2^g with F in [2^127,
+    2^128) its 128-bit truncation, from exact integers: 5^i by products,
+    5^-i as floor(2^1024 / 5^i) by divisions.  10^j = F_j·2^(g_j + j) lies
+    in the binade e2 = 127 + g_j + j, whose mantissas m >= thresh, the
+    ceiling of F_j / 2^75 (one more than F_j >> 75 unless F_j is exact with
+    75 low zero bits), are >= 10^j; so the decimal exponent of m·2^(e2-52)
+    is kbase - (m < thresh), as in :func:`_float_tables`.
+
+    Returns thresh (as floats) per binade index v (see :data:`_SCALED`),
+    and per column v + (m < thresh) the multiplier M = 2^(e2-52)·10^(16-k)
+    as Mh, Mh's 26-bit halves Mhh and Mhl, and Ml (Mh the top 53 bits of
+    F_p, p = 16 - k, Ml the rest), then k, the lead word (the "0.000"
+    prefix, '0' at the lead digit), the "e±XX" suffix, two words each of
+    the front and the '.' masks of :func:`_layout`, and '0' in every byte
+    of the front mask where the front digits are the integer digits
+    (0 <= k <= 16).  Also the same layout words per k = -324..308, and
+    per k the largest |e - rint(e)| that is not within the digits' error
+    of a half: 0.5 where M = Mh exactly, else 0.5 - 2^-46."""
+    high, low, g = [], [], []  # F's high word, low word·2^-64 and g, i = -324..340
+    r = 1 << 1024
+    for _ in range(324):
+        r //= 5
+        shift = r.bit_length() - 128
+        f = r >> shift
+        high.append(f >> 64)
+        low.append(f & _LOW64)
+        g.append(shift - 1024)
+    high.reverse(), low.reverse(), g.reverse()
+    x = 1
+    for _ in range(341):
+        shift = x.bit_length() - 128
+        f = x >> shift if shift > 0 else x << -shift
+        high.append(f >> 64)
+        low.append(f & _LOW64)
+        g.append(shift)
+        x *= 5
+    high = np.array(high, np.uint64)
+    low = np.array(low, np.float64) * 2.0 ** -64
+    g = np.array(g)
+    exact = np.arange(-324, 341) >= 0  # 5^i in 128 bits for 0 <= i <= 55
+    exact[324 + 56:] = False
+
+    j = np.arange(-324, 309)  # every decimal exponent of a finite double
+    fh, fl, gj, xj = high[:633], low[:633], g[:633], exact[:633]
+    thresh = (fh >> 11) + (((fh & 0x7FF) != 0) | (fl != 0) | ~xj)
+    over = (thresh >> 53).astype(np.int64)  # 10^j above every mantissa of its binade
+    start = 127 + gj + j  # the binade of 10^j
+    # per e2 = -1077..1023: the j of the last 10^j at or below its binade
+    last = np.repeat(j[:-1], np.diff(start))[-1077 - start[0]:]
+    last = np.concatenate([last, np.full(1024 - start[-1] + 1, 308)])
+    e2 = np.arange(-1077, 1025)
+    own = start[last + 324] == e2
+    kbase = np.where(own, last - over[last + 324], last)
+    thresh = np.where(own & (over[last + 324] == 0), thresh[last + 324], 0)
+    by_v = np.repeat(np.concatenate([np.arange(54, _SCALED + 54), np.arange(55)]), 2)
+    e2, kbase, thresh = e2[by_v], kbase[by_v], thresh[by_v].astype(np.float64)
+
+    layout = np.array([_layout(k) for k in range(-5, 18)], np.uint64).T
+    layout = layout[:, np.minimum(np.maximum(j, -5), 17) + 5]
+    a = np.abs(j).astype(np.uint64)
+    digits = np.where(a < 100, ord("0") + a // 10 | (ord("0") + a % 10) << 8,
+                      ord("0") + a // 100 | (ord("0") + a // 10 % 10) << 8
+                      | (ord("0") + a % 10) << 16)
+    sign = np.uint64(ord("+")) + np.uint64(2) * (j < 0)  # '+' or '-'
+    exponent = (j < -4) | (j > 16)
+    suffix = (ord("e") << 8 | sign << 16 | digits << 24) * exponent
+    keep = (j >= 0) & (j <= 16)
+    zeros = np.uint64(0x3030303030303030)  # '0' in every byte
+    columns = np.vstack([layout[4] | np.uint64(ord("0") << 48), suffix,
+                         layout[:4], layout[:2] & zeros * keep])
+    p = 340 - j  # 5^(16-k), as indices into the powers
+    lim = np.where(((high[p] & 0x7FF) == 0) & (low[p] == 0) & exact[p],
+                   0.5, 0.5 - 2.0 ** -46)
+
+    k = np.minimum(np.maximum(kbase - np.arange(kbase.size) % 2, -324), 308)
+    p = 340 - k
+    e = e2 - 52 + (16 - k) + g[p] + 64
+    mh = np.ldexp((high[p] >> 11).astype(np.float64), e + 11)
+    ml = np.ldexp((high[p] & 0x7FF).astype(np.float64) + low[p], e)
+    c = mh * 134217729.0
+    mhh = c - (c - mh)
+    pair = np.vstack([np.vstack([mh, mhh, mh - mhh, ml]).view(np.uint64),
+                      k.astype(np.uint64), columns[:, k + 324]])
+    return thresh, pair, columns, lim
+
+
+def _wide_cells(values: np.ndarray, work: tuple) -> tuple:
+    """The cell words of :func:`_float_cells` for finite values, made for
+    those off its fast path (any finite value comes out right), with each
+    value's decimal exponent k and the indices of the values whose digits
+    it cannot certify.  ``values`` is a copy it may change; every step
+    writes through ``out=`` into ``work`` (:func:`_cell_work`), the fast
+    path's rows and the pass's own block, several rows a call.
+
+    With m the 53-bit mantissa (subnormals scaled by 2^54 first) and
+    x = m·M, M = 2^(e2-52)·10^(16-k) in [1.1, 23) from the table, the 17
+    digits are D = round-half-even(x), x in [1e16, 1e17).  M is held as
+    Mh + Ml, Mh its top 53 bits; with m split at bit 27 and Mh in halves
+    of 26 bits, the four partial products are exact and p + e = m·Mh
+    exactly (Dekker's product), so x = p + e + m·Ml, p an even integer
+    >= 2^53, and D = p + rint(e + m·Ml).  The sum is within 2^-47 of
+    x - p, so where it lies within 2^-46 of a half the digits are not
+    certain: those values go to :func:`_percent_cells`.  Where M = Mh
+    (10^(16-k) is 5^0..5^22 times a power of 2) the sum is exact and rint
+    breaks the ties of 1e15 <= x < 2^51, k = 15, to even.  The words then
+    follow the fast path, the integer digits of fixed-point values
+    (0 <= k <= 16) keeping the zeros the stripped groups drop."""
+    thresh, pair, columns, lim = _wide_tables()
+    groups = _float_tables()[0]
+    n = values.size
+    flags, (t0, t1, t2, t3, t4, t5, t6, sign) = work[1][:4, :n], work[1][4:, :n]
+    quad = work[2][:4 * n].reshape(4, n)
+    table = work[4][:13 * n].reshape(13, n)
+    words = work[4][13 * n:17 * n].reshape(n, 4)
+    low = work[3][0, :n]
+    bits = values.view(np.uint64)
+    np.right_shift(bits, 63, out=sign)
+    v = np.right_shift(bits, 51, out=t0)
+    v &= 0xFFE  # twice the biased exponent
+    zero = None
+    if n and v.min() == 0:  # subnormals times 2^54 are normal; zeros become 1
+        tiny = np.flatnonzero(v == 0)
+        zero = tiny[bits[tiny] << 1 == 0]
+        values[tiny] *= 2.0 ** 54
+        values[zero] = 1.0
+        v[tiny] = (bits[tiny] >> 51 & 0xFFE) + 2 * _SCALED
+    m = np.bitwise_and(bits, (1 << 52) - 1, out=t1)
+    m |= 1075 << 52  # as a float, the mantissa 2^52 + fraction
+    top = np.bitwise_and(m, _LOW64 - _LOW27, out=t2).view(np.float64)  # bits 27..52
+    m = m.view(np.float64)
+    rest = np.subtract(m, top, out=t3.view(np.float64))
+    v += np.less(m, thresh.take(v.view(np.int64), out=t4.view(np.float64),
+                                mode="clip"), out=low)
+    pair.take(v.view(np.int64), axis=1, out=table, mode="clip")
+    mh, ml = table[0].view(np.float64), table[3].view(np.float64)
+    halves = table[1:3].view(np.float64)
+    k = table[4].view(np.int64)
+    head, suffix, front, dot, keep = table[5], table[6], table[7:9], table[9:11], table[11:]
+    p = np.multiply(m, mh, out=t4.view(np.float64))
+    hp = np.multiply(top, halves, out=quad[:2].view(np.float64))
+    rp = np.multiply(rest, halves, out=quad[2:].view(np.float64))
+    e = np.subtract(hp[0], p, out=t5.view(np.float64))
+    e += hp[1]
+    e += rp[0]
+    e += rp[1]
+    e += np.multiply(m, ml, out=t6.view(np.float64))
+    r = np.rint(e, out=t6.view(np.float64))
+    e -= r
+    uncertain = np.flatnonzero(np.abs(e, out=e) > 0.5 - 2.0 ** -46)
+    if uncertain.size:  # a tie is certain where the sum is exact
+        uncertain = uncertain[e[uncertain] > lim[k[uncertain] + 324]]
+    d = t1
+    np.copyto(d, p, casting="unsafe")
+    np.copyto(t2.view(np.int64), r, casting="unsafe")
+    d += t2
+    if n and d.max() >= 10 ** 17:  # rounded up to the next power of 10
+        carry = np.flatnonzero(d >= 10 ** 17)
+        d[carry] = 10 ** 16
+        k[carry] += 1
+        table[5:, carry] = columns[:, k[carry] + 324]
+    g1, g2, g3, g4 = quad
+    lead = np.floor_divide(d, 10 ** 16, out=t0)
+    d -= np.multiply(lead, 10 ** 16, out=t2)
+    hi8 = np.floor_divide(d, 10 ** 8, out=g2)
+    lo8 = d
+    lo8 -= np.multiply(hi8, 10 ** 8, out=t2)
+    np.floor_divide(hi8, 10 ** 4, out=g1)
+    np.floor_divide(lo8, 10 ** 4, out=g3)
+    g2 -= np.multiply(g1, 10 ** 4, out=t2)
+    np.subtract(lo8, np.multiply(g3, 10 ** 4, out=t2), out=g4)
+    # each group's ASCII word, stripped where only zeros follow it
+    np.equal(np.bitwise_or(g2, lo8, out=t2), 0, out=flags[0], casting="unsafe")
+    np.equal(lo8, 0, out=flags[1], casting="unsafe")
+    np.equal(g4, 0, out=flags[2], casting="unsafe")
+    flags[3] = 1
+    index = np.multiply(flags, _STRIPPED, out=table[:4])
+    index += quad
+    groups.take(index.view(np.int64), out=quad, mode="clip")
+    yz = np.left_shift(quad[1::2], 32, out=table[:2])  # digits 2..9, 10..17
+    yz |= quad[::2]
+    yz |= keep  # the integer digits keep their zeros
+    before = np.bitwise_and(yz, front, out=table[2:4])
+    after = np.bitwise_xor(yz, before, out=yz)
+    frac = np.not_equal(np.bitwise_or(after[0], after[1], out=t2), 0, out=t2,
+                        casting="unsafe")
+    before |= np.multiply(dot, frac, out=quad[:2])
+    before |= np.left_shift(after, 8, out=quad[:2])
+    spill = np.right_shift(after, 56, out=quad[2:])
+    np.multiply(sign, ord("-"), out=t2)
+    t2 |= head
+    np.bitwise_or(t2, np.left_shift(lead, 48, out=lead), out=words[:, 0])
+    words[:, 1] = before[0]
+    np.bitwise_or(before[1], spill[0], out=words[:, 2])
+    np.bitwise_or(spill[1], suffix, out=words[:, 3])
+    if zero is not None and zero.size:
+        words[zero] = 0
+        words[zero, 0] = sign[zero] * ord("-") | ord("0") << 48
+        k[zero] = 0
+    return words, k, uncertain
+
+
+def _percent_cells(values: np.ndarray) -> np.ndarray:
+    """Each value as ``'%.17g' % value`` in a NUL-padded row of 24 bytes:
+    the cells of nan, inf and -inf, and of the values whose digits
+    :func:`_wide_cells` cannot certify."""
+    return np.array(["%.17g" % x for x in values.tolist()],
+                    "S24").view(np.uint8).reshape(-1, 24)
+
+
 def _cell_work(size: int) -> tuple:
     """The work arrays of :func:`_float_columns` and :func:`_float_cells`
     for up to ``size`` values: a float row for the joined columns, then
-    the kernel's 12 uint64 rows, its 6 layout words per value and 3 bool
-    rows."""
+    the kernel's 12 uint64 rows, its 6 layout words per value, 3 bool
+    rows, and the 17 uint64 rows of :func:`_wide_cells` (whose pages a
+    run without cells off the fast path never touches)."""
     return (np.empty(size), np.empty((12, size), np.uint64),
-            np.empty(6 * size, np.uint64), np.empty((3, size), bool))
+            np.empty(6 * size, np.uint64), np.empty((3, size), bool),
+            np.empty(17 * size, np.uint64))
 
 
 def _float_cells(values: np.ndarray, work: Optional[tuple] = None) -> np.ndarray:
@@ -207,8 +439,13 @@ def _float_cells(values: np.ndarray, work: Optional[tuple] = None) -> np.ndarray
     output for; every index is in range); a group followed by zeros only
     takes its stripped form, which drops %g's trailing zeros.
     Per-k masks and shifts place the words, with NUL between the parts.
-    Every other value, and every whole number (whose integer zeros the
-    strip would drop), is formatted by ``%`` and spliced into its row.
+    Every other finite value (|v| outside that range, subnormals, ±0) and
+    every whole number (whose integer zeros the strip would drop) takes a
+    second pass, :func:`_wide_cells`, which lays out the same words over
+    all decimal exponents; its cells are put into their rows.  Only nan,
+    inf and -inf, and a value whose digits the second pass cannot certify
+    (none seen in 2e6 random doubles), are formatted by
+    :func:`_percent_cells` and spliced in.
 
     Every step but the cells writes through ``out=`` into the leading n
     elements of ``work`` (:func:`_cell_work`, made here if not given), so
@@ -216,17 +453,20 @@ def _float_cells(values: np.ndarray, work: Optional[tuple] = None) -> np.ndarray
     chunk, the cells.
 
     Byte 0 holds a '-', 1..5 the "0.000" prefix (k = -4..-1), 6 the lead
-    digit, 24 the last digit after a '.' (k >= 0 or k < -4) and 25..28
-    the "e-XX" suffix (k < -4).  So the view starts at column 0 if a value
-    is negative, else at 1 if some k may lie in -4..-1, else at 6, and
-    ends before 29 if some k < -4, else before 25 if some k >= 0, else
-    before 24; a call with a ``%`` cell keeps all 32.  The figures panels
+    digit, 24 the last digit after a '.' (0 <= k <= 15, or the exponent
+    form) and 25..29 the "e±XX" or "e±XXX" suffix (k < -4 or k > 16).  So
+    the view starts at column 0 if a value is negative, else at 1 if some
+    k may lie in -4..-1, else at 6, and ends before 30 if some |k| >= 100,
+    else before 29 if some k < -4 or k > 16, else before 25 if some
+    k >= 0, else before 24; the k of cells off the fast path count as 0
+    there, and a call with a ``%`` cell keeps all 32.  The figures panels
     (x in (1/2, 1), values near 1) keep 24 columns in 254 of 256 chunks.
     """
     groups, kbase, thresh, layout, pow5 = _float_tables()
     values = np.ascontiguousarray(values, np.float64)
     n = values.size
-    _, rows, layout_words, flags = work or _cell_work(n)
+    work = work or _cell_work(n)
+    _, rows, layout_words, flags, _ = work
     ef, m, k, shift, f, mh, fh, lead, sign, t, u, v = rows[:, :n]
     fast, frac, flag = flags[:, :n]
     bits = values.view(np.uint64)
@@ -317,15 +557,28 @@ def _float_cells(values: np.ndarray, work: Optional[tuple] = None) -> np.ndarray
     np.bitwise_or(t, np.right_shift(back0, 56, out=v), out=words[:, 2])
     np.bitwise_or(np.right_shift(back1, 56, out=v), suffix, out=words[:, 3])
     cells = words.view(np.uint8)
+    low, high = (int(k.min()), int(k.max())) if n else (0, 0)
+    negative = sign.any()
     slow = np.flatnonzero(np.logical_not(fast, out=flag))
     if slow.size:
-        cells[slow] = 0
-        cells[slow, :24] = np.array(["%.17g" % x for x in values[slow].tolist()],
-                                    "S24").view(np.uint8).reshape(-1, 24)
-        return cells
-    low, high = (int(k.min()), int(k.max())) if n else (0, 0)
-    first = 0 if sign.any() else 1 if low < 0 and high >= -4 else 6
-    return cells[:, first:29 if low < -4 else 25 if high >= 0 else 24]
+        wide = values[slow]
+        finite = np.isfinite(wide)
+        spliced = slow[:0]
+        if not finite.all():  # nan, inf and -inf
+            spliced, slow, wide = slow[~finite], slow[finite], wide[finite]
+        if slow.size:
+            wide, kw, uncertain = _wide_cells(wide, work)
+            np.put(words.view("V32").reshape(-1), slow, wide.view("V32").reshape(-1))
+            low, high = min(low, int(kw.min())), max(high, int(kw.max()))
+            spliced = np.concatenate([spliced, slow[uncertain]])
+        if spliced.size:
+            cells[spliced] = 0
+            cells[spliced, :24] = _percent_cells(values[spliced])
+            return cells
+    first = 0 if negative else 1 if low < 0 and high >= -4 else 6
+    last = (30 if low <= -100 or high >= 100 else 29 if low < -4 or high > 16
+            else 25 if high >= 0 else 24)
+    return cells[:, first:last]
 
 
 def _float_columns(columns: list, work: tuple) -> list:

@@ -28,21 +28,25 @@ greedy_energies takes 5-6 ms and extremal_potentials 3 ms (fsum per n:
 24-29 and 17 ms); over 2^20 n, 0.37-0.41 s and 0.2 s (3.4-3.6 and 2.5 s).
 One n takes 11-19 us; a one-element array takes 0.26-0.31 ms, the
 kernel's fixed cost (the fsum loop over a block took 14-28 us).
+
+Imports: the module loads ``special`` only, so ``energy`` and
+``oracle-verify`` load neither ``binary`` nor ``fractions``; the split of
+k s in :func:`_scaled_terms` takes the integers of s.as_integer_ratio().
+The name perfbench/layertrace.py patches here from ``binary`` resolves
+through :data:`_TRACED`.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .special import RootsExpansion, finite_s, roots_expansion
-# unused here, but perfbench/layertrace.py patches this name on this module
-from .binary import decompose  # noqa: F401
 
 __all__ = [
     "CircleConfig",
@@ -56,6 +60,17 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+#: A layer function perfbench/layertrace.py patches on this module, served
+#: by name from its module: this module loads only ``special``.
+_TRACED = {"decompose": "binary"}
+
+
+def __getattr__(name):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
+
 
 #: n summed per block by the certified kernel, whose eight work arrays
 #: (512 KB) stay in cache: over 2^20 n blocks of 2^12, 2^13, 2^14 and
@@ -167,19 +182,26 @@ def _roots_direct(n: int, s: float) -> float:
     return n * total
 
 
+def _split(s: float, k: int) -> tuple[int, float]:
+    """k s as e + f: e = floor(k s) and f in [0, 1) the rest, rounded
+    once, both from the integers of s = num / den."""
+    num, den = s.as_integer_ratio()
+    e = num * k // den
+    return e, (num * k - e * den) / den
+
+
 def _scaled_terms(n: int, s: float, coeffs) -> list[float]:
     """c_j n^{s-1-2j} for the c_j in coeffs, j = 0, 1, ...
 
     Each power is n^s times a whole power of n, never a power with the
     rounded exponent s - 1 - 2j.  With n = 2^k y, y in [1, 2), k s is
-    split exactly into e + f and n^s kept as m 2^e, m = 2^f y^s, until it
-    meets its coefficient: c_j is as small as (2 pi)^-s, so the term can
-    be finite where n^s is not."""
+    split exactly into e + f (:func:`_split`) and n^s kept as m 2^e,
+    m = 2^f y^s, until it meets its coefficient: c_j is as small as
+    (2 pi)^-s, so the term can be finite where n^s is not."""
     k = n.bit_length() - 1
-    ks = Fraction(s) * k
-    e = math.floor(ks)
+    e, f = _split(s, k)
     y = n / (1 << k)
-    m = 2.0 ** float(ks - e) * y ** s
+    m = 2.0 ** f * y ** s
     return [math.ldexp(c * (m * y ** (-1 - 2 * j)), e - k * (1 + 2 * j))
             for j, c in enumerate(coeffs)]
 

@@ -148,22 +148,25 @@ def regularized_zeta(s: float) -> float:
     return _eta_series(s) * (e / -math.expm1(-e * math.log(2.0)))
 
 
-@lru_cache(maxsize=1)
-def _bernoulli_table(limit: int = 202) -> tuple:
+@lru_cache(maxsize=None)
+def _bernoulli_numbers(m: int) -> tuple:
+    """B_0..B_m (B_1 = -1/2) as exact Fractions, B_m from the others by
+    sum_{k <= m} binomial(m + 1, k) B_k = 0: only as far as asked, as
+    zeta(-1) and zeta(-3) need B_2 and B_4 alone."""
     from fractions import Fraction
-    b = [Fraction(1)]
-    for m in range(1, limit):
-        acc = Fraction(0)
-        c = 1  # binomial(m+1, k), updated incrementally
-        for k in range(m):
-            acc += c * b[k]
-            c = c * (m + 1 - k) // (k + 1)
-        b.append(-acc / (m + 1))
-    return tuple(b)
+    if m == 0:
+        return (Fraction(1),)
+    b = _bernoulli_numbers(m - 1)
+    acc = Fraction(0)
+    c = 1  # binomial(m+1, k), updated incrementally
+    for k in range(m):
+        acc += c * b[k]
+        c = c * (m + 1 - k) // (k + 1)
+    return b + (-acc / (m + 1),)
 
 
 def _bernoulli(m: int):
-    return _bernoulli_table()[m]
+    return _bernoulli_numbers(m)[m]
 
 
 # Asymptotic tail coefficients B_2n / 2n of log Gamma', i.e. psi(x) ~

@@ -31,6 +31,12 @@
 - CSV rows by one ``%`` template per chunk, floats through Python's
   ``%.17g``: the reference for the byte-matrix row writer of
   :mod:`rieszgreedy.cli`.
+- The Fraction forms the package replaced by integer arithmetic: the
+  decimal exponent table of the CSV cells (kbase and thresh per binade),
+  the split of k s in the roots-of-unity expansion
+  (:func:`rieszgreedy.energy._split`), and the table of the Bernoulli
+  numbers B_0..B_201, of which :func:`rieszgreedy.special._bernoulli`
+  computes only those it needs.
 
 Nothing here checks its arguments; the package's functions do.
 """
@@ -420,3 +426,40 @@ def csv_rows(columns, rows: int) -> str:
     args = [a for _, a in cells if a is not None]
     template = ",".join(conv for conv, _ in cells) + "\n"
     return (template * rows) % tuple(chain.from_iterable(zip(*args, strict=True)))
+
+
+def decimal_exponent_table(e2s) -> dict:
+    """Per binade [2^e2, 2^(e2+1)) in e2s, (kbase, thresh): the decimal
+    exponent of the mantissa m (v = m·2^(e2-52)) is kbase - (m < thresh),
+    with thresh the least m whose v is >= the binade's power of 10, or 0."""
+    table = {}
+    for e2 in e2s:
+        j = math.floor(e2 * math.log10(2)) + 1  # 10^(j-1) <= 2^e2 < 10^j
+        while Fraction(10) ** (j - 1) > Fraction(2) ** e2:
+            j -= 1
+        while Fraction(10) ** j <= Fraction(2) ** e2:
+            j += 1
+        t = math.ceil(Fraction(10) ** j * Fraction(2) ** (52 - e2))
+        table[e2] = (j, t) if t < 1 << 53 else (j - 1, 0)
+    return table
+
+
+def split(s: float, k: int) -> tuple[int, float]:
+    """k s as floor(k s) and the float of the rest, through Fraction."""
+    ks = Fraction(s) * k
+    e = math.floor(ks)
+    return e, float(ks - e)
+
+
+@lru_cache(maxsize=1)
+def bernoulli_table(limit: int = 202) -> tuple:
+    """B_0..B_{limit-1} as Fractions (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for m in range(1, limit):
+        acc = Fraction(0)
+        c = 1  # binomial(m+1, k), updated incrementally
+        for k in range(m):
+            acc += c * b[k]
+            c = c * (m + 1 - k) // (k + 1)
+        b.append(-acc / (m + 1))
+    return tuple(b)

@@ -1,19 +1,23 @@
 """The float cells of the CSV writers equal ``'%.17g' % v`` byte for byte
 for every double: over random bit patterns, at the edges of the fast path
 (its exponent range, powers of ten, exact rounding ties, whole numbers,
-the byte columns each layout fills) and with the ``%`` fallback at any
-row of a chunk.  Whole rows are held to
+the byte columns each layout fills), over every binade through the second
+pass, and with cells off the fast path at any row of a chunk; only nan,
+inf and -inf reach ``%``.  Whole rows are held to
 the % template writer of tests/oracles.py, and the figures writer's shared
 row matrix to :func:`cli._csv_rows`; both writers format each chunk's
 float columns in one call.  The int cells equal ``str(v)`` for every
 int64 value."""
 
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,10 +63,35 @@ def bit_patterns(draw) -> np.ndarray:
     return values
 
 
+@contextmanager
+def spliced_by_percent():
+    """The list of the values :func:`cli._percent_cells` formats inside."""
+    spliced, real = [], cli._percent_cells
+
+    def spy(values):
+        spliced.extend(values.tolist())
+        return real(values)
+    with mock.patch.object(cli, "_percent_cells", spy):
+        yield spliced
+
+
 @settings(max_examples=60, deadline=None)
 @given(values=bit_patterns())
 def test_random_bit_patterns(values):
-    assert_matches_percent(values)
+    with spliced_by_percent() as spliced:
+        assert_matches_percent(values)
+    assert not any(map(math.isfinite, spliced))  # no finite value takes %
+
+
+def test_wide_pass_certifies_random_doubles():
+    # the digits of a value off the fast path are uncertain only within
+    # 2^-46 of a rounding tie: none among 2^20 random finite doubles
+    # (fewer than 1 in 10^6)
+    rng = np.random.default_rng(20)
+    values = rng.integers(0, 1 << 64, 1 << 20, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    words, k, uncertain = cli._wide_cells(values.copy(), cli._cell_work(values.size))
+    assert uncertain.size == 0
 
 
 def _neighbours(v: float) -> list:
@@ -80,9 +109,59 @@ def test_edge_values(value):
     assert_matches_percent([value])
 
 
+def _as_float(bits: int) -> float:
+    return float(np.uint64(bits).view(np.float64))
+
+
+def _tie_neighbours(digits: int, k: int) -> list:
+    """The doubles nearest the tie (digits + 1/2)·10^(k-16) of the 17th
+    digit, and their neighbours."""
+    v = float((Fraction(digits) + Fraction(1, 2)) * Fraction(10) ** (k - 16))
+    return _neighbours(v)
+
+
+#: Every finite double by its bits, whole numbers to 2^1023, 10^k and its
+#: neighbours, the doubles nearest 17th-digit ties above 2^53 and below
+#: 1e-11 (no double is such a tie there: see test_no_exact_wide_ties),
+#: the exact ties of [1e15, 2^51), and 3-digit exponents of both signs.
+WIDE = st.one_of(
+    st.integers(0, 0x7FEFFFFFFFFFFFFF).map(_as_float),
+    st.integers(1, 1 << 1023).map(float),
+    st.integers(-323, 308).map(lambda k: float(Fraction(10) ** k)).flatmap(
+        lambda v: st.sampled_from(_neighbours(v))),
+    st.tuples(st.integers(10 ** 16, 10 ** 17 - 1),
+              st.integers(-323, -12) | st.integers(16, 307)).flatmap(
+        lambda dk: st.sampled_from(_tie_neighbours(*dk))),
+    st.integers(2 * 10 ** 15, (1 << 52) - 1).map(lambda q: (2 * q + 1) / 4),
+    st.floats(1e100, 1.7e308) | st.floats(5e-324, 1e-100),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(WIDE, min_size=1, max_size=64))
+@example(values=[0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+@example(values=[float((1 << 53) - 1), float(1 << 53), float((1 << 53) + 2), 1e15,
+                 1000000000000000.2, 1000000000000000.8, 9.9999999999999992e22])
+def test_every_binade_through_the_second_pass(values):
+    with spliced_by_percent() as spliced:
+        assert_matches_percent(values)
+    assert spliced == []
+
+
+def test_no_exact_wide_ties():
+    # a 17th-digit tie of exponent k is v = (2D + 1)·5^(k-16)·2^(k-17),
+    # 10^16 <= D < 10^17.  For k >= 16 its odd part is at least
+    # 2D + 1 > 2^53, and for k < 16 it needs 5^(16-k) to divide 2D + 1 <
+    # 2·10^17, so k >= -8: no tie above 2^53 or below 1e-11 is a double,
+    # while [1e15, 2^51) holds exact ties (k = 15).
+    assert 2 * 10 ** 16 + 1 > 1 << 53 and 5 ** (16 + 9) > 2 * 10 ** 17
+    v = 1000000000000000.25
+    assert (Fraction(v) * 10).denominator == 2 and "%.17g" % v == "1000000000000000.2"
+
+
 #: Values at both ends of each of the fast path's layouts, as decimal
 #: exponents k: -11 and -5 ("d.ddde-XX"), -4 and -1 ("0.000ddd"), 0 and
-#: 14 ("ddd.ddd"); none a whole number, which would take %.
+#: 14 ("ddd.ddd"); none a whole number, which leaves the fast path.
 SPAN_EDGES = [1.2345678901234567e-11, 9.8765432109876543e-11, 1.5e-05, 9.9e-05,
               0.00015, 0.00099, 0.15, 0.99, 1.5, 9.5,
               123456789012345.67, 987654321098765.4]
@@ -100,7 +179,8 @@ def test_span_edges_alone_and_mixed():
 
 @pytest.mark.parametrize("values,width", [
     ([0.75], 23), ([0.75, 1.5], 24), ([1.5], 19), ([-0.75], 24),
-    ([1e-07], 23), ([1e-07, 0.75], 28), ([-1e-07, 1.5], 29), ([0.75, 100.0], 32)])
+    ([1e-07], 23), ([1e-07, 0.75], 28), ([-1e-07, 1.5], 29), ([0.75, 100.0], 24),
+    ([1e20], 23), ([5e-324], 29), ([-1.5e300], 30), ([np.inf, 0.5], 32)])
 def test_cells_keep_the_columns_values_can_fill(values, width):
     assert cli._float_cells(np.array(values)).shape[1] == width
     assert_matches_percent(values)
@@ -203,14 +283,41 @@ def test_decimal_exponent_table_is_exact():
                 assert Fraction(10) ** k <= v < Fraction(10) ** (k + 1)
 
 
-def test_tables_built_on_first_use():
+def test_exponent_tables_match_the_fraction_form():
+    # both passes' decimal exponent tables against the Fraction form: the
+    # fast one entry by entry, the wide one (binade index v, see
+    # cli._SCALED) by the exponent it gives the mantissas at its ends and
+    # at either threshold, for every binade of a finite double
+    _, kbase, thresh, _, _ = cli._float_tables()
+    fast = oracles.decimal_exponent_table(range(-40, 51))
+    assert {e2: (int(kbase[e2 + 1023]), int(thresh[e2 + 1023])) for e2 in fast} == fast
+    assert set(kbase[:1023 - 40]) | set(kbase[1023 + 51:]) == {99}
+    wide, pair, _, _ = cli._wide_tables()
+    ks = pair[4].view(np.int64)
+    table = oracles.decimal_exponent_table(range(-1074, 1024))
+    binades = [(2 * ef, ef - 1023) for ef in range(1, 2047)]
+    binades += [(2 * (cli._SCALED + e), e - 1077) for e in range(3, 55)]
+    for v, e2 in binades:
+        j, t = table[e2]
+        assert ks[v + 1] == ks[v] - 1 or wide[v] <= 1 << 52  # the column m < thresh
+        for m in {1 << 52, (1 << 53) - 1, t - 1, t, int(wide[v]) - 1, int(wide[v])}:
+            if 1 << 52 <= m < 1 << 53:
+                assert ks[v] - (m < wide[v]) == j - (m < t), (e2, m)
+
+
+def test_tables_built_on_first_use(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
-    probe = ("import rieszgreedy.cli as cli\n"
-             "print(cli._float_tables.cache_info().currsize)")
+    probe = ("import sys\n"
+             "import rieszgreedy.cli as cli\n"
+             "print(cli._float_tables.cache_info().currsize)\n"
+             "cli.main(['figures', '--M', '12', '--out', sys.argv[1]])\n"
+             "print(cli._wide_tables.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    # no table at import, and figures, all on the fast path, builds no
+    # table of the second pass
+    assert out.stdout.split() == ["0", "0"]
 
 
 INT_EDGES = [0, 9, 10, 99, 100, (1 << 53) - 1, (1 << 63) - 1,

@@ -195,6 +195,14 @@ class TestRootsExpansionRoute:
         assert self.gap(1 << k, s) <= energy.ROOTS_RTOL + 2 * s * 4e-17
         assert math.isfinite(roots_energy(1 << 40, 26.0))
 
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(-1024.0 / 52.0, 1023.0, exclude_min=True, exclude_max=True),
+           k=st.integers(0, 1100))
+    def test_split_as_the_fraction_form(self, s, k):
+        # k s = e + f from the integers of s, bit for bit as through Fraction
+        assert energy._split(s, k) == oracles.split(s, k)
+        assert 0.0 <= energy._split(s, k)[1] <= 1.0  # the rest, rounded once
+
     def test_beyond_float_range_is_inf(self):
         for n, s in ((1 << 2000, 0.5), (1 << 600, 1.01), (1 << 600, 3.0),
                      (1 << 40, 100.0), (3 ** 700, -1.5)):

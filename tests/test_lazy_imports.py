@@ -17,16 +17,17 @@ from rieszgreedy import asymptotics, cli, energy, limits
 
 SRC = str(Path(rieszgreedy.__file__).resolve().parents[1])
 
+SEQUENCE = {"rieszgreedy", "rieszgreedy.asymptotics", "rieszgreedy.energy",
+            "rieszgreedy.special"}
+
 #: argv, then every rieszgreedy module a fresh process has loaded after
 #: running it (``python -m rieszgreedy.cli`` runs cli as __main__).
 LOADED = [
     ([], {"rieszgreedy"}),
     (["energy", "--s", "0.5", "--range", "1:10"],
-     {"rieszgreedy", "rieszgreedy.binary", "rieszgreedy.energy",
-      "rieszgreedy.special"}),
+     {"rieszgreedy", "rieszgreedy.energy", "rieszgreedy.special"}),
     (["oracle-verify", "--s", "0.5", "--N", "8", "--grid-bits", "12"],
-     {"rieszgreedy", "rieszgreedy.binary", "rieszgreedy.energy",
-      "rieszgreedy.special"}),
+     {"rieszgreedy", "rieszgreedy.energy", "rieszgreedy.special"}),
     (["eta", "--N", "21"], {"rieszgreedy", "rieszgreedy.binary"}),
     # the scans need no energy layer: limits loads it in batch_eta_values only
     (["figures", "--M", "3"],
@@ -35,7 +36,18 @@ LOADED = [
     (["scan", "--M", "3", "--target", "energy", "--s", "0.5"],
      {"rieszgreedy", "rieszgreedy.arith", "rieszgreedy.binary",
       "rieszgreedy.limits", "rieszgreedy.special"}),
+    # the sequences and the expansion need neither the scans nor the
+    # exact arithmetic: those load only with the prediction of T
+    (["tseq", "--s", "-0.4", "--range", "2:40"], SEQUENCE),
+    (["fseq", "--s", "0.5", "--range", "1:40"], SEQUENCE),
+    (["cesaro", "--s", "-0.5", "--range", "1:40"], SEQUENCE),
+    (["expansion-check", "--s", "3.7", "--range", "2:40"], SEQUENCE),
 ]
+
+#: Commands whose process must not load ``fractions`` (nor ``decimal``,
+#: which it brings): nothing they run takes a Fraction.
+WITHOUT_FRACTIONS = {"energy", "oracle-verify", "tseq", "fseq", "cesaro",
+                     "expansion-check"}
 
 # with no argv, a bare `import rieszgreedy`
 PROBE = textwrap.dedent("""
@@ -48,8 +60,9 @@ PROBE = textwrap.dedent("""
             assert exc.code == 0, exc.code
     else:
         import rieszgreedy
-    print(json.dumps(sorted(m for m in sys.modules
-                            if m.partition(".")[0] == "rieszgreedy")))
+    print(json.dumps([sorted(m for m in sys.modules
+                             if m.partition(".")[0] == "rieszgreedy"),
+                      "fractions" in sys.modules]))
 """)
 
 
@@ -62,7 +75,10 @@ def test_modules_each_command_loads(tmp_path, argv, loaded):
     done = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert set(json.loads(done.stdout)) == loaded
+    modules, fractions = json.loads(done.stdout)
+    assert set(modules) == loaded
+    if argv and argv[0] in WITHOUT_FRACTIONS:
+        assert not fractions
 
 
 def test_every_name_is_its_modules_object():
@@ -92,6 +108,20 @@ def test_tracer_names_on_cli():
     assert cli.greedy_energy is energy.greedy_energy
     assert cli.expansion_energy is asymptotics.expansion_energy
     assert cli.t_sequence is asymptotics.t_sequence
+
+
+def test_tracer_names_on_the_layers():
+    # the names perfbench/layertrace.py patches on asymptotics and energy,
+    # which neither module imports at load time
+    from rieszgreedy import arith, binary, special
+    assert asymptotics.binary_weights is binary.binary_weights
+    for name in ("energy_form", "leja_offset", "log_kernel_form"):
+        assert getattr(asymptotics, name) is getattr(arith, name)
+    assert asymptotics.sinc_power_series is special.sinc_power_series
+    assert energy.decompose is binary.decompose
+    for module in (asymptotics, energy):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
 
 
 def test_console_script_entry(tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ import random
 import mpmath
 import pytest
 
+import oracles
+from rieszgreedy import special
 from rieszgreedy.special import (EULER_GAMMA, arclength_energy, digamma,
                                  log_term_constant, regularized_zeta,
                                  roots_expansion, sinc_coeff_derivative,
@@ -30,6 +32,19 @@ class TestZeta:
     def test_trivial_zeros(self):
         for s in (-2.0, -4.0, -6.0, -40.0):
             assert zeta(s) == 0.0
+
+    def test_bernoulli_numbers_as_the_table(self):
+        # each computed only as far as asked, in a fresh cache
+        special._bernoulli_numbers.cache_clear()
+        assert special._bernoulli(4) == oracles.bernoulli_table()[4]
+        assert special._bernoulli_numbers.cache_info().currsize == 5
+        assert special._bernoulli_numbers(201) == oracles.bernoulli_table()
+
+    def test_negative_odd_integers(self):
+        # zeta(-n) = -B_{n+1} / (n + 1), exactly rounded
+        table = oracles.bernoulli_table()
+        for n in range(1, 200, 2):
+            assert zeta(float(-n)) == float(-table[n + 1] / (n + 1)), n
 
     @pytest.mark.parametrize("s", [2.0, 3.5, 6.0])
     def test_functional_equation_self_consistency(self, s):
