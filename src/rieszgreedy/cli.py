@@ -444,13 +444,14 @@ def _float_cells(values: np.ndarray, work: Optional[tuple] = None) -> np.ndarray
     second pass, :func:`_wide_cells`, which lays out the same words over
     all decimal exponents; its cells are put into their rows.  Only nan,
     inf and -inf, and a value whose digits the second pass cannot certify
-    (none seen in 2e6 random doubles), are formatted by
+    (none in 2^20 random doubles), are formatted by
     :func:`_percent_cells` and spliced in.
 
     Every step but the cells writes through ``out=`` into the leading n
     elements of ``work`` (:func:`_cell_work`, made here if not given), so
     a writer that passes one ``work`` to every chunk makes one array per
-    chunk, the cells.
+    chunk, the cells, and where the second pass runs the index and value
+    arrays of the cells it takes.
 
     Byte 0 holds a '-', 1..5 the "0.000" prefix (k = -4..-1), 6 the lead
     digit, 24 the last digit after a '.' (0 <= k <= 15, or the exponent
@@ -458,8 +459,9 @@ def _float_cells(values: np.ndarray, work: Optional[tuple] = None) -> np.ndarray
     the view starts at column 0 if a value is negative, else at 1 if some
     k may lie in -4..-1, else at 6, and ends before 30 if some |k| >= 100,
     else before 29 if some k < -4 or k > 16, else before 25 if some
-    k >= 0, else before 24; the k of cells off the fast path count as 0
-    there, and a call with a ``%`` cell keeps all 32.  The figures panels
+    k >= 0, else before 24, from the k of both passes (the fast path
+    counts 0 for the cells it leaves); a call with a ``%`` cell keeps all
+    32.  The figures panels
     (x in (1/2, 1), values near 1) keep 24 columns in 254 of 256 chunks.
     """
     groups, kbase, thresh, layout, pow5 = _float_tables()
