@@ -125,7 +125,8 @@ def test_tracer_names_on_the_layers():
 
 
 def test_console_script_entry(tmp_path, monkeypatch):
-    # pyproject's rieszgreedy = "rieszgreedy.cli:main" calls main() with no argv
+    # pyproject's rieszgreedy = "rieszgreedy.cli:run" calls main() with no
+    # argv; run() itself is held to main's results in test_process_entry
     out = tmp_path / "eta.csv"
     monkeypatch.setattr(sys, "argv", ["rieszgreedy", "eta", "--N", "21",
                                       "--out", str(out)])

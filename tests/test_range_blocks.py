@@ -147,10 +147,14 @@ def test_success_leaves_no_part_file(tmp_path):
     assert not list(tmp_path.rglob("*.part"))
 
 
+#: Runs the command through the process entry, as ``python -m`` does.
 PEAK = textwrap.dedent("""
-    import sys
-    from rieszgreedy.cli import main
-    assert main(sys.argv[1:]) == 0
+    import runpy, sys
+    sys.argv[0] = "rieszgreedy"
+    try:
+        runpy.run_module("rieszgreedy.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
     status = open("/proc/self/status").read().split("VmHWM:")[1]
     print(int(status.split()[0]) / 1024)
 """)
