@@ -25,21 +25,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rieszgreedy import cli, limits
+from rieszgreedy import cells, cli, limits
 
 EXPONENT_FIELD = np.uint64(0x7FF << 52)
 
 
 def cell_texts(values: np.ndarray) -> list:
     return [row.tobytes().replace(b"\0", b"").decode()
-            for row in cli._float_cells(values)]
+            for row in cells._float_cells(values)]
 
 
 def assert_matches_percent(values) -> None:
     values = np.asarray(values, dtype=np.float64)
     assert cell_texts(values) == ["%.17g" % v for v in values.tolist()]
     other = values[::-1].copy()
-    rows = cli._csv_rows([cli._float_cells(values), cli._float_cells(other)],
+    rows = cli._csv_rows([cells._float_cells(values), cells._float_cells(other)],
                          values.size).tobytes().translate(None, b"\0")
     assert rows == oracles.csv_rows([values, other], values.size).encode()
 
@@ -65,13 +65,13 @@ def bit_patterns(draw) -> np.ndarray:
 
 @contextmanager
 def spliced_by_percent():
-    """The list of the values :func:`cli._percent_cells` formats inside."""
-    spliced, real = [], cli._percent_cells
+    """The list of the values :func:`cells._percent_cells` formats inside."""
+    spliced, real = [], cells._percent_cells
 
     def spy(values):
         spliced.extend(values.tolist())
         return real(values)
-    with mock.patch.object(cli, "_percent_cells", spy):
+    with mock.patch.object(cells, "_percent_cells", spy):
         yield spliced
 
 
@@ -90,7 +90,7 @@ def test_wide_pass_certifies_random_doubles():
     rng = np.random.default_rng(20)
     values = rng.integers(0, 1 << 64, 1 << 20, dtype=np.uint64).view(np.float64)
     values = values[np.isfinite(values)]
-    words, k, uncertain = cli._wide_cells(values.copy(), cli._cell_work(values.size))
+    words, k, uncertain = cells._wide_cells(values.copy(), cells._cell_work(values.size))
     assert uncertain.size == 0
 
 
@@ -182,7 +182,7 @@ def test_span_edges_alone_and_mixed():
     ([1e-07], 23), ([1e-07, 0.75], 28), ([-1e-07, 1.5], 29), ([0.75, 100.0], 24),
     ([1e20], 23), ([5e-324], 29), ([-1.5e300], 30), ([np.inf, 0.5], 32)])
 def test_cells_keep_the_columns_values_can_fill(values, width):
-    assert cli._float_cells(np.array(values)).shape[1] == width
+    assert cells._float_cells(np.array(values)).shape[1] == width
     assert_matches_percent(values)
 
 
@@ -249,13 +249,13 @@ def test_write_csv_chunks_match_template_writer(tmp_path):
 def test_cells_of_calls_on_one_work_stay_apart():
     # each call's cells are a new matrix: calls of other sizes on the same
     # work arrays, before and after, leave them as they were
-    work = cli._cell_work(3000)
+    work = cells._cell_work(3000)
     columns = [np.linspace(-3.0, 7e-6, 3000), 0.5 + np.arange(17) / 7e5,
                np.array([1e-9, -2.5, np.nan]), np.geomspace(1e-11, 1e14, 2000)]
-    kept = [cli._float_cells(c, work) for c in columns]
-    for values, cells in zip(columns, kept):
-        assert texts(cells) == ["%.17g" % v for v in values.tolist()]
-        assert not any(np.shares_memory(cells, a) for a in work)
+    kept = [cells._float_cells(c, work) for c in columns]
+    for values, matrix in zip(columns, kept):
+        assert texts(matrix) == ["%.17g" % v for v in values.tolist()]
+        assert not any(np.shares_memory(matrix, a) for a in work)
 
 
 def test_write_csv_last_short_chunk_on_reused_work(tmp_path, monkeypatch):
@@ -272,7 +272,7 @@ def test_write_csv_last_short_chunk_on_reused_work(tmp_path, monkeypatch):
 
 
 def test_decimal_exponent_table_is_exact():
-    _, kbase, thresh, _, _ = cli._float_tables()
+    _, kbase, thresh, _, _ = cells._float_tables()
     for e2 in range(-40, 51):
         ef = e2 + 1023
         t = int(thresh[ef])
@@ -286,17 +286,17 @@ def test_decimal_exponent_table_is_exact():
 def test_exponent_tables_match_the_fraction_form():
     # both passes' decimal exponent tables against the Fraction form: the
     # fast one entry by entry, the wide one (binade index v, see
-    # cli._SCALED) by the exponent it gives the mantissas at its ends and
+    # cells._SCALED) by the exponent it gives the mantissas at its ends and
     # at either threshold, for every binade of a finite double
-    _, kbase, thresh, _, _ = cli._float_tables()
+    _, kbase, thresh, _, _ = cells._float_tables()
     fast = oracles.decimal_exponent_table(range(-40, 51))
     assert {e2: (int(kbase[e2 + 1023]), int(thresh[e2 + 1023])) for e2 in fast} == fast
     assert set(kbase[:1023 - 40]) | set(kbase[1023 + 51:]) == {99}
-    wide, pair, _, _ = cli._wide_tables()
+    wide, pair, _, _ = cells._wide_tables()
     ks = pair[4].view(np.int64)
     table = oracles.decimal_exponent_table(range(-1074, 1024))
     binades = [(2 * ef, ef - 1023) for ef in range(1, 2047)]
-    binades += [(2 * (cli._SCALED + e), e - 1077) for e in range(3, 55)]
+    binades += [(2 * (cells._SCALED + e), e - 1077) for e in range(3, 55)]
     for v, e2 in binades:
         j, t = table[e2]
         assert ks[v + 1] == ks[v] - 1 or wide[v] <= 1 << 52  # the column m < thresh
@@ -309,9 +309,10 @@ def test_tables_built_on_first_use(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     probe = ("import sys\n"
              "import rieszgreedy.cli as cli\n"
-             "print(cli._float_tables.cache_info().currsize)\n"
+             "from rieszgreedy import cells\n"
+             "print(cells._float_tables.cache_info().currsize)\n"
              "cli.main(['figures', '--M', '12', '--out', sys.argv[1]])\n"
-             "print(cli._wide_tables.cache_info().currsize)")
+             "print(cells._wide_tables.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True)
@@ -387,17 +388,17 @@ def test_panel_rows_share_one_buffer(size, block, chunk, panels, seed, spliced):
         mp.setattr(cli, "_CSV_CHUNK", chunk)
         paths = [Path(tmp) / f"p{k}.csv" for k in range(panels)]
         cli._write_panels(paths, 9, [("leja_offset", None)] * panels)
-        x = cli._float_cells(xs)
+        x = cells._float_cells(xs)
         for path, v in zip(paths, values):
-            rows = cli._csv_rows([x, cli._float_cells(v)], size)
+            rows = cli._csv_rows([x, cells._float_cells(v)], size)
             want = b"x,value\n" + rows.tobytes().translate(None, b"\0")
             assert path.read_bytes() == want
 
 
 def spy_float_cells(monkeypatch) -> list:
-    """Record the values of every :func:`cli._float_cells` call, each of
+    """Record the values of every :func:`cells._float_cells` call, each of
     which a writer passes its one set of work arrays."""
-    calls, real, works = [], cli._float_cells, []
+    calls, real, works = [], cells._float_cells, []
 
     def spy(values, work):
         calls.append(np.array(values, np.float64))
@@ -405,7 +406,7 @@ def spy_float_cells(monkeypatch) -> list:
         assert all(w is works[0] for w in works)
         return real(values, work)
 
-    monkeypatch.setattr(cli, "_float_cells", spy)
+    monkeypatch.setattr(cells, "_float_cells", spy)
     return calls
 
 

@@ -44,6 +44,15 @@ LOADED = [
     (["expansion-check", "--s", "3.7", "--range", "2:40"], SEQUENCE),
 ]
 
+#: argvs on either side of the row writer's routes: a CSV of one chunk
+#: (2048 rows) loads the cell kernel, one of 1024 energies near 2^24 (all
+#: beyond 1e15) formats them with % and loads no kernel module or table.
+ROUTES = [
+    (["tseq", "--s", "-0.4", "--range", "2:2049"], SEQUENCE | {"rieszgreedy.cells"}),
+    (["energy", "--s", "3.805", "--range", "16776192:16777215"],
+     {"rieszgreedy", "rieszgreedy.energy", "rieszgreedy.special"}),
+]
+
 #: Commands whose process must not load ``fractions`` (nor ``decimal``,
 #: which it brings): nothing they run takes a Fraction.
 WITHOUT_FRACTIONS = {"energy", "oracle-verify", "tseq", "fseq", "cesaro",
@@ -66,8 +75,9 @@ PROBE = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("argv, loaded", LOADED,
-                         ids=[argv[0] if argv else "import" for argv, _ in LOADED])
+@pytest.mark.parametrize("argv, loaded", LOADED + ROUTES,
+                         ids=[argv[0] if argv else "import" for argv, _ in LOADED]
+                         + ["tseq-one-chunk", "energy-near-2^24"])
 def test_modules_each_command_loads(tmp_path, argv, loaded):
     # a fresh process: this one already holds every layer
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import rieszgreedy
-from rieszgreedy import cli
+from rieszgreedy import cells, cli
 from rieszgreedy.cli import main
 
 #: One argv per range command, its range 58 N, or 9 blocks of 7 N.
@@ -103,7 +103,7 @@ def test_energy_needs_n_or_range(tmp_path, capsys):
 
 
 def fail_on_third_float_call(monkeypatch):
-    calls, real = [], cli._float_columns
+    calls, real = [], cells._float_columns
 
     def failing(columns, work):
         calls.append(len(columns))
@@ -111,7 +111,7 @@ def fail_on_third_float_call(monkeypatch):
             raise OSError(28, "No space left on device")
         return real(columns, work)
 
-    monkeypatch.setattr(cli, "_float_columns", failing)
+    monkeypatch.setattr(cells, "_float_columns", failing)
     return calls
 
 
