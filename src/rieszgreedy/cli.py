@@ -2,7 +2,7 @@
 CSV (UTF-8, header row) plus a JSON run manifest.  One row writer writes
 every CSV: each float as ``'%.17g' % v``, byte for byte, every other
 value through ``str``.  A CSV below one :data:`_CSV_CHUNK` formats its
-floats with ``%``; a longer one takes the numpy kernels of
+floats with ``%``; a longer one takes the numpy kernel of
 :mod:`rieszgreedy.cells`, which it loads only then.
 
 Each command is one :data:`_COMMANDS` entry: its help text, its runner
@@ -40,9 +40,10 @@ modules, 7 ms to compile and run this module, 7 ms for the one
 command's parser and the collector's first pass (see :func:`run`),
 11 ms to load ``energy`` and ``special``, 2.5 ms for the energies, 2 ms
 for the CSV and 6 ms to finalize.  So this module imports no layer, no
-cell kernel (:mod:`rieszgreedy.cells`, 8.5-9 ms more where a CSV loads
-it) and no ``fractions``, and each runner imports what it calls when it
-runs.  ``eta`` loads
+cell kernel (:mod:`rieszgreedy.cells`, about 5% more of such a process
+where a CSV loads it: 2.9 ms against 59 ms, measured together on a
+faster run of the same VM) and no ``fractions``, and each runner imports
+what it calls when it runs.  ``eta`` loads
 ``binary``; ``energy`` and ``oracle-verify`` load ``energy``, which
 brings ``special``; ``scan`` and ``figures`` load ``limits``, which
 brings ``arith``, ``binary`` and ``special``; ``identities`` loads
@@ -103,13 +104,14 @@ _FIGURES = (
 #: Rows per write: bounds the cells held, keeps them in cache.  Each
 #: writer makes the work arrays of :func:`rieszgreedy.cells._float_cells`
 #: once per call (12288 values a figures chunk), so a chunk makes one new
-#: array, its cells: ``figures --M 20`` takes about 2k minor page faults
-#: in the kernel, 13.9k with temporaries made per chunk.  With the work
-#: reused, a ``figures --M 20`` process ran 1% faster at 2^12 rows (17.1k
-#: faults in all, 12.8k at 2^11) and 3.5% slower at 2^13, medians of 12
-#: pairs on one CPU.  Also the route of a CSV's floats: one whose first
-#: block is shorter takes ``%`` and never loads the kernel (see
-#: :func:`_csv_files` and :mod:`rieszgreedy.cells`).
+#: array, its cells: ``figures --M 20`` takes about 2.2k minor page faults
+#: in the kernel.  Against 2^11 rows (11.4k faults in all, 38.0 MB peak),
+#: a ``figures --M 20`` process ran 0.8% faster at 2^12 (16.8k, 40.0 MB)
+#: and 1.8% slower at 2^13 (24.2k, 44.2 MB), medians of 12 runs on one
+#: CPU.  Also the route of a CSV's floats: one whose first block is
+#: shorter takes ``%`` and never loads the kernel, which costs a fresh
+#: process about 2.9 ms before its first cell, what ``%`` takes for some
+#: 8k values (see :func:`_csv_files` and :mod:`rieszgreedy.cells`).
 _CSV_CHUNK = 1 << 11
 _PANEL_HEADER = "x,value"  # the CSV header of scan and of each figures file
 
@@ -223,8 +225,9 @@ def _csv_files(paths: list, header: str):
     whole CSV: :func:`_percent_columns` below one chunk, else
     :func:`rieszgreedy.cells._float_columns` on work arrays made once (no
     caller's first block is shorter than a chunk unless it is the only
-    one).  Parts are renamed onto their paths at the end; on any error
-    every file made is removed."""
+    one).  Parts are renamed onto their paths at the end, each old file
+    removed first (see :func:`_write_manifest`); on any error every file
+    made is removed and the old files stay."""
     def write(columns):
         nonlocal float_columns
         count = next((len(c) for c in columns if not isinstance(c, (int, float))), 0)
@@ -261,6 +264,7 @@ def _csv_files(paths: list, header: str):
                 files[-1].write(header.encode() + b"\n")
             yield write
         for i, path in enumerate(paths):
+            path.unlink(missing_ok=True)
             made[i] = made[i].replace(path)
     except BaseException:
         for path in made:
@@ -289,11 +293,18 @@ def _write_panels(paths: list, m: int, panels) -> list:
 
 def _write_manifest(path: Path, command: str, params: dict, outputs: list,
                     summary: dict, status: str, started: float) -> None:
+    """Write the run manifest to ``path`` as a new file: an old one is
+    removed first, as :func:`_csv_files` removes an old CSV.  Renaming a
+    new file onto an old one, or truncating an old one to write it again,
+    makes ext4 (``auto_da_alloc``) write the new data out at once: a
+    re-run of ``figures --M 20`` into its old outputs took 1.5-1.6 s
+    against 0.25 s fresh, and 0.26-0.28 s with the old files removed."""
     doc = {"command": command, "parameters": params, "version": __version__,
            "wall_time_seconds": time.perf_counter() - started,
            "outputs": [str(p) for p in outputs], "summary": summary,
            "status": status}
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

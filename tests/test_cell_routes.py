@@ -1,5 +1,5 @@
 """The row writer formats the float columns of a CSV shorter than one
-chunk with ``%`` and those of a longer one with the numpy kernels of
+chunk with ``%`` and those of a longer one with the numpy kernel of
 :mod:`rieszgreedy.cells`; both routes write the same bytes.  ``main``
 builds only the subparser of the command it runs, which parses, helps
 and fails as the full parser does."""
@@ -15,7 +15,7 @@ from rieszgreedy.cli import main
 #: Commands whose CSVs are below one chunk at the default _CSV_CHUNK, and
 #: a chunk that puts each above one.
 ROUTED = [
-    # every energy beyond 1e15, so off the kernel's fast path
+    # every energy beyond 1e15
     (["energy", "--s", "3.805", "--range", "16776192:16777215"], 100),
     (["energy", "--s", "1e308", "--N", "5"], 1),  # inf
     (["expansion-check", "--s", "3.7", "--range", "2:1000"], 64),  # negative residuals

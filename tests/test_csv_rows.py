@@ -1,9 +1,9 @@
 """The float cells of the CSV writers equal ``'%.17g' % v`` byte for byte
-for every double: over random bit patterns, at the edges of the fast path
-(its exponent range, powers of ten, exact rounding ties, whole numbers,
-the byte columns each layout fills), over every binade through the second
-pass, and with cells off the fast path at any row of a chunk; only nan,
-inf and -inf reach ``%``.  Whole rows are held to
+for every double: over random bit patterns, at edges of the kernel
+(powers of ten, exact rounding ties, whole numbers, the byte columns each
+layout fills), over every binade, and with zeros, subnormals, nan and inf
+at any row of a chunk; only nan, inf and -inf and the 17th-digit ties the
+kernel cannot certify reach ``%``.  Whole rows are held to
 the % template writer of tests/oracles.py, and the figures writer's shared
 row matrix to :func:`cli._csv_rows`; both writers format each chunk's
 float columns in one call.  The int cells equal ``str(v)`` for every
@@ -47,7 +47,7 @@ def assert_matches_percent(values) -> None:
 @st.composite
 def bit_patterns(draw) -> np.ndarray:
     """Random 64-bit patterns viewed as float64, a drawn share of them moved
-    into the binades around the fast path's range [1e-11, 1e15), with
+    into the binades of about [1e-12, 1e16), with
     patterns and floats drawn by hypothesis spliced in at drawn rows."""
     size = draw(st.sampled_from([0, 1]) | st.integers(2, 3 << 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -75,23 +75,67 @@ def spliced_by_percent():
         yield spliced
 
 
+def tie_distance(value: float) -> Fraction:
+    """How far |value|·10^(16-k), k its decimal exponent, lies from a
+    half-integer: 0 for an exact 17th-digit tie."""
+    f = abs(Fraction(value))
+    k = math.floor(math.log10(f))
+    k += (Fraction(10) ** (k + 1) <= f) - (Fraction(10) ** k > f)
+    x = f * Fraction(10) ** (16 - k)
+    return abs(x - math.floor(x) - Fraction(1, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(values=bit_patterns())
 def test_random_bit_patterns(values):
     with spliced_by_percent() as spliced:
         assert_matches_percent(values)
-    assert not any(map(math.isfinite, spliced))  # no finite value takes %
+    # a finite value takes % only where its digits' sum lies within 2^-46
+    # of a half, and the sum is within 2^-47 of the exact one
+    assert all(tie_distance(v) < Fraction(3, 1 << 47)
+               for v in spliced if math.isfinite(v))
 
 
-def test_wide_pass_certifies_random_doubles():
-    # the digits of a value off the fast path are uncertain only within
-    # 2^-46 of a rounding tie: none among 2^20 random finite doubles
-    # (fewer than 1 in 10^6)
+def test_pass_certifies_random_doubles():
+    # the digits of a finite value are uncertain only within 2^-46 of a
+    # rounding tie: none among 2^20 random finite doubles (fewer than 1
+    # in 10^6)
     rng = np.random.default_rng(20)
     values = rng.integers(0, 1 << 64, 1 << 20, dtype=np.uint64).view(np.float64)
     values = values[np.isfinite(values)]
-    words, k, uncertain = cells._wide_cells(values.copy(), cells._cell_work(values.size))
-    assert uncertain.size == 0
+    work = cells._cell_work(1 << 14)
+    with spliced_by_percent() as spliced:
+        for start in range(0, values.size, 1 << 14):
+            cells._float_cells(values[start:start + (1 << 14)], work)
+    assert spliced == []
+
+
+#: The finite doubles that are exact 17th-digit ties at k = -7 and -8,
+#: where 10^(16-k) takes more than 53 bits, so the kernel cannot certify
+#: their rounding: ±c·2^-24 (c odd, 3..15), ±2^-25 and ±3·2^-25.
+UNCERTAIN_TIES = [s * v for v in [c * 2.0 ** -24 for c in range(3, 16, 2)]
+                  + [2.0 ** -25, 3 * 2.0 ** -25] for s in (1, -1)]
+
+
+def test_exact_ties_below_1e_6_take_percent():
+    assert len(UNCERTAIN_TIES) == 18
+    assert all(tie_distance(v) == 0 for v in UNCERTAIN_TIES)
+    with spliced_by_percent() as spliced:
+        assert_matches_percent(UNCERTAIN_TIES)
+    assert spliced[:18] == UNCERTAIN_TIES
+
+
+def test_no_figures_value_takes_percent(tmp_path):
+    # the grid data of figures: every finite cell from the kernel
+    calls, real = [], cells._float_columns
+
+    def spy(columns, work):
+        calls.append(len(columns))
+        return real(columns, work)
+
+    with spliced_by_percent() as spliced, mock.patch.object(cells, "_float_columns", spy):
+        assert cli.main(["figures", "--M", "14", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 4 and not any(map(math.isfinite, spliced))
 
 
 def _neighbours(v: float) -> list:
@@ -159,9 +203,9 @@ def test_no_exact_wide_ties():
     assert (Fraction(v) * 10).denominator == 2 and "%.17g" % v == "1000000000000000.2"
 
 
-#: Values at both ends of each of the fast path's layouts, as decimal
-#: exponents k: -11 and -5 ("d.ddde-XX"), -4 and -1 ("0.000ddd"), 0 and
-#: 14 ("ddd.ddd"); none a whole number, which leaves the fast path.
+#: Values at both ends of three layouts, as decimal exponents k: -11 and
+#: -5 ("d.ddde-XX"), -4 and -1 ("0.000ddd"), 0 and 14 ("ddd.ddd"); none
+#: a whole number.
 SPAN_EDGES = [1.2345678901234567e-11, 9.8765432109876543e-11, 1.5e-05, 9.9e-05,
               0.00015, 0.00099, 0.15, 0.99, 1.5, 9.5,
               123456789012345.67, 987654321098765.4]
@@ -180,7 +224,7 @@ def test_span_edges_alone_and_mixed():
 @pytest.mark.parametrize("values,width", [
     ([0.75], 23), ([0.75, 1.5], 24), ([1.5], 19), ([-0.75], 24),
     ([1e-07], 23), ([1e-07, 0.75], 28), ([-1e-07, 1.5], 29), ([0.75, 100.0], 24),
-    ([1e20], 23), ([5e-324], 29), ([-1.5e300], 30), ([np.inf, 0.5], 32)])
+    ([1e20], 23), ([5e-324], 24), ([-1.5e300], 30), ([np.inf, 0.5], 32)])
 def test_cells_keep_the_columns_values_can_fill(values, width):
     assert cells._float_cells(np.array(values)).shape[1] == width
     assert_matches_percent(values)
@@ -271,38 +315,22 @@ def test_write_csv_last_short_chunk_on_reused_work(tmp_path, monkeypatch):
     assert out.read_bytes() == ("i,a,b\n" + oracles.csv_rows(columns, size)).encode()
 
 
-def test_decimal_exponent_table_is_exact():
-    _, kbase, thresh, _, _ = cells._float_tables()
-    for e2 in range(-40, 51):
-        ef = e2 + 1023
-        t = int(thresh[ef])
-        for m in (1 << 52, (1 << 53) - 1, t - 1, t):
-            if 1 << 52 <= m < 1 << 53:
-                k = int(kbase[ef]) - (m < t)
-                v = Fraction(m) * Fraction(2) ** (e2 - 52)
-                assert Fraction(10) ** k <= v < Fraction(10) ** (k + 1)
-
-
 def test_exponent_tables_match_the_fraction_form():
-    # both passes' decimal exponent tables against the Fraction form: the
-    # fast one entry by entry, the wide one (binade index v, see
-    # cells._SCALED) by the exponent it gives the mantissas at its ends and
-    # at either threshold, for every binade of a finite double
-    _, kbase, thresh, _, _ = cells._float_tables()
-    fast = oracles.decimal_exponent_table(range(-40, 51))
-    assert {e2: (int(kbase[e2 + 1023]), int(thresh[e2 + 1023])) for e2 in fast} == fast
-    assert set(kbase[:1023 - 40]) | set(kbase[1023 + 51:]) == {99}
-    wide, pair, _, _ = cells._wide_tables()
-    ks = pair[4].view(np.int64)
+    # the kernel's decimal exponent table against the Fraction form, by
+    # binade index v (see cells._SCALED): the exponent it gives the
+    # mantissas at its ends and at either threshold, for every binade of a
+    # finite double
+    _, thresh, scale, _, _ = cells._tables()
+    ks = scale[4].view(np.int64) - 324
     table = oracles.decimal_exponent_table(range(-1074, 1024))
     binades = [(2 * ef, ef - 1023) for ef in range(1, 2047)]
     binades += [(2 * (cells._SCALED + e), e - 1077) for e in range(3, 55)]
     for v, e2 in binades:
         j, t = table[e2]
-        assert ks[v + 1] == ks[v] - 1 or wide[v] <= 1 << 52  # the column m < thresh
-        for m in {1 << 52, (1 << 53) - 1, t - 1, t, int(wide[v]) - 1, int(wide[v])}:
+        assert ks[v + 1] == ks[v] - 1 or thresh[v] <= 1 << 52  # the column m < thresh
+        for m in {1 << 52, (1 << 53) - 1, t - 1, t, int(thresh[v]) - 1, int(thresh[v])}:
             if 1 << 52 <= m < 1 << 53:
-                assert ks[v] - (m < wide[v]) == j - (m < t), (e2, m)
+                assert ks[v] - (m < thresh[v]) == j - (m < t), (e2, m)
 
 
 def test_tables_built_on_first_use(tmp_path):
@@ -310,15 +338,14 @@ def test_tables_built_on_first_use(tmp_path):
     probe = ("import sys\n"
              "import rieszgreedy.cli as cli\n"
              "from rieszgreedy import cells\n"
-             "print(cells._float_tables.cache_info().currsize)\n"
+             "print(cells._tables.cache_info().currsize)\n"
              "cli.main(['figures', '--M', '12', '--out', sys.argv[1]])\n"
-             "print(cells._wide_tables.cache_info().currsize)")
+             "print(cells._tables.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True)
-    # no table at import, and figures, all on the fast path, builds no
-    # table of the second pass
-    assert out.stdout.split() == ["0", "0"]
+    # no table at import, and figures builds the kernel's tables
+    assert out.stdout.split() == ["0", "1"]
 
 
 INT_EDGES = [0, 9, 10, 99, 100, (1 << 53) - 1, (1 << 63) - 1,

@@ -27,7 +27,7 @@ ENTRIES = {
     "script": ["-c", "import sys; from rieszgreedy.cli import run; sys.exit(run())"],
 }
 
-#: ``energy`` near 2^24, whose cells take the second pass, and the sha1
+#: ``energy`` near 2^24, whose energies lie beyond 1e15, and the sha1
 #: test_cli pins for it.
 PINNED, PINNED_SHA1 = next((argv, sha1) for argv, sha1 in test_cli.TestPinnedBytes.RANGES
                            if argv[0] == "energy")

@@ -2,7 +2,8 @@
 computes and writes ``cli._RANGE_BLOCK`` N at a time, and every CSV is
 written as ``<out>.part``, renamed onto ``<out>`` only when complete.
 These tests hold the block edges to the bytes of one block, a failed run
-to no file, and a range command's peak memory to that of a short range."""
+to no file (and to the old files where it re-runs into them), and a range
+command's peak memory to that of a short range."""
 
 import argparse
 import json
@@ -145,6 +146,22 @@ def test_success_leaves_no_part_file(tmp_path):
     assert run(RANGE_ARGVS["tseq"], tmp_path / "t.csv")[0] == 0
     assert main(["figures", "--M", "6", "--out", str(tmp_path / "f")]) == 0
     assert not list(tmp_path.rglob("*.part"))
+
+
+def test_rerun_replaces_outputs_and_a_failed_one_keeps_them(tmp_path, monkeypatch):
+    # the old CSV and manifest are removed just before the new ones are
+    # put in place, so a run that fails midway leaves the old ones
+    out, argv = tmp_path / "t.csv", ["tseq", "--s", "80", "--range", "6000:6300"]
+    manifest = out.with_name(out.name + ".manifest.json")
+    first = run(argv, out)
+    assert first[0] == 0 and run(argv, out) == first
+    manifest_text = manifest.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
+    # the rows of N = 6000..6391 are written before the block of 6392 raises
+    monkeypatch.setattr(cli, "_RANGE_BLOCK", 64)
+    assert run(["tseq", "--s", "80", "--range", "6000:6500"], out) == (2, *first[1:])
+    assert manifest.read_text() == manifest_text
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
 
 
 #: Runs the command through the process entry, as ``python -m`` does.
